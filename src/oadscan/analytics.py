@@ -10,14 +10,12 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DEFAULT_WINDOW, MonthWindow, validate_month
 from .fileio import atomic_write_text
 from .ghp import Category, CategoryPolicy
-from .scope import host_of
 
 __all__ = [
     "MonthlyStats",
@@ -27,15 +25,13 @@ __all__ = [
     "AggregateConfig",
     "CorpusAggregate",
     "MergeConfigError",
-    "monthly_stats",
-    "aggregate_yearly",
     "category_percentages",
     "ghp_share_of_oads",
     "merge",
-    "hostname_frequency",
     "frequency_histogram",
     "top_hostnames",
     "dispersion_metrics",
+    "paper_figures",
     "write_reports",
 ]
 
@@ -81,54 +77,6 @@ class MonthlyStats:
         )
 
 
-def _tally(month: str, categories: Iterable[Category]) -> MonthlyStats:
-    ghp = ngo = non = 0
-    for c in categories:
-        if c is Category.GHP:
-            ghp += 1
-        elif c is Category.NON_GHP_OADS:
-            ngo += 1
-        else:
-            non += 1
-    oads = ghp + ngo
-    return MonthlyStats(month, 1, oads + non, oads, non, ghp, ngo)
-
-
-def monthly_stats(
-    documents: Iterable[tuple[str, Sequence[Category]]],
-    window: MonthWindow = DEFAULT_WINDOW,
-) -> list[MonthlyStats]:
-    """Aggregate per-document category lists into one record per month.
-
-    Input is (month, categories-of-in-scope-mentions) per document; a
-    document with no mentions still counts toward publications.  A month
-    outside the corpus window is an error: windowing belongs to ingest.
-    """
-    by_month: dict[str, MonthlyStats] = {}
-    for month, categories in documents:
-        validate_month(month)
-        if not window.contains(month):
-            raise ValueError(f"month {month} outside corpus window {window.start}..{window.end}")
-        stats = _tally(month, categories)
-        existing = by_month.get(month)
-        by_month[month] = stats if existing is None else existing.add(stats)
-    return [by_month[m] for m in sorted(by_month)]
-
-
-def aggregate_yearly(monthly: Iterable[MonthlyStats]) -> list[MonthlyStats]:
-    """Re-aggregate monthly records into per-year records (count-weighted).
-
-    The ``month`` field of the result holds the 4-digit year.
-    """
-    by_year: dict[str, MonthlyStats] = {}
-    for stats in monthly:
-        year = stats.month[:4]
-        rec = replace(stats, month=year)
-        existing = by_year.get(year)
-        by_year[year] = rec if existing is None else existing.add(rec)
-    return [by_year[y] for y in sorted(by_year)]
-
-
 def category_percentages(stats: MonthlyStats) -> tuple[float, float, float] | None:
     """(pct_ghp, pct_non_ghp_oads, pct_non_oads) over uri_total, or None
     when the month has no URIs."""
@@ -161,20 +109,6 @@ class HostnameStats:
         if self.total == 0:
             return None
         return 100.0 * self.counts.get(hostname, 0) / self.total
-
-    @classmethod
-    def empty(cls) -> "HostnameStats":
-        return cls({}, 0)
-
-
-def hostname_frequency(uris: Iterable[str]) -> HostnameStats:
-    """Count lowercased hostnames across the given (non-GHP OADS) URIs."""
-    counts: Counter[str] = Counter()
-    total = 0
-    for uri in uris:
-        counts[host_of(uri)] += 1
-        total += 1
-    return HostnameStats(dict(counts), total)
 
 
 @dataclass(frozen=True)
@@ -291,6 +225,24 @@ def merge(a: CorpusAggregate, b: CorpusAggregate) -> CorpusAggregate:
     hostnames = Counter(a.hostnames)
     hostnames.update(b.hostnames)
     return CorpusAggregate(a.config, monthly, hostnames, a.hostname_total + b.hostname_total)
+
+
+def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
+    """The paper's headline figures for an aggregate: the GHP share of OADS
+    mentions, the top hostname's share of non-GHP OADS mentions, the
+    number of distinct hostnames and the dispersion metrics.  Shares are
+    in percentage points; an undefined share is None."""
+    stats = aggregate.hostname_stats()
+    top = top_hostnames(stats, 1)
+    dispersion = dispersion_metrics(stats)
+    figures: dict[str, float | int | None] = {
+        "ghp_share_of_oads": ghp_share_of_oads(aggregate.totals()),
+        "top_hostname_share": stats.share(top[0][0]) if top else None,
+        "distinct_hostnames": len(stats.counts),
+    }
+    for f in fields(DispersionMetrics):
+        figures[f.name] = None if dispersion is None else getattr(dispersion, f.name)
+    return figures
 
 
 # --- CSV reports -----------------------------------------------------------

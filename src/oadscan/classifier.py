@@ -20,11 +20,10 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
-from urllib.parse import urlsplit
 
 from .extraction import UriMention
 from .fileio import atomic_write_text
-from .scope import host_of, split_port
+from .scope import ParsedUri, parse_uri
 
 __all__ = [
     "Label",
@@ -70,8 +69,10 @@ class Classification:
     score: float
 
     def __post_init__(self) -> None:
-        if self.provenance is not Provenance.LEARNED:
-            assert self.label is Label.NON_OADS and self.score == 0.0
+        if self.provenance is not Provenance.LEARNED and (
+            self.label is not Label.NON_OADS or self.score != 0.0
+        ):
+            raise ValueError(f"a heuristic verdict is Non-OADS with score 0.0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -101,35 +102,21 @@ def load_denylist(path: str | Path) -> frozenset[str]:
     return frozenset(str(h).lower() for h in hosts)
 
 
-def _host_or_none(uri: str) -> str | None:
-    try:
-        host, _ = split_port(host_of(uri))
-        return host
-    except ValueError:
-        return None
-
-
 def classify_heuristic(
-    mention: UriMention, denylist: frozenset[str] = DEFAULT_DENYLIST
+    mention: UriMention,
+    denylist: frozenset[str] = DEFAULT_DENYLIST,
+    parsed: ParsedUri | None = None,
 ) -> Classification | None:
-    """Apply the rule layer; None defers the mention to the learned model."""
-    host = _host_or_none(mention.uri)
-    if host is not None:
-        for entry in denylist:
-            if host == entry or host.endswith("." + entry):
-                return Classification(Label.NON_OADS, Provenance.HEURISTIC_PUBLISHER, 0.0)
-    path = _path_of(mention.uri)
-    if path.lower().endswith(".pdf"):
+    """Apply the rule layer; None defers the mention to the learned model.
+
+    ``parsed`` is the mention's URI already parsed, when the caller has it.
+    """
+    parsed = parse_uri(parsed or mention.uri)
+    if parsed.in_domains(denylist):
+        return Classification(Label.NON_OADS, Provenance.HEURISTIC_PUBLISHER, 0.0)
+    if parsed.path.lower().endswith(".pdf"):
         return Classification(Label.NON_OADS, Provenance.HEURISTIC_PDF, 0.0)
     return None
-
-
-def _path_of(uri: str) -> str:
-    # Path only, before query/fragment.
-    try:
-        return urlsplit(uri).path
-    except ValueError:
-        return ""
 
 
 # --- featurizer ----------------------------------------------------------
@@ -159,11 +146,15 @@ class Features:
     fixed: tuple[float, ...]
 
 
-def featurize(context: str, uri: str, config: FeaturizerConfig = FeaturizerConfig()) -> Features:
+def featurize(
+    context: str, uri: str | ParsedUri, config: FeaturizerConfig = FeaturizerConfig()
+) -> Features:
     """Bag-of-words over the context (URI masked) plus URI lexical features.
 
     Deterministic: tokens are reported in sorted order with raw counts.
     """
+    parsed = parse_uri(uri)
+    uri = parsed.uri
     masked = context
     if uri:
         masked = masked.replace(uri, _URI_PLACEHOLDER)
@@ -172,14 +163,14 @@ def featurize(context: str, uri: str, config: FeaturizerConfig = FeaturizerConfi
             masked = masked.replace(tail, _URI_PLACEHOLDER)
     counts: Counter[str] = Counter(_TOKEN_RE.findall(masked.lower()))
 
-    host = _host_or_none(uri)
+    host = parsed.host
     if host is not None:
         counts[config.host_feature_prefix + host] += 1
         label = host.rsplit(".", 1)[-1]
         if label and label != host:
             counts[config.tld_feature_prefix + label] += 1
 
-    path = _path_of(uri).lower()
+    path = parsed.path.lower()
     fixed = [1.0 if kw in path else 0.0 for kw in config.path_keywords]
     fixed.append(1.0 if uri.lower().startswith("https://") else 0.0)
     return Features(tuple(sorted(counts.items())), tuple(fixed))
@@ -347,7 +338,7 @@ def train(
     )
 
 
-def score_text(model: TrainedModel, context: str, uri: str) -> float:
+def score_text(model: TrainedModel, context: str, uri: str | ParsedUri) -> float:
     """OADS probability for a (context, uri) pair under the model."""
     features = featurize(context, uri, model.featurizer)
     z = model.bias
@@ -356,9 +347,11 @@ def score_text(model: TrainedModel, context: str, uri: str) -> float:
     return _sigmoid(z)
 
 
-def predict(model: TrainedModel, mention: UriMention) -> Classification:
+def predict(
+    model: TrainedModel, mention: UriMention, parsed: ParsedUri | None = None
+) -> Classification:
     """Learned-model verdict; the decision boundary assigns OADS at >= threshold."""
-    score = score_text(model, mention.context, mention.uri)
+    score = score_text(model, mention.context, parsed or mention.uri)
     label = Label.OADS if score >= model.threshold else Label.NON_OADS
     return Classification(label, Provenance.LEARNED, score)
 
@@ -367,12 +360,18 @@ def classify_hybrid(
     mention: UriMention,
     model: TrainedModel,
     denylist: frozenset[str] = DEFAULT_DENYLIST,
+    parsed: ParsedUri | None = None,
 ) -> Classification:
-    """Heuristic verdict when a rule matches, learned verdict otherwise."""
-    verdict = classify_heuristic(mention, denylist)
+    """Heuristic verdict when a rule matches, learned verdict otherwise.
+
+    The mention's URI is parsed once (unless ``parsed`` is given) and both
+    layers read that parse.
+    """
+    parsed = parse_uri(parsed or mention.uri)
+    verdict = classify_heuristic(mention, denylist, parsed)
     if verdict is not None:
         return verdict
-    return predict(model, mention)
+    return predict(model, mention, parsed)
 
 
 # --- evaluation ----------------------------------------------------------

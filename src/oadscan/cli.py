@@ -13,12 +13,17 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .analytics import AggregateConfig, CorpusAggregate, MergeConfigError, write_reports
+from .analytics import (
+    AggregateConfig,
+    CorpusAggregate,
+    MergeConfigError,
+    paper_figures,
+    write_reports,
+)
 from .classifier import (
     DEFAULT_DENYLIST,
     LabeledFileError,
@@ -42,6 +47,7 @@ from .corpus import (
     select_latest_versions,
 )
 from .extraction import (
+    MentionRecord,
     MentionsFileError,
     UriMention,
     extract_uri_mentions,
@@ -51,7 +57,7 @@ from .extraction import (
 )
 from .fileio import atomic_write_text
 from .ghp import Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, categorize
-from .scope import DEFAULT_POLICY, ScopePolicy, ScopeReason, host_of, is_in_scope
+from .scope import DEFAULT_POLICY, ScopePolicy, ScopeReason, is_in_scope, parse_uri
 
 log = logging.getLogger("oadscan")
 
@@ -115,7 +121,6 @@ def _settings(args: argparse.Namespace) -> dict:
         "window_start": resolve("window_start", MonthWindow().start),
         "window_end": resolve("window_end", MonthWindow().end),
         "dedup_per_doc": resolve("dedup_per_doc", False, lambda v: str(v).lower() in ("1", "true", "yes")),
-        "jobs": resolve("jobs", 1, int),
         "category_policy": resolve("category_policy", CategoryPolicy.GHP_FORCES_OADS.value),
         "bin_width": resolve("bin_width", 50, int),
         "top_n": resolve("top_n", 15, int),
@@ -174,13 +179,14 @@ def _load_filter_configs(settings: dict) -> tuple[ScopePolicy, frozenset[str], G
     return policy, denylist, patterns
 
 
-def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict) -> None:
+def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict, **more) -> None:
     payload = {
         "tool": "oadscan",
         "version": __version__,
         "command": command,
         "config": config_echo,
         "counts": counts,
+        **more,
     }
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -188,8 +194,13 @@ def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict) -
 # --- extract ---------------------------------------------------------------
 
 
-def _run_extraction(settings: dict, window: MonthWindow, out_path: Path) -> dict:
-    """Shared by extract and pipeline: documents in, mentions file out."""
+def _run_extraction(
+    settings: dict, window: MonthWindow, out_path: Path
+) -> tuple[dict, list[MentionRecord]]:
+    """Shared by extract and pipeline: documents in, mentions file out.
+
+    Returns the counts and the records written, in file order.
+    """
     manifest_path = _require_file(settings["manifest"], "manifest")
     docs_root = Path(settings["docs_root"]) if settings["docs_root"] else manifest_path.parent
 
@@ -202,29 +213,17 @@ def _run_extraction(settings: dict, window: MonthWindow, out_path: Path) -> dict
 
     dedup = settings["dedup_per_doc"]
     read_failures = 0
-    all_records = []
-
-    def process(entry):
+    records: list[MentionRecord] = []
+    for entry in windowed:
         try:
             doc = read_document(entry, docs_root)
         except DocumentReadError as exc:
-            return exc
-        return list(mention_records(doc, extract_uri_mentions(doc, dedup=dedup)))
-
-    jobs = max(1, settings["jobs"])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, windowed))
-    else:
-        results = [process(e) for e in windowed]
-    for result in results:
-        if isinstance(result, DocumentReadError):
-            log.warning("skipping document: %s", result)
+            log.warning("skipping document: %s", exc)
             read_failures += 1
-        else:
-            all_records.extend(result)
+            continue
+        records.extend(mention_records(doc, extract_uri_mentions(doc, dedup=dedup)))
 
-    mention_count = write_mentions_file(out_path, all_records)
+    mention_count = write_mentions_file(out_path, records)
     log.info("extract: %d manifest entries, %d documents, %d mentions, %d read failures",
              len(manifest), len(windowed), mention_count, read_failures)
     return {
@@ -233,21 +232,20 @@ def _run_extraction(settings: dict, window: MonthWindow, out_path: Path) -> dict
         "window_skipped": window_skipped,
         "read_failures": read_failures,
         "mentions": mention_count,
-    }
+    }, records
 
 
 def cmd_extract(settings: dict) -> int:
     _require(settings, "manifest", "out")
     window = _window(settings)
     out_path = Path(settings["out"])
-    counts = _run_extraction(settings, window, out_path)
+    counts, _ = _run_extraction(settings, window, out_path)
     echo = {
         "manifest": str(settings["manifest"]),
         "docs_root": str(settings["docs_root"] or Path(settings["manifest"]).parent),
         "out": str(out_path),
         "window": [window.start, window.end],
         "dedup_per_doc": settings["dedup_per_doc"],
-        "jobs": settings["jobs"],
     }
     _write_metadata(out_path.with_name(out_path.name + ".meta.json"), "extract", echo, counts)
     return EXIT_OK
@@ -293,7 +291,17 @@ def cmd_evaluate(settings: dict) -> int:
 # --- report ----------------------------------------------------------------
 
 
-def _run_report(settings: dict, window: MonthWindow, mentions_path: Path, out_dir: Path) -> dict:
+def _run_report(
+    settings: dict,
+    window: MonthWindow,
+    load_records: Callable[[], list[MentionRecord]],
+    out_dir: Path,
+) -> tuple[dict, dict]:
+    """Classify, scope and categorize mentions into the CSV reports.
+
+    Returns the counts and the paper's figures.  The records are loaded
+    only after the model and filter configs, so errors in those come first.
+    """
     manifest_path = _require_file(settings["manifest"], "manifest")
     model = TrainedModel.load(_require_file(settings["model"], "model file"))
     policy, denylist, patterns = _load_filter_configs(settings)
@@ -307,7 +315,7 @@ def _run_report(settings: dict, window: MonthWindow, mentions_path: Path, out_di
     for entry in windowed:
         aggregate.add_publications(entry.month)
 
-    records = read_mentions_file(mentions_path)
+    records = load_records()
     provenance_counts = {p: 0 for p in ("heuristic_publisher", "heuristic_pdf", "learned")}
     reason_counts = {r.value: 0 for r in ScopeReason}
     category_counts = {c.value: 0 for c in Category}
@@ -317,15 +325,16 @@ def _run_report(settings: dict, window: MonthWindow, mentions_path: Path, out_di
                 f"mention month {r.month} outside corpus window "
                 f"{window.start}..{window.end} (doc {r.doc_id})"
             )
+        parsed = parse_uri(r.uri)
         mention = UriMention(r.doc_id, r.uri, r.context, r.span)
-        classification = classify_hybrid(mention, model, denylist)
+        classification = classify_hybrid(mention, model, denylist, parsed)
         provenance_counts[classification.provenance.value] += 1
-        verdict = is_in_scope(r.uri, policy)
+        verdict = is_in_scope(parsed, policy)
         reason_counts[verdict.reason.value] += 1
         if verdict.in_scope:
-            category = categorize(r.uri, classification.label, patterns, category_policy)
+            category = categorize(parsed, classification.label, patterns, category_policy)
             category_counts[category.value] += 1
-            aggregate.add_mention(r.month, category, host_of(r.uri))
+            aggregate.add_mention(r.month, category, parsed.hostname)
 
     report_paths = write_reports(out_dir, aggregate, settings["top_n"])
     totals = aggregate.totals()
@@ -341,7 +350,7 @@ def _run_report(settings: dict, window: MonthWindow, mentions_path: Path, out_di
         "categories": category_counts,
         "months": len(aggregate.monthly),
         "reports": sorted(Path(p).name for p in report_paths.values()),
-    }
+    }, paper_figures(aggregate)
 
 
 def _report_echo(settings: dict, window: MonthWindow, mentions, out_dir: Path) -> dict:
@@ -366,9 +375,11 @@ def cmd_report(settings: dict) -> int:
     window = _window(settings)
     mentions_path = _require_file(settings["mentions"], "mentions file")
     out_dir = Path(settings["out_dir"])
-    counts = _run_report(settings, window, mentions_path, out_dir)
+    counts, figures = _run_report(
+        settings, window, lambda: read_mentions_file(mentions_path), out_dir
+    )
     echo = _report_echo(settings, window, mentions_path, out_dir)
-    _write_metadata(out_dir / "run_metadata.json", "report", echo, counts)
+    _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures)
     return EXIT_OK
 
 
@@ -378,13 +389,13 @@ def cmd_pipeline(settings: dict) -> int:
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     mentions_path = Path(settings["mentions"]) if settings["mentions"] else out_dir / "mentions.tsv"
-    extract_counts = _run_extraction(settings, window, mentions_path)
-    report_counts = _run_report(settings, window, mentions_path, out_dir)
+    extract_counts, records = _run_extraction(settings, window, mentions_path)
+    report_counts, figures = _run_report(settings, window, lambda: records, out_dir)
     echo = _report_echo(settings, window, mentions_path, out_dir)
     echo["docs_root"] = str(settings["docs_root"] or Path(settings["manifest"]).parent)
     echo["dedup_per_doc"] = settings["dedup_per_doc"]
     counts = {"extract": extract_counts, "report": report_counts}
-    _write_metadata(out_dir / "run_metadata.json", "pipeline", echo, counts)
+    _write_metadata(out_dir / "run_metadata.json", "pipeline", echo, counts, figures=figures)
     return EXIT_OK
 
 
@@ -416,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup-per-doc", dest="dedup_per_doc",
                    action=argparse.BooleanOptionalAction, default=None,
                    help="count each URI at most once per document")
-    p.add_argument("--jobs", type=int, help="parallel document workers (default 1)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train the learned classifier")
@@ -463,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mentions", help="where to write the intermediate mentions file")
     p.add_argument("--dedup-per-doc", dest="dedup_per_doc",
                    action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--jobs", type=int)
     add_report_options(p)
     p.set_defaults(func=cmd_pipeline)
 

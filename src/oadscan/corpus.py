@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "DocumentId",
@@ -28,7 +28,6 @@ __all__ = [
     "select_latest_versions",
     "filter_window",
     "read_document",
-    "iter_documents",
 ]
 
 
@@ -46,7 +45,7 @@ class DuplicateVersionError(ValueError):
 
 
 class DocumentReadError(OSError):
-    """A document text file was missing or unreadable."""
+    """A document text file was missing, unreadable, or not valid UTF-8."""
 
     def __init__(self, doc_id: "DocumentId", path: Path, cause: Exception):
         self.doc_id = doc_id
@@ -226,16 +225,15 @@ def filter_window(
 
 
 def read_document(entry: ManifestEntry, root: str | Path) -> Document:
-    """Read one document's text file relative to the corpus root."""
+    """Read one document's text file relative to the corpus root.
+
+    The text is decoded as UTF-8 with universal newlines, so CRLF and CR
+    line ends each read as a single newline character.
+    """
     path = Path(root) / entry.path
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentReadError(entry.doc_id, path, exc) from exc
     return Document(entry.doc_id, entry.month, text)
 
-
-def iter_documents(manifest: Iterable[ManifestEntry], root: str | Path) -> Iterator[Document]:
-    """Yield Documents in manifest order. Reads are pure per entry."""
-    for entry in manifest:
-        yield read_document(entry, root)

@@ -10,9 +10,10 @@ Three cooperating passes over a document:
 3. sentence segmentation - terminator-based splitting with detected URIs
    masked first, so a dot inside a URI never ends a sentence.
 
-Spans always index the *original* document text in Unicode scalar values,
-covering the raw match before trimming, so ``text[start:end]`` reproduces
-exactly what the scanner saw.
+Spans index ``Document.text``, the document as read: decoded UTF-8 with
+universal newlines, so a CRLF or lone CR line end counts as one newline.
+They count Unicode code points and cover the raw match before trimming,
+so ``canonicalize_raw(text[start:end])`` reproduces the mention's URI.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .corpus import Document, DocumentId, parse_document_id, validate_month
 from .fileio import atomic_write_text
-from .scope import host_of
+from .scope import parse_uri
 
 __all__ = [
     "UriMention",
@@ -103,9 +104,7 @@ def _valid_candidate(trimmed: str, implicit: bool) -> str | None:
         if not sep or not tail:
             return None
         uri = trimmed
-    try:
-        host_of(uri)
-    except ValueError:
+    if parse_uri(uri).hostname is None:
         return None
     return uri
 
@@ -320,7 +319,11 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
         while si < len(sentences) and sentences[si][1][1] <= raw_start:
             si += 1
         sentence_text, (s, e) = sentences[si]
-        assert s <= raw_start and raw_end <= e, "mention crosses a sentence boundary"
+        if not (s <= raw_start and raw_end <= e):
+            raise ValueError(
+                f"{doc.id}: mention {uri!r} at {raw_start}..{raw_end} crosses "
+                f"the sentence boundary {s}..{e}"
+            )
         if dedup:
             if uri in seen:
                 continue

@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .classifier import Label
-from .scope import host_of, split_port
+from .scope import ParsedUri, parse_uri
 
 __all__ = [
     "Platform",
@@ -119,11 +119,10 @@ class GhpPatternSet:
 DEFAULT_PATTERNS = GhpPatternSet.default()
 
 
-def detect_ghp(uri: str, patterns: GhpPatternSet = DEFAULT_PATTERNS) -> Platform | None:
+def detect_ghp(uri: str | ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) -> Platform | None:
     """First platform whose host rules match the URI's host, if any."""
-    try:
-        host, _ = split_port(host_of(uri))
-    except ValueError:
+    host = parse_uri(uri).host
+    if host is None:
         return None
     for platform, rules in patterns.rules:
         if any(rule.matches(host) for rule in rules):
@@ -146,7 +145,7 @@ class CategoryPolicy(Enum):
 
 
 def categorize(
-    uri: str,
+    uri: str | ParsedUri,
     label: Label,
     patterns: GhpPatternSet = DEFAULT_PATTERNS,
     policy: CategoryPolicy = CategoryPolicy.GHP_FORCES_OADS,

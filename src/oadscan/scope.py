@@ -4,6 +4,10 @@ URIs are excluded for a non-HTTP(S) scheme, a localhost/private-range
 host, a publication-pointing host (arXiv, Elsevier RefHub, Crossmark), or
 a DOI outside the data-repository allowlist.  Rules apply in that fixed
 order and the first match decides.
+
+This module also owns the URI parse: ``parse_uri`` splits a URI once into
+a ``ParsedUri``, and the scope, GHP, classifier and report code all read
+its fields instead of splitting the string again.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import ipaddress
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -20,6 +25,8 @@ __all__ = [
     "ScopeVerdict",
     "ScopePolicy",
     "DEFAULT_POLICY",
+    "ParsedUri",
+    "parse_uri",
     "host_of",
     "split_port",
     "is_in_scope",
@@ -80,7 +87,9 @@ class ScopePolicy:
     )
     private_ranges: tuple[str, ...] = _DEFAULT_PRIVATE_RANGES
 
+    @cached_property
     def networks(self) -> tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, ...]:
+        """The private ranges, parsed on first use and kept."""
         return tuple(ipaddress.ip_network(r) for r in self.private_ranges)
 
     @classmethod
@@ -97,13 +106,6 @@ class ScopePolicy:
 
 
 DEFAULT_POLICY = ScopePolicy()
-
-
-def _authority_of(uri: str) -> str:
-    netloc = urlsplit(uri).netloc
-    # Strip userinfo; the rightmost @ separates it from the host.
-    _, _, hostport = netloc.rpartition("@")
-    return hostport
 
 
 def split_port(host: str) -> tuple[str, str | None]:
@@ -126,6 +128,60 @@ def split_port(host: str) -> tuple[str, str | None]:
     return host, None
 
 
+@dataclass(frozen=True)
+class ParsedUri:
+    """A URI split once, with every field the scope, GHP, classifier and
+    report rules read.
+
+    ``hostname`` is the report form: lowercased, userinfo stripped, the
+    scheme's default port dropped and any other port kept as
+    ``host:port``; ``host`` is ``hostname`` with its port split off.  Both
+    are None when the URI has no host or does not parse, and a URI that
+    does not parse has an empty scheme and path.  ``port`` is the port as
+    written, default or not.
+    """
+
+    uri: str
+    scheme: str
+    host: str | None
+    port: str | None
+    path: str
+    hostname: str | None
+
+    def in_domains(self, domains: frozenset[str]) -> bool:
+        """True when the host is one of ``domains`` or a subdomain of one
+        (matched on label boundaries)."""
+        host = self.host
+        if host is None:
+            return False
+        while host not in domains:
+            dot = host.find(".")
+            if dot == -1:
+                return False
+            host = host[dot + 1 :]
+        return True
+
+
+def parse_uri(uri: str | ParsedUri) -> ParsedUri:
+    """Parse a URI string; an already-parsed value is returned unchanged."""
+    if isinstance(uri, ParsedUri):
+        return uri
+    try:
+        parts = urlsplit(uri)
+    except ValueError:
+        return ParsedUri(uri, "", None, None, "", None)
+    scheme = parts.scheme.lower()
+    # Strip userinfo; the rightmost @ separates it from the host.
+    host, port = split_port(parts.netloc.rpartition("@")[2].lower())
+    if not host:
+        return ParsedUri(uri, scheme, None, port, parts.path, None)
+    if port is not None and port != _DEFAULT_PORTS.get(scheme):
+        hostname = f"{host}:{port}"
+    else:
+        hostname = host
+    return ParsedUri(uri, scheme, split_port(hostname)[0], port, parts.path, hostname)
+
+
 def host_of(uri: str) -> str:
     """Extract the lowercased host from a URI.
 
@@ -133,16 +189,10 @@ def host_of(uri: str) -> str:
     ``host:port``.  A leading ``www.`` is preserved and IP-literal hosts
     are returned verbatim (lowercased).
     """
-    parts = urlsplit(uri)
-    hostport = _authority_of(uri)
-    if not hostport:
+    hostname = parse_uri(uri).hostname
+    if hostname is None:
         raise ValueError(f"URI has no host: {uri!r}")
-    host, port = split_port(hostport.lower())
-    if not host:
-        raise ValueError(f"URI has no host: {uri!r}")
-    if port is not None and port != _DEFAULT_PORTS.get(parts.scheme.lower()):
-        return f"{host}:{port}"
-    return host
+    return hostname
 
 
 def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool:
@@ -156,43 +206,25 @@ def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool
         addr = ipaddress.ip_address(bare)
     except ValueError:
         return False
-    return any(addr in net for net in policy.networks())
+    return any(addr in net for net in policy.networks)
 
 
-def _host_matches(host: str, pattern: str) -> bool:
-    """Exact host or any subdomain of it (match on label boundaries)."""
-    bare, _ = split_port(host)
-    return bare == pattern or bare.endswith("." + pattern)
-
-
-def _doi_prefix_of(uri: str) -> str:
-    """First path segment of a DOI URI, e.g. ``10.5281``; empty if none."""
-    path = urlsplit(uri).path
-    segments = [s for s in path.split("/") if s]
-    return segments[0] if segments else ""
-
-
-def is_in_scope(uri: str, policy: ScopePolicy = DEFAULT_POLICY) -> ScopeVerdict:
+def is_in_scope(uri: str | ParsedUri, policy: ScopePolicy = DEFAULT_POLICY) -> ScopeVerdict:
     """Apply the scope rules in fixed order and return the first verdict.
 
     Never raises: anything unparseable is excluded under the scheme rule.
     """
-    try:
-        scheme = urlsplit(uri).scheme.lower()
-    except ValueError:
+    parsed = parse_uri(uri)
+    if parsed.scheme not in policy.allowed_schemes or parsed.host is None:
         return ScopeVerdict.from_reason(ScopeReason.SCHEME_EXCLUDED)
-    if scheme not in policy.allowed_schemes:
-        return ScopeVerdict.from_reason(ScopeReason.SCHEME_EXCLUDED)
-    try:
-        host = host_of(uri)
-    except ValueError:
-        return ScopeVerdict.from_reason(ScopeReason.SCHEME_EXCLUDED)
-    if is_private_or_local(host, policy):
+    if is_private_or_local(parsed.hostname, policy):
         return ScopeVerdict.from_reason(ScopeReason.LOCAL_OR_PRIVATE_HOST)
-    if any(_host_matches(host, p) for p in sorted(policy.publication_hosts)):
+    if parsed.in_domains(policy.publication_hosts):
         return ScopeVerdict.from_reason(ScopeReason.PUBLICATION_LINK)
-    if any(_host_matches(host, p) for p in sorted(policy.doi_hosts)):
-        if _doi_prefix_of(uri) in policy.doi_allow_prefixes:
+    if parsed.in_domains(policy.doi_hosts):
+        # The DOI registrant prefix is the first non-empty path segment.
+        prefix = next((s for s in parsed.path.split("/") if s), "")
+        if prefix in policy.doi_allow_prefixes:
             return ScopeVerdict.from_reason(ScopeReason.DOI_ALLOWLISTED)
         return ScopeVerdict.from_reason(ScopeReason.DOI_EXCLUDED)
     return ScopeVerdict.from_reason(ScopeReason.ACCEPTED)

@@ -6,6 +6,8 @@ determinism and quality, oracle equivalence for the analytics, and the
 golden end-to-end run.
 """
 
+import csv
+import json
 import random
 import sys
 import time
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import oadscan.classifier as classifier_mod
+import oadscan.scope as scope_mod
 from conftest import make_mention
 from fixture_labels import generate_examples
 from oadscan.analytics import (
@@ -25,15 +28,14 @@ from oadscan.analytics import (
     dispersion_metrics,
     frequency_histogram,
     ghp_share_of_oads,
-    hostname_frequency,
     merge,
-    monthly_stats,
     top_hostnames,
 )
 from oadscan.classifier import Label, Provenance, evaluate, predict, train
 from oadscan.cli import EXIT_OK, main
+from oadscan.extraction import read_mentions_file
 from oadscan.ghp import Category, CategoryPolicy, categorize, detect_ghp
-from oadscan.scope import ScopeReason, is_in_scope
+from oadscan.scope import ScopeReason, is_in_scope, parse_uri
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "fixture_corpus"
@@ -75,12 +77,13 @@ def test_accounting_identity():
         rng = random.Random(2027)
         cases = 0
         for _ in range(1000):
-            docs = []
+            aggregate = CorpusAggregate()
             for _ in range(rng.randint(1, 8)):
                 month = f"20{rng.randint(10, 21)}-{rng.randint(1, 12):02d}"
-                cats = [rng.choice(list(Category)) for _ in range(rng.randint(0, 10))]
-                docs.append((month, cats))
-            for stats in monthly_stats(docs):
+                aggregate.add_publications(month)
+                for _ in range(rng.randint(0, 10)):
+                    aggregate.add_mention(month, rng.choice(list(Category)), "h.example.org")
+            for stats in aggregate.monthly_list():
                 stats.check()
                 assert stats.uri_total == stats.oads + stats.non_oads
                 assert stats.oads == stats.ghp + stats.non_ghp_oads
@@ -89,7 +92,6 @@ def test_accounting_identity():
         # the published corpus-wide identity
         assert 385817 == 127529 + 258288
         # and the golden fixture corpus
-        import csv
         with open(GOLDEN / "monthly.csv", newline="") as fh:
             for row in csv.DictReader(fh):
                 total, oads = int(row["uri_total"]), int(row["oads"])
@@ -198,8 +200,18 @@ def test_ghp_detection():
 
 
 def _brute_force_checks(docs, rng):
-    """Independent recomputation with plain loops and sorting."""
-    stats_list = monthly_stats(docs)
+    """Independent recomputation with plain loops and sorting, checked
+    against the aggregate the report builds."""
+    aggregate = CorpusAggregate()
+    hosts = []
+    for month, cats in docs:
+        aggregate.add_publications(month)
+        for c in cats:
+            host = f"h{rng.randint(0, 40)}.example.org"
+            aggregate.add_mention(month, c, parse_uri(f"https://{host}/x").hostname)
+            if c is Category.NON_GHP_OADS:
+                hosts.append(host)
+    stats_list = aggregate.monthly_list()
     by_month = {}
     for month, cats in docs:
         pubs, tally = by_month.get(month, (0, Counter()))
@@ -217,13 +229,7 @@ def _brute_force_checks(docs, rng):
         # averages as plotted: total per publication
         assert s.uri_total / s.publications == pytest.approx(sum(tally.values()) / pubs)
 
-    hosts = [
-        f"h{rng.randint(0, 40)}.example.org"
-        for _, cats in docs
-        for c in cats
-        if c is Category.NON_GHP_OADS
-    ]
-    stats = hostname_frequency(f"https://{h}/x" for h in hosts)
+    stats = aggregate.hostname_stats()
     expected_counts = {}
     for h in hosts:
         expected_counts[h] = expected_counts.get(h, 0) + 1
@@ -313,3 +319,50 @@ def test_end_to_end_golden_run(tmp_path):
         assert (run_dirs[0] / "mentions.tsv").read_bytes() == (
             run_dirs[1] / "mentions.tsv"
         ).read_bytes()
+
+
+def test_report_parses_each_uri_once(tmp_path, monkeypatch):
+    with _criterion("report parses each mention's URI once"):
+        mentions = tmp_path / "mentions.tsv"
+        assert main(["extract", "--manifest", str(CORPUS / "manifest.tsv"),
+                     "--out", str(mentions)]) == EXIT_OK
+        parses = []
+        urlsplit = scope_mod.urlsplit
+
+        def counting_urlsplit(*args, **kwargs):
+            parses.append(args[0])
+            return urlsplit(*args, **kwargs)
+
+        monkeypatch.setattr(scope_mod, "urlsplit", counting_urlsplit)
+        assert main(["report", "--mentions", str(mentions), "--model", str(DATA / "model.json"),
+                     "--manifest", str(CORPUS / "manifest.tsv"),
+                     "--out-dir", str(tmp_path / "reports")]) == EXIT_OK
+        uris = [r.uri for r in read_mentions_file(mentions)]
+        assert len(uris) >= 30
+        assert Counter(parses) == Counter(uris)
+
+
+def test_paper_figures_from_report(tmp_path):
+    with _criterion("paper figures in run_metadata.json match the golden reports"):
+        out_dir = tmp_path / "run"
+        assert main(["pipeline", "--manifest", str(CORPUS / "manifest.tsv"),
+                     "--model", str(DATA / "model.json"), "--out-dir", str(out_dir)]) == EXIT_OK
+        figures = json.loads((out_dir / "run_metadata.json").read_text())["figures"]
+        with open(GOLDEN / "monthly.csv", newline="") as fh:
+            monthly = list(csv.DictReader(fh))
+        with open(GOLDEN / "hostnames.csv", newline="") as fh:
+            counts = [int(row["count"]) for row in csv.DictReader(fh)]
+        ghp = sum(int(row["ghp"]) for row in monthly)
+        oads = sum(int(row["oads"]) for row in monthly)
+        total = sum(counts)
+        assert (ghp, oads, total) == (6, 18, 12)
+        assert figures == {
+            "ghp_share_of_oads": pytest.approx(100.0 * ghp / oads),
+            "top_hostname_share": pytest.approx(100.0 * max(counts) / total),
+            "distinct_hostnames": len(counts),
+            "singleton_uri_share": pytest.approx(100.0 * counts.count(1) / total),
+            "gt5_uri_share": 0.0,
+            "hostnames_over_1000": 0,
+        }
+        assert figures["top_hostname_share"] == pytest.approx(25.0)
+        assert figures["singleton_uri_share"] == pytest.approx(75.0)

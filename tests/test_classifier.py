@@ -5,6 +5,7 @@ import pytest
 import oadscan.classifier as classifier_mod
 from conftest import make_mention
 from oadscan.classifier import (
+    Classification,
     FeaturizerConfig,
     Label,
     LabeledExample,
@@ -22,6 +23,15 @@ from oadscan.classifier import (
     train,
     write_labeled_file,
 )
+
+
+class TestClassification:
+    def test_heuristic_verdict_is_non_oads_with_zero_score(self):
+        for label, score in ((Label.OADS, 0.0), (Label.NON_OADS, 0.5)):
+            for provenance in (Provenance.HEURISTIC_PDF, Provenance.HEURISTIC_PUBLISHER):
+                with pytest.raises(ValueError):
+                    Classification(label, provenance, score)
+        assert Classification(Label.OADS, Provenance.LEARNED, 0.9).score == 0.9
 
 
 class TestHeuristics:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import oadscan.cli as cli_mod
 from oadscan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from oadscan.extraction import read_mentions_file
 
@@ -95,13 +96,18 @@ class TestExtract:
         run("extract", "--manifest", root / "manifest.tsv", "--out", out, "--dedup-per-doc")
         assert len(read_mentions_file(out)) == 1
 
-    def test_jobs_parallelism_keeps_order(self, tmp_path):
-        docs = [(f"d{i:02d}", 1, "2019-01", f"Data at https://host{i}.org/set.") for i in range(12)]
-        root = write_corpus(tmp_path, docs)
-        seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-        run("extract", "--manifest", root / "manifest.tsv", "--out", seq)
-        run("extract", "--manifest", root / "manifest.tsv", "--out", par, "--jobs", 4)
-        assert seq.read_bytes() == par.read_bytes()
+    def test_non_utf8_document_skipped_and_named(self, tmp_path, caplog):
+        root = write_corpus(tmp_path, [
+            ("a", 1, "2019-01", "See https://zenodo.org/record/5."),
+            ("b", 1, "2019-01", "placeholder"),
+        ])
+        (root / "docs" / "bv1.txt").write_bytes(b"Caf\xe9 data at https://x.org/b.")
+        out = tmp_path / "mentions.tsv"
+        assert run("extract", "--manifest", root / "manifest.tsv", "--out", out) == EXIT_OK
+        meta = json.loads((tmp_path / "mentions.tsv.meta.json").read_text())
+        assert meta["counts"]["read_failures"] == 1
+        assert [r.uri for r in read_mentions_file(out)] == ["https://zenodo.org/record/5"]
+        assert any("bv1" in r.getMessage() and "utf-8" in r.getMessage() for r in caplog.records)
 
 
 class TestTrain:
@@ -225,6 +231,21 @@ class TestPipeline:
         ) == EXIT_OK
         for name in ("monthly.csv", "hostnames.csv", "histogram.csv", "top_hostnames.csv"):
             assert (staged_dir / name).read_bytes() == (fused_dir / name).read_bytes()
+        assert staged_mentions.read_bytes() == (fused_dir / "mentions.tsv").read_bytes()
+
+    def test_mentions_not_read_back(self, tmp_path, monkeypatch):
+        staged_mentions = tmp_path / "mentions.tsv"
+        run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", staged_mentions)
+
+        def no_read_back(path):
+            raise AssertionError(f"pipeline read {path} back")
+
+        monkeypatch.setattr(cli_mod, "read_mentions_file", no_read_back)
+        fused_dir = tmp_path / "fused"
+        assert run(
+            "pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
+            "--out-dir", fused_dir,
+        ) == EXIT_OK
         assert staged_mentions.read_bytes() == (fused_dir / "mentions.tsv").read_bytes()
 
     def test_metadata_counts_partition_mentions(self, tmp_path):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oadscan.corpus import Document, DocumentId
+from oadscan.corpus import Document, DocumentId, ManifestEntry, read_document
 from oadscan.extraction import (
     MentionRecord,
     MentionsFileError,
@@ -178,6 +178,18 @@ class TestExtractUriMentions:
         assert m.uri == "https://data.example.org/collections/v2"
         assert text[m.span[0]:m.span[1]] == "https://data.example.org/colle\nctions/v2"
         assert m.context == text.strip()
+
+    def test_crlf_spans_index_text_as_read(self, tmp_path):
+        # Reading normalises each CRLF to one newline, and spans index that
+        # text, not the raw bytes (where this URI starts one byte later).
+        raw = b"Data here:\r\nat https://x.org/data/v22 now.\r\n"
+        (tmp_path / "d.txt").write_bytes(raw)
+        d = read_document(ManifestEntry(DocumentId("d", 1), "2020-01", "d.txt"), tmp_path)
+        assert d.text == "Data here:\nat https://x.org/data/v22 now.\n"
+        (m,) = extract_uri_mentions(d)
+        assert m.span == (14, 36)
+        assert canonicalize_raw(d.text[m.span[0]:m.span[1]]) == m.uri == "https://x.org/data/v22"
+        assert raw.decode("utf-8").index(m.uri) == 15
 
     def test_mailto_without_slashes_not_extracted(self):
         assert extract_uri_mentions(doc("Write to mailto:me@example.org today.")) == []

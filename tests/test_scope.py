@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_mention
+from oadscan.classifier import classify_heuristic, featurize
+from oadscan.ghp import detect_ghp
 from oadscan.scope import (
     DEFAULT_POLICY,
     ScopePolicy,
@@ -13,10 +16,12 @@ from oadscan.scope import (
     host_of,
     is_in_scope,
     is_private_or_local,
+    parse_uri,
     split_port,
 )
 
 SCOPE_CASES = Path(__file__).parent / "data" / "scope_cases.tsv"
+URI_CASES = Path(__file__).parent / "data" / "uri_cases.tsv"
 
 
 def load_scope_cases():
@@ -62,7 +67,59 @@ class TestHostOf:
         assert split_port("[::1]") == ("[::1]", None)
 
 
+def _host_features(features):
+    """The host:/tld: feature names, prefix dropped; '-' when absent."""
+    tokens = [t for t, _ in features.tokens]
+    host = [t[len("host:"):] for t in tokens if t.startswith("host:")]
+    tld = [t[len("tld:"):] for t in tokens if t.startswith("tld:")]
+    return (host or ["-"])[0], (tld or ["-"])[0]
+
+
+class TestParseUri:
+    def test_edge_case_table(self):
+        rows = [line.split("\t") for line in URI_CASES.read_text(encoding="utf-8").splitlines()
+                if line and not line.startswith("#")]
+        assert len(rows) >= 11
+        for uri, host, reason, platform, provenance, host_feature, tld_feature in rows:
+            parsed = parse_uri(uri)
+            assert parse_uri(parsed) is parsed
+            if host == "ValueError":
+                with pytest.raises(ValueError):
+                    host_of(uri)
+                assert parsed.hostname is None and parsed.host is None, uri
+            else:
+                assert host_of(uri) == parsed.hostname == host, uri
+            for form in (uri, parsed):
+                assert is_in_scope(form).reason.value == reason, uri
+                got = detect_ghp(form)
+                assert (got.value if got else "-") == platform, uri
+                assert _host_features(featurize("", form)) == (host_feature, tld_feature), uri
+            verdict = classify_heuristic(make_mention(uri))
+            assert (verdict.provenance.value if verdict else "-") == provenance, uri
+
+    def test_fields(self):
+        parsed = parse_uri("HTTPS://User:pw@GitHub.COM:8443/A/b?q=1#f")
+        assert parsed.uri == "HTTPS://User:pw@GitHub.COM:8443/A/b?q=1#f"
+        assert parsed.scheme == "https"
+        assert (parsed.host, parsed.port, parsed.hostname) == ("github.com", "8443", "github.com:8443")
+        assert parsed.path == "/A/b"
+
+    def test_in_domains_matches_label_suffixes_only(self):
+        domains = frozenset({"springer.com", "doi.org"})
+        assert parse_uri("https://springer.com/x").in_domains(domains)
+        assert parse_uri("https://link.springer.com:8080/x").in_domains(domains)
+        assert not parse_uri("https://notspringer.com/x").in_domains(domains)
+        assert not parse_uri("https://springer.com.evil.org/x").in_domains(domains)
+        assert not parse_uri("mailto:x@doi.org").in_domains(domains)
+
+
 class TestIsPrivateOrLocal:
+    def test_networks_parsed_once_per_policy(self):
+        policy = ScopePolicy(private_ranges=("10.0.0.0/8",))
+        assert policy.networks is policy.networks
+        assert is_private_or_local("10.1.2.3", policy)
+        assert not is_private_or_local("192.168.0.1", policy)
+
     @pytest.mark.parametrize(
         "host",
         ["localhost", "demo.localhost", "127.0.0.1", "127.8.8.8", "10.0.0.7",
