@@ -13,8 +13,9 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .analytics import (
@@ -166,7 +167,22 @@ def _category_policy(settings: dict) -> CategoryPolicy:
         ) from None
 
 
-def _load_filter_configs(settings: dict) -> tuple[ScopePolicy, frozenset[str], GhpPatternSet]:
+class _ReportSetup(NamedTuple):
+    """Everything a report needs besides the mentions."""
+
+    manifest: Path
+    model: TrainedModel
+    policy: ScopePolicy
+    denylist: frozenset[str]
+    patterns: GhpPatternSet
+    category_policy: CategoryPolicy
+
+
+def _load_report_setup(settings: dict) -> _ReportSetup:
+    """Check and load the report's inputs, so that an error in any of them
+    stops the run before it reads or writes anything else."""
+    manifest = _require_file(settings["manifest"], "manifest")
+    model = TrainedModel.load(_require_file(settings["model"], "model file"))
     policy = DEFAULT_POLICY
     if settings["policy"] is not None:
         policy = ScopePolicy.from_file(_require_file(settings["policy"], "policy file"))
@@ -176,7 +192,11 @@ def _load_filter_configs(settings: dict) -> tuple[ScopePolicy, frozenset[str], G
     patterns = DEFAULT_PATTERNS
     if settings["patterns"] is not None:
         patterns = GhpPatternSet.from_file(_require_file(settings["patterns"], "pattern file"))
-    return policy, denylist, patterns
+    return _ReportSetup(manifest, model, policy, denylist, patterns, _category_policy(settings))
+
+
+def _seconds(ns: int) -> float:
+    return round(ns / 1e9, 6)
 
 
 def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict, **more) -> None:
@@ -196,10 +216,11 @@ def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict, *
 
 def _run_extraction(
     settings: dict, window: MonthWindow, out_path: Path
-) -> tuple[dict, list[MentionRecord]]:
+) -> tuple[dict, list[MentionRecord], dict]:
     """Shared by extract and pipeline: documents in, mentions file out.
 
-    Returns the counts and the records written, in file order.
+    Returns the counts, the records written (in file order) and the
+    stage timings.
     """
     manifest_path = _require_file(settings["manifest"], "manifest")
     docs_root = Path(settings["docs_root"]) if settings["docs_root"] else manifest_path.parent
@@ -213,17 +234,25 @@ def _run_extraction(
 
     dedup = settings["dedup_per_doc"]
     read_failures = 0
+    input_bytes = read_ns = extract_ns = 0
     records: list[MentionRecord] = []
     for entry in windowed:
+        t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
         except DocumentReadError as exc:
             log.warning("skipping document: %s", exc)
             read_failures += 1
             continue
+        t1 = time.perf_counter_ns()
         records.extend(mention_records(doc, extract_uri_mentions(doc, dedup=dedup)))
+        read_ns += t1 - t0
+        extract_ns += time.perf_counter_ns() - t1
+        input_bytes += len(doc.text.encode("utf-8"))
 
+    t0 = time.perf_counter_ns()
     mention_count = write_mentions_file(out_path, records)
+    write_ns = time.perf_counter_ns() - t0
     log.info("extract: %d manifest entries, %d documents, %d mentions, %d read failures",
              len(manifest), len(windowed), mention_count, read_failures)
     return {
@@ -232,14 +261,20 @@ def _run_extraction(
         "window_skipped": window_skipped,
         "read_failures": read_failures,
         "mentions": mention_count,
-    }, records
+    }, records, {
+        "read_documents_s": _seconds(read_ns),
+        "extract_s": _seconds(extract_ns),
+        "write_mentions_s": _seconds(write_ns),
+        "input_mb": round(input_bytes / 1e6, 6),
+        "extract_mb_per_s": round(input_bytes / 1e6 / (extract_ns / 1e9), 3) if extract_ns else None,
+    }
 
 
 def cmd_extract(settings: dict) -> int:
     _require(settings, "manifest", "out")
     window = _window(settings)
     out_path = Path(settings["out"])
-    counts, _ = _run_extraction(settings, window, out_path)
+    counts, _, timings = _run_extraction(settings, window, out_path)
     echo = {
         "manifest": str(settings["manifest"]),
         "docs_root": str(settings["docs_root"] or Path(settings["manifest"]).parent),
@@ -247,7 +282,8 @@ def cmd_extract(settings: dict) -> int:
         "window": [window.start, window.end],
         "dedup_per_doc": settings["dedup_per_doc"],
     }
-    _write_metadata(out_path.with_name(out_path.name + ".meta.json"), "extract", echo, counts)
+    _write_metadata(out_path.with_name(out_path.name + ".meta.json"), "extract", echo, counts,
+                    timings=timings)
     return EXIT_OK
 
 
@@ -294,28 +330,23 @@ def cmd_evaluate(settings: dict) -> int:
 def _run_report(
     settings: dict,
     window: MonthWindow,
-    load_records: Callable[[], list[MentionRecord]],
+    setup: _ReportSetup,
+    records: list[MentionRecord],
     out_dir: Path,
-) -> tuple[dict, dict]:
+) -> tuple[dict, dict, dict]:
     """Classify, scope and categorize mentions into the CSV reports.
 
-    Returns the counts and the paper's figures.  The records are loaded
-    only after the model and filter configs, so errors in those come first.
+    Returns the counts, the paper's figures and the stage timings.
     """
-    manifest_path = _require_file(settings["manifest"], "manifest")
-    model = TrainedModel.load(_require_file(settings["model"], "model file"))
-    policy, denylist, patterns = _load_filter_configs(settings)
-    category_policy = _category_policy(settings)
-
-    manifest = load_manifest(manifest_path)
+    t0 = time.perf_counter_ns()
+    manifest = load_manifest(setup.manifest)
     latest = select_latest_versions(manifest)
     windowed, window_skipped = filter_window(latest, window)
 
-    aggregate = CorpusAggregate(AggregateConfig(category_policy, settings["bin_width"]))
+    aggregate = CorpusAggregate(AggregateConfig(setup.category_policy, settings["bin_width"]))
     for entry in windowed:
         aggregate.add_publications(entry.month)
 
-    records = load_records()
     provenance_counts = {p: 0 for p in ("heuristic_publisher", "heuristic_pdf", "learned")}
     reason_counts = {r.value: 0 for r in ScopeReason}
     category_counts = {c.value: 0 for c in Category}
@@ -327,16 +358,19 @@ def _run_report(
             )
         parsed = parse_uri(r.uri)
         mention = UriMention(r.doc_id, r.uri, r.context, r.span)
-        classification = classify_hybrid(mention, model, denylist, parsed)
+        classification = classify_hybrid(mention, setup.model, setup.denylist, parsed)
         provenance_counts[classification.provenance.value] += 1
-        verdict = is_in_scope(parsed, policy)
+        verdict = is_in_scope(parsed, setup.policy)
         reason_counts[verdict.reason.value] += 1
         if verdict.in_scope:
-            category = categorize(parsed, classification.label, patterns, category_policy)
+            category = categorize(parsed, classification.label, setup.patterns,
+                                  setup.category_policy)
             category_counts[category.value] += 1
             aggregate.add_mention(r.month, category, parsed.hostname)
 
+    t1 = time.perf_counter_ns()
     report_paths = write_reports(out_dir, aggregate, settings["top_n"])
+    t2 = time.perf_counter_ns()
     totals = aggregate.totals()
     log.info("report: %d mentions, %d in scope, %d months, reports in %s",
              len(records), totals.uri_total, len(aggregate.monthly), out_dir)
@@ -350,7 +384,10 @@ def _run_report(
         "categories": category_counts,
         "months": len(aggregate.monthly),
         "reports": sorted(Path(p).name for p in report_paths.values()),
-    }, paper_figures(aggregate)
+    }, paper_figures(aggregate), {
+        "classify_s": _seconds(t1 - t0),
+        "write_reports_s": _seconds(t2 - t1),
+    }
 
 
 def _report_echo(settings: dict, window: MonthWindow, mentions, out_dir: Path) -> dict:
@@ -375,27 +412,32 @@ def cmd_report(settings: dict) -> int:
     window = _window(settings)
     mentions_path = _require_file(settings["mentions"], "mentions file")
     out_dir = Path(settings["out_dir"])
-    counts, figures = _run_report(
-        settings, window, lambda: read_mentions_file(mentions_path), out_dir
-    )
+    setup = _load_report_setup(settings)
+    t0 = time.perf_counter_ns()
+    records = read_mentions_file(mentions_path)
+    read_ns = time.perf_counter_ns() - t0
+    counts, figures, timings = _run_report(settings, window, setup, records, out_dir)
     echo = _report_echo(settings, window, mentions_path, out_dir)
-    _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures)
+    _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures,
+                    timings={"read_mentions_s": _seconds(read_ns), **timings})
     return EXIT_OK
 
 
 def cmd_pipeline(settings: dict) -> int:
     _require(settings, "manifest", "model", "out_dir")
     window = _window(settings)
+    setup = _load_report_setup(settings)
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     mentions_path = Path(settings["mentions"]) if settings["mentions"] else out_dir / "mentions.tsv"
-    extract_counts, records = _run_extraction(settings, window, mentions_path)
-    report_counts, figures = _run_report(settings, window, lambda: records, out_dir)
+    extract_counts, records, extract_timings = _run_extraction(settings, window, mentions_path)
+    report_counts, figures, report_timings = _run_report(settings, window, setup, records, out_dir)
     echo = _report_echo(settings, window, mentions_path, out_dir)
     echo["docs_root"] = str(settings["docs_root"] or Path(settings["manifest"]).parent)
     echo["dedup_per_doc"] = settings["dedup_per_doc"]
     counts = {"extract": extract_counts, "report": report_counts}
-    _write_metadata(out_dir / "run_metadata.json", "pipeline", echo, counts, figures=figures)
+    _write_metadata(out_dir / "run_metadata.json", "pipeline", echo, counts, figures=figures,
+                    timings={**extract_timings, **report_timings})
     return EXIT_OK
 
 

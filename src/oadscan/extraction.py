@@ -10,6 +10,9 @@ Three cooperating passes over a document:
 3. sentence segmentation - terminator-based splitting with detected URIs
    masked first, so a dot inside a URI never ends a sentence.
 
+Each pass takes time linear in the document, however long a wrapped URI
+or however many URIs it holds.
+
 Spans index ``Document.text``, the document as read: decoded UTF-8 with
 universal newlines, so a CRLF or lone CR line end counts as one newline.
 They count Unicode code points and cover the raw match before trimming,
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -137,6 +142,15 @@ _PROSE_CONTINUATIONS = frozenset(
 
 _BODY_PREFIX_RE = re.compile(r"[^\s<>]+")
 
+# No URI_RE match contains whitespace or an angle bracket, so every match
+# lies inside one token delimited by them, and runs to that token's end.
+_DELIM_RE = re.compile(r"[\s<>]")
+# Matches up to and including the last delimiter in the searched range;
+# its end is where that range's last token starts.
+_THROUGH_LAST_DELIM_RE = re.compile(r".*[\s<>]", re.DOTALL)
+# Every URI_RE match contains one of these literals.
+_WWW_RE = re.compile(r"www\.", re.IGNORECASE)
+
 
 def _has_path(match_text: str) -> bool:
     head, sep, tail = match_text.partition("://")
@@ -144,75 +158,119 @@ def _has_path(match_text: str) -> bool:
     return "/" in rest
 
 
-def _should_join(prev_line: str, next_line: str) -> bool:
-    """Decide whether a newline between two lines broke a URI."""
-    if not prev_line or not next_line:
-        return False
-    if prev_line[-1].isspace():
-        return False
-    # A weak final character (trimmable punctuation) means the URI ended
-    # here on its own; joining would glue the next sentence on.
-    if prev_line[-1] in _TRIM_CHARS or prev_line[-1] in _BRACKETS:
-        return False
-    if next_line[0] not in _TAIL_CLASS:
-        return False
-    # First token limited to URI body characters, so the decision is the
-    # same whether we see the whole line or just the matched tail.
-    if _BODY_PREFIX_RE.match(next_line).group(0) in _PROSE_CONTINUATIONS:
-        return False
-    for m in URI_RE.finditer(prev_line):
-        if m.end() == len(prev_line):
-            # Join only mid-path; a bare host ending the line is complete.
-            return _has_path(m.group(0))
-    return False
+def _repair(text: str) -> tuple[str, list[int]]:
+    """Rejoin wrapped URIs.
 
+    Returns the repaired text and the sorted repaired positions of the
+    dropped newlines: repaired index ``i`` came from source index
+    ``i + bisect_right(cuts, i)``.
 
-def _repair_with_map(text: str) -> tuple[str, list[int]]:
-    """Rejoin wrapped URIs; map each repaired index to its source index."""
-    pieces: list[tuple[str, int]] = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            pieces.append((text[start:i], start))
-            start = i + 1
-    pieces.append((text[start:], start))
-
-    # merged[i] is a list of (chunk, original offset); chunks of one line
-    # were joined without separator, dropping the newline between them.
-    merged: list[list[tuple[str, int]]] = [[pieces[0]]]
-    for chunk, offset in pieces[1:]:
-        prev_text = "".join(c for c, _ in merged[-1])
-        if _should_join(prev_text, chunk):
-            merged[-1].append((chunk, offset))
+    A newline is dropped when the text before it, back to the last kept
+    newline (the "run"), ends in a URI match that has a path, and the
+    next line plausibly continues it (see ``_TAIL_CLASS`` and
+    ``_PROSE_CONTINUATIONS``).  The pass is linear in the text: the URI
+    grammar runs only on the run's last token, and while joined lines add
+    to that token its match is carried forward instead of searched again.
+    """
+    lines = text.split("\n")
+    parts = [lines[0]]
+    cuts: list[int] = []
+    size = len(lines[0])  # of the repaired text so far
+    # The URI match in the run's last token; while ``known`` is False that
+    # token lies in ``prev`` and has not been searched yet.
+    known = has_sep = has_path = False
+    for prev, line in zip(lines, lines[1:]):
+        join = False
+        # Joined lines are never empty, so an empty ``prev`` is an empty
+        # run.  A weak final character (trimmable punctuation) means the
+        # URI ended there on its own; joining would glue the next
+        # sentence on.
+        if (
+            prev
+            and line
+            and not prev[-1].isspace()
+            and prev[-1] not in _TRIM_CHARS
+            and prev[-1] not in _BRACKETS
+            and line[0] in _TAIL_CLASS
+            and _BODY_PREFIX_RE.match(line).group(0) not in _PROSE_CONTINUATIONS
+        ):
+            if not known:
+                d = _THROUGH_LAST_DELIM_RE.match(prev)
+                m = URI_RE.search(prev, d.end() if d else 0)
+                known = True
+                has_sep = m is not None and "://" in m.group(0)
+                # Join only mid-path; a bare host ending the line is complete.
+                has_path = m is not None and _has_path(m.group(0))
+            join = has_path
+        if not join:
+            known = False
+            parts.append("\n")
+            size += 1
         else:
-            merged.append([(chunk, offset)])
-
-    out: list[str] = []
-    idx_map: list[int] = []
-    for k, line in enumerate(merged):
-        if k > 0:
-            newline_src = line[0][1] - 1
-            out.append("\n")
-            idx_map.append(newline_src)
-        for chunk, offset in line:
-            out.append(chunk)
-            idx_map.extend(range(offset, offset + len(chunk)))
-    return "".join(out), idx_map
+            cuts.append(size)
+            if _THROUGH_LAST_DELIM_RE.match(line):
+                known = False
+            elif not has_sep:
+                # The token goes on, and its match with it.  The match may
+                # now start further left, on a scheme this line completes,
+                # but its first "://" is the same, so only a first "://" in
+                # this line changes the path test.  ':' ends no joined line
+                # (it is trimmable), so a "://" across the break is ":/" + "/".
+                if prev.endswith(":/") and line[0] == "/":
+                    has_sep, after = True, 1
+                else:
+                    p = line.find("://")
+                    has_sep, after = p != -1, p + 3
+                if has_sep:
+                    has_path = "/" in line[after:]
+        parts.append(line)
+        size += len(line)
+    return "".join(parts), cuts
 
 
 def repair_linewrap(text: str) -> str:
     """Rejoin URI tokens split across a newline; other newlines survive."""
-    repaired, _ = _repair_with_map(text)
+    repaired, _ = _repair(text)
     return repaired
 
 
-_TERMINATOR_RE = re.compile(r"[.!?]+[\"')\]\}]*")
+def _scan_uris(text: str) -> Iterator[re.Match]:
+    """Yield the matches of ``URI_RE.finditer(text)``, in order.
+
+    Only tokens holding a ``://`` or ``www.`` literal can match, and each
+    token holds at most one match, so the grammar runs once per such
+    token and never over the text between them.
+    """
+    n = len(text)
+    pos = 0
+    sep = text.find("://")
+    m = _WWW_RE.search(text)
+    www = m.start() if m else -1
+    while sep != -1 or www != -1:
+        hit = min(sep, www) if sep != -1 and www != -1 else max(sep, www)
+        d = _THROUGH_LAST_DELIM_RE.match(text, pos, hit)
+        start = d.end() if d else pos
+        d = _DELIM_RE.search(text, hit)
+        pos = d.start() if d else n
+        m = URI_RE.search(text, start, pos)
+        if m is not None:
+            yield m
+        if sep != -1 and sep < pos:
+            sep = text.find("://", pos)
+        if www != -1 and www < pos:
+            m = _WWW_RE.search(text, pos)
+            www = m.start() if m else -1
+
+
+# A terminator run and the whitespace after it; a run with no whitespace
+# after it never ends a sentence.
+_TERMINATOR_RE = re.compile(r"([.!?]+[\"')\]\}]*)\s+")
 _SENTENCE_OPENERS = "\"'([“‘"
 
 
 def _protection_spans(text: str) -> list[tuple[int, int]]:
     spans = []
-    for m in URI_RE.finditer(text):
+    for m in _scan_uris(text):
         trimmed = trim_trailing(m.group(0))
         if trimmed:
             spans.append((m.start(), m.start() + len(trimmed)))
@@ -237,48 +295,41 @@ def segment_sentences(
     if protected_spans is None:
         protected_spans = _protection_spans(text)
     protected_spans = sorted(protected_spans)
+    starts = [s for s, _ in protected_spans]
+    # reach[i]: the furthest end among the first i + 1 spans, so
+    # overlapping spans are handled.
+    reach = list(accumulate((e for _, e in protected_spans), max))
 
     def _protected(pos: int) -> bool:
-        for s, e in protected_spans:
-            if s <= pos < e:
-                return True
-            if s > pos:
-                break
-        return False
+        i = bisect_right(starts, pos)
+        return i > 0 and reach[i - 1] > pos
 
     cuts: set[int] = set()
     for m in _TERMINATOR_RE.finditer(text):
-        if _protected(m.start()):
-            continue
-        j = m.end()
-        k = j
-        while k < n and text[k].isspace():
-            k += 1
-        if k == j or k >= n:
+        k = m.end()
+        if k == n:
             continue
         nxt = text[k]
         if nxt.isupper() or nxt.isdigit() or nxt in _SENTENCE_OPENERS:
-            cuts.add(j)
+            if not _protected(m.start()):
+                cuts.add(m.end(1))
     # Blank lines close a fragment even without a terminator.
     for m in re.finditer(r"\n[ \t]*\n", text):
         if not _protected(m.start()):
             cuts.add(m.start())
 
-    positions = sorted(c for c in cuts if 0 < c < n)
-    spans: list[tuple[int, int]] = []
+    sentences: list[tuple[str, tuple[int, int]]] = []
     prev = 0
-    for c in positions + [n]:
-        spans.append((prev, c))
-        prev = c
-    # Merge whitespace-only tails into the preceding sentence.
-    merged: list[tuple[int, int]] = []
-    for s, e in spans:
-        if merged and not text[s:e].strip():
-            ps, _ = merged[-1]
-            merged[-1] = (ps, e)
+    for c in sorted(c for c in cuts if 0 < c < n) + [n]:
+        sentence = text[prev:c].strip()
+        if sentences and not sentence:
+            # A whitespace-only tail joins the preceding sentence, whose
+            # stripped text it does not change.
+            sentences[-1] = (sentences[-1][0], (sentences[-1][1][0], c))
         else:
-            merged.append((s, e))
-    return [(text[s:e].strip(), (s, e)) for s, e in merged]
+            sentences.append((sentence, (prev, c)))
+        prev = c
+    return sentences
 
 
 def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]:
@@ -290,11 +341,14 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
     text = doc.text
     if not text:
         return []
-    repaired, idx_map = _repair_with_map(text)
+    repaired, cuts = _repair(text)
+
+    def source(i: int) -> int:
+        return i + bisect_right(cuts, i)
 
     candidates: list[tuple[int, int, int, str, bool]] = []
     protected: list[tuple[int, int]] = []
-    for m in URI_RE.finditer(repaired):
+    for m in _scan_uris(repaired):
         trimmed = trim_trailing(m.group(0))
         if not trimmed:
             continue
@@ -302,9 +356,9 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
         uri = _valid_candidate(trimmed, implicit)
         if uri is None:
             continue
-        raw_start = idx_map[m.start()]
-        raw_end = idx_map[m.end() - 1] + 1
-        trim_end = idx_map[m.start() + len(trimmed) - 1] + 1
+        raw_start = source(m.start())
+        raw_end = source(m.end() - 1) + 1
+        trim_end = source(m.start() + len(trimmed) - 1) + 1
         candidates.append((raw_start, raw_end, trim_end, uri, implicit))
         protected.append((raw_start, trim_end))
 

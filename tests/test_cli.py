@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -257,6 +259,58 @@ class TestPipeline:
         assert sum(counts["provenance"].values()) == counts["mentions"]
         assert sum(counts["scope_reasons"].values()) == counts["mentions"]
         assert sum(counts["categories"].values()) == counts["in_scope"]
+
+
+    def test_missing_model_fails_before_extracting(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run("pipeline", "--manifest", CORPUS / "manifest.tsv",
+                   "--model", tmp_path / "missing.json", "--out-dir", out_dir) == EXIT_USAGE
+        assert not (out_dir / "mentions.tsv").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_outputs_honour_umask(self, tmp_path, umask):
+        out_dir = tmp_path / "run"
+        old = os.umask(umask)
+        try:
+            assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
+                       "--out-dir", out_dir) == EXIT_OK
+        finally:
+            os.umask(old)
+        outputs = sorted(out_dir.iterdir())
+        assert [p.name for p in outputs] == [
+            "histogram.csv", "hostnames.csv", "mentions.tsv", "monthly.csv",
+            "run_metadata.json", "top_hostnames.csv",
+        ]
+        for path in outputs:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+class TestTimings:
+    EXTRACT = {"read_documents_s", "extract_s", "write_mentions_s", "input_mb",
+               "extract_mb_per_s"}
+    REPORT = {"classify_s", "write_reports_s"}
+
+    @staticmethod
+    def check(timings, keys):
+        assert set(timings) == keys
+        assert all(v >= 0 for v in timings.values())
+
+    def test_each_command_records_its_stage_timings(self, tmp_path):
+        mentions = tmp_path / "mentions.tsv"
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
+        meta = json.loads((tmp_path / "mentions.tsv.meta.json").read_text())
+        self.check(meta["timings"], self.EXTRACT)
+        assert meta["timings"]["input_mb"] > 0
+
+        assert run("report", "--mentions", mentions, "--model", MODEL,
+                   "--manifest", CORPUS / "manifest.tsv", "--out-dir", tmp_path / "r") == EXIT_OK
+        meta = json.loads((tmp_path / "r" / "run_metadata.json").read_text())
+        self.check(meta["timings"], self.REPORT | {"read_mentions_s"})
+
+        assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
+                   "--out-dir", tmp_path / "p") == EXIT_OK
+        meta = json.loads((tmp_path / "p" / "run_metadata.json").read_text())
+        self.check(meta["timings"], self.EXTRACT | self.REPORT)
 
 
 class TestConfigResolution:
