@@ -30,7 +30,8 @@ __all__ = [
     "Provenance",
     "Classification",
     "LabeledExample",
-    "FeaturizerConfig",
+    "PATH_KEYWORDS",
+    "FIXED_FEATURE_NAMES",
     "Features",
     "TrainingConfig",
     "TrainedModel",
@@ -125,17 +126,18 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 _URI_PLACEHOLDER = " _url_ "
 
 
-@dataclass(frozen=True)
-class FeaturizerConfig:
-    """Feature extraction settings, echoed into the model file."""
+# Path substrings flagged as fixed URI features, one weight slot each,
+# followed by the https flag.
+PATH_KEYWORDS = ("code", "data", "dataset", "software", "download")
+FIXED_FEATURE_NAMES = tuple(f"path_kw:{k}" for k in PATH_KEYWORDS) + ("scheme:https",)
 
-    path_keywords: tuple[str, ...] = ("code", "data", "dataset", "software", "download")
-    host_feature_prefix: str = "host:"
-    tld_feature_prefix: str = "tld:"
-
-    @property
-    def fixed_feature_names(self) -> tuple[str, ...]:
-        return tuple(f"path_kw:{k}" for k in self.path_keywords) + ("scheme:https",)
+# The featurizer block every model file carries; a file whose block
+# differs was made by some other featurizer and cannot be scored here.
+_FEATURIZER_BLOCK = {
+    "host_feature_prefix": "host:",
+    "path_keywords": list(PATH_KEYWORDS),
+    "tld_feature_prefix": "tld:",
+}
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,7 @@ class Features:
     fixed: tuple[float, ...]
 
 
-def featurize(
-    context: str, uri: str | ParsedUri, config: FeaturizerConfig = FeaturizerConfig()
-) -> Features:
+def featurize(context: str, uri: str | ParsedUri) -> Features:
     """Bag-of-words over the context (URI masked) plus URI lexical features.
 
     Deterministic: tokens are reported in sorted order with raw counts.
@@ -165,13 +165,13 @@ def featurize(
 
     host = parsed.host
     if host is not None:
-        counts[config.host_feature_prefix + host] += 1
+        counts["host:" + host] += 1
         label = host.rsplit(".", 1)[-1]
         if label and label != host:
-            counts[config.tld_feature_prefix + label] += 1
+            counts["tld:" + label] += 1
 
     path = parsed.path.lower()
-    fixed = [1.0 if kw in path else 0.0 for kw in config.path_keywords]
+    fixed = [1.0 if kw in path else 0.0 for kw in PATH_KEYWORDS]
     fixed.append(1.0 if uri.lower().startswith("https://") else 0.0)
     return Features(tuple(sorted(counts.items())), tuple(fixed))
 
@@ -212,14 +212,13 @@ class TrainedModel:
     weights: list[float]
     bias: float
     threshold: float
-    featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     format_version: int = MODEL_FORMAT_VERSION
 
     def to_json(self) -> str:
         payload = {
             "format_version": self.format_version,
-            "featurizer": asdict(self.featurizer),
+            "featurizer": _FEATURIZER_BLOCK,
             "training": asdict(self.training),
             "vocabulary": self.vocabulary,
             "weights": self.weights,
@@ -234,21 +233,20 @@ class TrainedModel:
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
         data = json.loads(text)
-        feat = FeaturizerConfig(
-            path_keywords=tuple(data["featurizer"]["path_keywords"]),
-            host_feature_prefix=data["featurizer"]["host_feature_prefix"],
-            tld_feature_prefix=data["featurizer"]["tld_feature_prefix"],
-        )
+        if data.get("featurizer") != _FEATURIZER_BLOCK:
+            raise ValueError(
+                f"model featurizer {data.get('featurizer')!r} is not this featurizer's "
+                f"{_FEATURIZER_BLOCK!r}"
+            )
         model = cls(
             vocabulary=dict(data["vocabulary"]),
             weights=[float(w) for w in data["weights"]],
             bias=float(data["bias"]),
             threshold=float(data["threshold"]),
-            featurizer=feat,
             training=TrainingConfig(**data["training"]),
             format_version=int(data["format_version"]),
         )
-        expected = len(model.vocabulary) + len(feat.fixed_feature_names)
+        expected = len(model.vocabulary) + len(FIXED_FEATURE_NAMES)
         if len(model.weights) != expected:
             raise ValueError(
                 f"weight vector length {len(model.weights)} != vocabulary+fixed {expected}"
@@ -298,13 +296,11 @@ def train(
         only = next(iter(labels)).value
         raise TrainingError(f"training data contains a single class: {only}")
 
-    feat_config = FeaturizerConfig()
-    featurized = [featurize(ex.context, ex.uri, feat_config) for ex in examples]
+    featurized = [featurize(ex.context, ex.uri) for ex in examples]
     vocab_tokens = sorted({tok for f in featurized for tok, _ in f.tokens})
     vocabulary = {tok: i for i, tok in enumerate(vocab_tokens)}
     n_vocab = len(vocabulary)
-    n_fixed = len(feat_config.fixed_feature_names)
-    n_weights = n_vocab + n_fixed
+    n_weights = n_vocab + len(FIXED_FEATURE_NAMES)
 
     rows = [_indexed(f, vocabulary, n_vocab) for f in featurized]
     targets = [1.0 if ex.label is Label.OADS else 0.0 for ex in examples]
@@ -333,14 +329,13 @@ def train(
         weights=weights,
         bias=bias,
         threshold=config.threshold,
-        featurizer=feat_config,
         training=config,
     )
 
 
 def score_text(model: TrainedModel, context: str, uri: str | ParsedUri) -> float:
     """OADS probability for a (context, uri) pair under the model."""
-    features = featurize(context, uri, model.featurizer)
+    features = featurize(context, uri)
     z = model.bias
     for idx, value in _indexed(features, model.vocabulary, len(model.vocabulary)):
         z += model.weights[idx] * value

@@ -2,7 +2,8 @@
 
 Subcommands: extract, train, evaluate, report, pipeline (fused
 extract+report).  Options resolve as flag > OADSCAN_<NAME> environment
-variable > --config JSON file > built-in default.  Exit codes: 0 success
+variable > --config JSON file > built-in default, and a value from any
+source is checked by the command's own parser.  Exit codes: 0 success
 (possibly with per-document skips), 1 usage/config error, 2 data error.
 """
 
@@ -14,23 +15,17 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
-from .analytics import (
-    AggregateConfig,
-    CorpusAggregate,
-    MergeConfigError,
-    paper_figures,
-    write_reports,
-)
+from .analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
 from .classifier import (
     DEFAULT_DENYLIST,
     LabeledFileError,
     TrainedModel,
     TrainingConfig,
-    TrainingError,
     classify_hybrid,
     evaluate,
     load_denylist,
@@ -39,8 +34,7 @@ from .classifier import (
 )
 from .corpus import (
     DocumentReadError,
-    DuplicateVersionError,
-    ManifestError,
+    ManifestEntry,
     MonthWindow,
     filter_window,
     load_manifest,
@@ -67,15 +61,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 _ENV_PREFIX = "OADSCAN_"
-
-_DATA_ERRORS = (
-    ManifestError,
-    DuplicateVersionError,
-    MentionsFileError,
-    LabeledFileError,
-    TrainingError,
-    MergeConfigError,
-)
+_TRUTHY = ("1", "true", "yes")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,53 +70,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse override
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    """Merge option sources: flag > environment > config file > default."""
-    config_data: dict = {}
-    if args.config is not None:
-        try:
-            config_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(config_data, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-
-    def resolve(name: str, default, cast: Callable = str):
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            return flag_value
-        env = os.environ.get(_ENV_PREFIX + name.upper())
-        if env is not None:
-            return cast(env)
-        if name in config_data:
-            return cast(config_data[name])
-        return default
-
-    return {
-        "manifest": resolve("manifest", None),
-        "docs_root": resolve("docs_root", None),
-        "out": resolve("out", None),
-        "out_dir": resolve("out_dir", None),
-        "mentions": resolve("mentions", None),
-        "model": resolve("model", None),
-        "labeled": resolve("labeled", None),
-        "policy": resolve("policy", None),
-        "denylist": resolve("denylist", None),
-        "patterns": resolve("patterns", None),
-        "window_start": resolve("window_start", MonthWindow().start),
-        "window_end": resolve("window_end", MonthWindow().end),
-        "dedup_per_doc": resolve("dedup_per_doc", False, lambda v: str(v).lower() in ("1", "true", "yes")),
-        "category_policy": resolve("category_policy", CategoryPolicy.GHP_FORCES_OADS.value),
-        "bin_width": resolve("bin_width", 50, int),
-        "top_n": resolve("top_n", 15, int),
-        "learning_rate": resolve("learning_rate", TrainingConfig.learning_rate, float),
-        "iterations": resolve("iterations", TrainingConfig.iterations, int),
-        "l2": resolve("l2", TrainingConfig.l2, float),
-        "threshold": resolve("threshold", TrainingConfig.threshold, float),
-        "seed": resolve("seed", TrainingConfig.seed, int),
-    }
 
 
 class UsageError(Exception):
@@ -150,27 +89,29 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
-def _window(settings: dict) -> MonthWindow:
+class _Corpus(NamedTuple):
+    """The manifest's latest document versions inside the window."""
+
+    window: MonthWindow
+    manifest_entries: int
+    entries: list[ManifestEntry]
+    window_skipped: int
+
+
+def _load_corpus(settings: dict) -> _Corpus:
+    """Read the manifest once per command; extract and report share it."""
     try:
-        return MonthWindow(settings["window_start"], settings["window_end"])
+        window = MonthWindow(settings["window_start"], settings["window_end"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _category_policy(settings: dict) -> CategoryPolicy:
-    try:
-        return CategoryPolicy(settings["category_policy"])
-    except ValueError:
-        choices = ", ".join(p.value for p in CategoryPolicy)
-        raise UsageError(
-            f"unknown category policy {settings['category_policy']!r} (choices: {choices})"
-        ) from None
+    manifest = load_manifest(_require_file(settings["manifest"], "manifest"))
+    entries, window_skipped = filter_window(select_latest_versions(manifest), window)
+    return _Corpus(window, len(manifest), entries, window_skipped)
 
 
 class _ReportSetup(NamedTuple):
-    """Everything a report needs besides the mentions."""
+    """Everything a report needs besides the corpus and the mentions."""
 
-    manifest: Path
     model: TrainedModel
     policy: ScopePolicy
     denylist: frozenset[str]
@@ -181,7 +122,6 @@ class _ReportSetup(NamedTuple):
 def _load_report_setup(settings: dict) -> _ReportSetup:
     """Check and load the report's inputs, so that an error in any of them
     stops the run before it reads or writes anything else."""
-    manifest = _require_file(settings["manifest"], "manifest")
     model = TrainedModel.load(_require_file(settings["model"], "model file"))
     policy = DEFAULT_POLICY
     if settings["policy"] is not None:
@@ -192,7 +132,8 @@ def _load_report_setup(settings: dict) -> _ReportSetup:
     patterns = DEFAULT_PATTERNS
     if settings["patterns"] is not None:
         patterns = GhpPatternSet.from_file(_require_file(settings["patterns"], "pattern file"))
-    return _ReportSetup(manifest, model, policy, denylist, patterns, _category_policy(settings))
+    return _ReportSetup(model, policy, denylist, patterns,
+                        CategoryPolicy(settings["category_policy"]))
 
 
 def _seconds(ns: int) -> float:
@@ -215,28 +156,23 @@ def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict, *
 
 
 def _run_extraction(
-    settings: dict, window: MonthWindow, out_path: Path
+    settings: dict, corpus: _Corpus, out_path: Path
 ) -> tuple[dict, list[MentionRecord], dict]:
     """Shared by extract and pipeline: documents in, mentions file out.
 
     Returns the counts, the records written (in file order) and the
     stage timings.
     """
-    manifest_path = _require_file(settings["manifest"], "manifest")
-    docs_root = Path(settings["docs_root"]) if settings["docs_root"] else manifest_path.parent
-
-    manifest = load_manifest(manifest_path)
-    latest = select_latest_versions(manifest)
-    windowed, window_skipped = filter_window(latest, window)
-    if window_skipped:
+    docs_root = Path(settings["docs_root"] or Path(settings["manifest"]).parent)
+    if corpus.window_skipped:
         log.warning("%d document(s) outside corpus window %s..%s skipped",
-                    window_skipped, window.start, window.end)
+                    corpus.window_skipped, corpus.window.start, corpus.window.end)
 
     dedup = settings["dedup_per_doc"]
     read_failures = 0
     input_bytes = read_ns = extract_ns = 0
     records: list[MentionRecord] = []
-    for entry in windowed:
+    for entry in corpus.entries:
         t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
@@ -254,11 +190,11 @@ def _run_extraction(
     mention_count = write_mentions_file(out_path, records)
     write_ns = time.perf_counter_ns() - t0
     log.info("extract: %d manifest entries, %d documents, %d mentions, %d read failures",
-             len(manifest), len(windowed), mention_count, read_failures)
+             corpus.manifest_entries, len(corpus.entries), mention_count, read_failures)
     return {
-        "manifest_entries": len(manifest),
-        "documents": len(windowed),
-        "window_skipped": window_skipped,
+        "manifest_entries": corpus.manifest_entries,
+        "documents": len(corpus.entries),
+        "window_skipped": corpus.window_skipped,
         "read_failures": read_failures,
         "mentions": mention_count,
     }, records, {
@@ -272,14 +208,14 @@ def _run_extraction(
 
 def cmd_extract(settings: dict) -> int:
     _require(settings, "manifest", "out")
-    window = _window(settings)
+    corpus = _load_corpus(settings)
     out_path = Path(settings["out"])
-    counts, _, timings = _run_extraction(settings, window, out_path)
+    counts, _, timings = _run_extraction(settings, corpus, out_path)
     echo = {
         "manifest": str(settings["manifest"]),
         "docs_root": str(settings["docs_root"] or Path(settings["manifest"]).parent),
         "out": str(out_path),
-        "window": [window.start, window.end],
+        "window": [corpus.window.start, corpus.window.end],
         "dedup_per_doc": settings["dedup_per_doc"],
     }
     _write_metadata(out_path.with_name(out_path.name + ".meta.json"), "extract", echo, counts,
@@ -290,21 +226,13 @@ def cmd_extract(settings: dict) -> int:
 # --- train / evaluate -------------------------------------------------------
 
 
-def _training_config(settings: dict) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=settings["learning_rate"],
-        iterations=settings["iterations"],
-        l2=settings["l2"],
-        threshold=settings["threshold"],
-        seed=settings["seed"],
-    )
-
-
 def cmd_train(settings: dict) -> int:
     _require(settings, "labeled", "out")
     labeled_path = _require_file(settings["labeled"], "labeled file")
     examples = read_labeled_file(labeled_path)
-    model = train(examples, _training_config(settings))
+    # train's options are named after the TrainingConfig fields they set.
+    config = TrainingConfig(**{f.name: settings[f.name] for f in fields(TrainingConfig)})
+    model = train(examples, config)
     model.save(settings["out"])
     metrics = evaluate(model, examples)
     log.info("train: %d examples, vocabulary %d, model written to %s",
@@ -329,7 +257,7 @@ def cmd_evaluate(settings: dict) -> int:
 
 def _run_report(
     settings: dict,
-    window: MonthWindow,
+    corpus: _Corpus,
     setup: _ReportSetup,
     records: list[MentionRecord],
     out_dir: Path,
@@ -339,12 +267,9 @@ def _run_report(
     Returns the counts, the paper's figures and the stage timings.
     """
     t0 = time.perf_counter_ns()
-    manifest = load_manifest(setup.manifest)
-    latest = select_latest_versions(manifest)
-    windowed, window_skipped = filter_window(latest, window)
-
+    window = corpus.window
     aggregate = CorpusAggregate(AggregateConfig(setup.category_policy, settings["bin_width"]))
-    for entry in windowed:
+    for entry in corpus.entries:
         aggregate.add_publications(entry.month)
 
     provenance_counts = {p: 0 for p in ("heuristic_publisher", "heuristic_pdf", "learned")}
@@ -375,8 +300,8 @@ def _run_report(
     log.info("report: %d mentions, %d in scope, %d months, reports in %s",
              len(records), totals.uri_total, len(aggregate.monthly), out_dir)
     return {
-        "documents": len(windowed),
-        "window_skipped": window_skipped,
+        "documents": len(corpus.entries),
+        "window_skipped": corpus.window_skipped,
         "mentions": len(records),
         "in_scope": totals.uri_total,
         "provenance": provenance_counts,
@@ -403,21 +328,20 @@ def _report_echo(settings: dict, window: MonthWindow, mentions, out_dir: Path) -
         "bin_width": settings["bin_width"],
         "top_n": settings["top_n"],
         "window": [window.start, window.end],
-        "seed": settings["seed"],
     }
 
 
 def cmd_report(settings: dict) -> int:
     _require(settings, "mentions", "model", "manifest", "out_dir")
-    window = _window(settings)
     mentions_path = _require_file(settings["mentions"], "mentions file")
     out_dir = Path(settings["out_dir"])
     setup = _load_report_setup(settings)
+    corpus = _load_corpus(settings)
     t0 = time.perf_counter_ns()
     records = read_mentions_file(mentions_path)
     read_ns = time.perf_counter_ns() - t0
-    counts, figures, timings = _run_report(settings, window, setup, records, out_dir)
-    echo = _report_echo(settings, window, mentions_path, out_dir)
+    counts, figures, timings = _run_report(settings, corpus, setup, records, out_dir)
+    echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
     _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures,
                     timings={"read_mentions_s": _seconds(read_ns), **timings})
     return EXIT_OK
@@ -425,14 +349,14 @@ def cmd_report(settings: dict) -> int:
 
 def cmd_pipeline(settings: dict) -> int:
     _require(settings, "manifest", "model", "out_dir")
-    window = _window(settings)
     setup = _load_report_setup(settings)
+    corpus = _load_corpus(settings)
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     mentions_path = Path(settings["mentions"]) if settings["mentions"] else out_dir / "mentions.tsv"
-    extract_counts, records, extract_timings = _run_extraction(settings, window, mentions_path)
-    report_counts, figures, report_timings = _run_report(settings, window, setup, records, out_dir)
-    echo = _report_echo(settings, window, mentions_path, out_dir)
+    extract_counts, records, extract_timings = _run_extraction(settings, corpus, mentions_path)
+    report_counts, figures, report_timings = _run_report(settings, corpus, setup, records, out_dir)
+    echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
     echo["docs_root"] = str(settings["docs_root"] or Path(settings["manifest"]).parent)
     echo["dedup_per_doc"] = settings["dedup_per_doc"]
     counts = {"extract": extract_counts, "report": report_counts}
@@ -442,6 +366,13 @@ def cmd_pipeline(settings: dict) -> int:
 
 
 # --- parser ----------------------------------------------------------------
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,88 +385,118 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"oadscan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file with option defaults")
-        p.add_argument("--window-start", dest="window_start", metavar="YYYY-MM",
-                       help="first accepted publication month (default 2007-04)")
-        p.add_argument("--window-end", dest="window_end", metavar="YYYY-MM",
-                       help="last accepted publication month (default 2021-12)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("extract", help="extract URI mentions from a corpus")
-    add_common(p)
-    p.add_argument("--manifest", help="corpus manifest file")
-    p.add_argument("--docs-root", dest="docs_root", help="directory document paths are relative to")
-    p.add_argument("--out", help="mentions file to write")
-    p.add_argument("--dedup-per-doc", dest="dedup_per_doc",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="count each URI at most once per document")
-    p.set_defaults(func=cmd_extract)
+    def add_corpus_options(p):
+        p.add_argument("--manifest", help="corpus manifest file")
+        p.add_argument("--window-start", metavar="YYYY-MM", default=MonthWindow.start,
+                       help="first accepted publication month (default %(default)s)")
+        p.add_argument("--window-end", metavar="YYYY-MM", default=MonthWindow.end,
+                       help="last accepted publication month (default %(default)s)")
 
-    p = sub.add_parser("train", help="train the learned classifier")
-    add_common(p)
-    p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
-    p.add_argument("--out", help="model file to write")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--l2", type=float, help="L2 penalty strength")
-    p.add_argument("--threshold", type=float, help="OADS decision threshold")
-    p.add_argument("--seed", type=int, help="recorded in the model file")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a model on labeled examples")
-    add_common(p)
-    p.add_argument("--model", help="model file")
-    p.add_argument("--labeled", help="labeled-example file")
-    p.set_defaults(func=cmd_evaluate)
+    def add_extraction_options(p):
+        add_corpus_options(p)
+        p.add_argument("--docs-root", help="directory document paths are relative to")
+        p.add_argument("--dedup-per-doc", action=argparse.BooleanOptionalAction, default=False,
+                       help="count each URI at most once per document")
 
     def add_report_options(p):
         p.add_argument("--model", help="model file")
-        p.add_argument("--manifest", help="corpus manifest file")
-        p.add_argument("--out-dir", dest="out_dir", help="directory for CSV reports")
+        p.add_argument("--out-dir", help="directory for CSV reports")
         p.add_argument("--policy", help="scope policy JSON file")
         p.add_argument("--denylist", help="publisher denylist JSON file")
         p.add_argument("--patterns", help="GHP host pattern JSON file")
-        p.add_argument("--category-policy", dest="category_policy",
-                       choices=[c.value for c in CategoryPolicy])
-        p.add_argument("--bin-width", dest="bin_width", type=int,
-                       help="hostname-frequency histogram bin width (default 50)")
-        p.add_argument("--top-n", dest="top_n", type=int,
-                       help="rows in the top-hostnames table (default 15)")
-        p.add_argument("--seed", type=int, help="recorded in run metadata")
+        p.add_argument("--category-policy", choices=[c.value for c in CategoryPolicy],
+                       default=CategoryPolicy.GHP_FORCES_OADS.value)
+        p.add_argument("--bin-width", type=positive_int,
+                       default=AggregateConfig.histogram_bin_width,
+                       help="hostname-frequency histogram bin width (default %(default)s)")
+        p.add_argument("--top-n", type=positive_int, default=15,
+                       help="rows in the top-hostnames table (default %(default)s)")
 
-    p = sub.add_parser("report", help="classify a mentions file and write CSV reports")
-    add_common(p)
+    p = add_command("extract", cmd_extract, "extract URI mentions from a corpus")
+    add_extraction_options(p)
+    p.add_argument("--out", help="mentions file to write")
+
+    p = add_command("train", cmd_train, "train the learned classifier")
+    p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
+    p.add_argument("--out", help="model file to write")
+    p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
+    p.add_argument("--iterations", type=int, default=TrainingConfig.iterations)
+    p.add_argument("--l2", type=float, default=TrainingConfig.l2, help="L2 penalty strength")
+    p.add_argument("--threshold", type=float, default=TrainingConfig.threshold,
+                   help="OADS decision threshold")
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed,
+                   help="recorded in the model file")
+
+    p = add_command("evaluate", cmd_evaluate, "evaluate a model on labeled examples")
+    p.add_argument("--model", help="model file")
+    p.add_argument("--labeled", help="labeled-example file")
+
+    p = add_command("report", cmd_report, "classify a mentions file and write CSV reports")
+    add_corpus_options(p)
     p.add_argument("--mentions", help="mentions file from the extract stage")
     add_report_options(p)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("pipeline", help="fused extract + report run")
-    add_common(p)
-    p.add_argument("--docs-root", dest="docs_root", help="directory document paths are relative to")
+    p = add_command("pipeline", cmd_pipeline, "fused extract + report run")
+    add_extraction_options(p)
     p.add_argument("--mentions", help="where to write the intermediate mentions file")
-    p.add_argument("--dedup-per-doc", dest="dedup_per_doc",
-                   action=argparse.BooleanOptionalAction, default=None)
     add_report_options(p)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse the command line with config-file and environment values in front.
+
+    The first parse names the command and so its options.  Each option's
+    --config value, then its OADSCAN_<OPTION> value, is put ahead of the
+    command line's own flags as --option=value (a boolean as --option or
+    --no-option), and the command is parsed again.  argparse keeps the last
+    value it reads, so flag > environment > config > default, and every
+    value passes the option's own type and choice checks.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
+    config = {}
+    if args.config is not None:
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+    dests = [d for d in vars(args) if d not in ("command", "func", "config")]
+    earlier: list[str] = []
+    for lookup in (config.get, lambda dest: os.environ.get(_ENV_PREFIX + dest.upper())):
+        for dest in dests:
+            value = lookup(dest)
+            if value is None:
+                continue
+            flag = "--" + dest.replace("_", "-")
+            if isinstance(getattr(args, dest), bool):
+                earlier.append(flag if str(value).lower() in _TRUTHY else "--no-" + flag[2:])
+            else:
+                earlier.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *earlier, *argv[at:]])
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        settings = _settings(args)
-        return args.func(settings)
+        args = _parse_args(build_parser(), argv)
+        return args.func(vars(args))
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
     except ValueError as exc:
-        # covers malformed model/config payloads and invalid field values
+        # every data error (manifest, mentions, labeled file, model file,
+        # training input) is a ValueError
         log.error("%s", exc)
         return EXIT_DATA
     except OSError as exc:

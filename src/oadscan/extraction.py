@@ -150,6 +150,42 @@ _DELIM_RE = re.compile(r"[\s<>]")
 _THROUGH_LAST_DELIM_RE = re.compile(r".*[\s<>]", re.DOTALL)
 # Every URI_RE match contains one of these literals.
 _WWW_RE = re.compile(r"www\.", re.IGNORECASE)
+# Where the two URI_RE branches can start: a scheme start with its run of
+# scheme characters and the "://" that may end the run, and a "www."
+# whose lookbehind holds and that has a body character after it.
+_SCHEME_RUN_RE = re.compile(r"\b[a-z][a-z0-9+.\-]*(://)?", re.IGNORECASE)
+_WWW_START_RE = re.compile(r"(?<![\w.@-])www\.[^\s<>]", re.IGNORECASE)
+
+
+def _token_match(text: str, start: int, end: int) -> re.Match | None:
+    """``URI_RE.search(text, start, end)`` for a token ``text[start:end]``
+    (no whitespace or angle bracket), in time linear in the token.
+
+    The plain search retries the scheme branch at each word boundary of a
+    run of scheme characters and scans to the run's end each time.  Every
+    start in one run reaches the same "://" or none, so each run is tested
+    once, and the search starts at the leftmost start that can match.  The
+    regex engine tests every character, so U+0130, U+0131, U+017F and
+    U+212A read as they do in URI_RE.
+    """
+    if text.find("://", start, end) == -1:
+        # Only the www branch can match, and it matches where it starts.
+        m = _WWW_START_RE.search(text, start, end)
+        return m and URI_RE.match(text, m.start(), end)
+    m = URI_RE.match(text, start, end)
+    if m is not None:
+        return m
+    m = _WWW_START_RE.search(text, start, end)
+    starts = [m.start()] if m else []
+    pos = start
+    while (m := _SCHEME_RUN_RE.search(text, pos, end)) is not None:
+        if m.group(1):
+            # A "://" ends the token or is followed by a body.
+            if m.end() < end:
+                starts.append(m.start())
+            break
+        pos = m.end()
+    return URI_RE.search(text, min(starts), end) if starts else None
 
 
 def _has_path(match_text: str) -> bool:
@@ -196,7 +232,7 @@ def _repair(text: str) -> tuple[str, list[int]]:
         ):
             if not known:
                 d = _THROUGH_LAST_DELIM_RE.match(prev)
-                m = URI_RE.search(prev, d.end() if d else 0)
+                m = _token_match(prev, d.end() if d else 0, len(prev))
                 known = True
                 has_sep = m is not None and "://" in m.group(0)
                 # Join only mid-path; a bare host ending the line is complete.
@@ -252,7 +288,7 @@ def _scan_uris(text: str) -> Iterator[re.Match]:
         start = d.end() if d else pos
         d = _DELIM_RE.search(text, hit)
         pos = d.start() if d else n
-        m = URI_RE.search(text, start, pos)
+        m = _token_match(text, start, pos)
         if m is not None:
             yield m
         if sep != -1 and sep < pos:

@@ -112,20 +112,25 @@ def split_port(host: str) -> tuple[str, str | None]:
     """Split an optional trailing port off a host string.
 
     Bracketed IPv6 literals keep their brackets: ``[::1]:8080`` splits into
-    (``[::1]``, ``8080``).
+    (``[::1]``, ``8080``).  An empty port (``example.org:``) counts as no
+    port.  A port that is not all digits, or text after ``]`` that is not
+    a port, raises ValueError.
     """
     if host.startswith("["):
-        end = host.find("]")
-        if end != -1:
-            rest = host[end + 1 :]
-            if rest.startswith(":"):
-                return host[: end + 1], rest[1:]
-            return host[: end + 1], None
-        return host, None
-    head, sep, tail = host.rpartition(":")
-    if sep and tail.isdigit():
-        return head, tail
-    return host, None
+        end = host.find("]") + 1
+        if not end:
+            return host, None
+        head, rest = host[:end], host[end:]
+        if rest and rest[0] != ":":
+            raise ValueError(f"text after IPv6 literal: {host!r}")
+        tail = rest[1:]
+    else:
+        head, sep, tail = host.rpartition(":")
+        if not sep:
+            return host, None
+    if tail and not tail.isdigit():
+        raise ValueError(f"port is not a number: {host!r}")
+    return head, tail or None
 
 
 @dataclass(frozen=True)
@@ -168,18 +173,19 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
         return uri
     try:
         parts = urlsplit(uri)
+        scheme = parts.scheme.lower()
+        # Strip userinfo; the rightmost @ separates it from the host.
+        host, port = split_port(parts.netloc.rpartition("@")[2].lower())
+        if port is not None and port != _DEFAULT_PORTS.get(scheme):
+            hostname = f"{host}:{port}"
+        else:
+            hostname = host
+        bare = split_port(hostname)[0]
     except ValueError:
         return ParsedUri(uri, "", None, None, "", None)
-    scheme = parts.scheme.lower()
-    # Strip userinfo; the rightmost @ separates it from the host.
-    host, port = split_port(parts.netloc.rpartition("@")[2].lower())
     if not host:
         return ParsedUri(uri, scheme, None, port, parts.path, None)
-    if port is not None and port != _DEFAULT_PORTS.get(scheme):
-        hostname = f"{host}:{port}"
-    else:
-        hostname = host
-    return ParsedUri(uri, scheme, split_port(hostname)[0], port, parts.path, hostname)
+    return ParsedUri(uri, scheme, bare, port, parts.path, hostname)
 
 
 def host_of(uri: str) -> str:

@@ -6,7 +6,7 @@ import oadscan.classifier as classifier_mod
 from conftest import make_mention
 from oadscan.classifier import (
     Classification,
-    FeaturizerConfig,
+    FIXED_FEATURE_NAMES,
     Label,
     LabeledExample,
     LabeledFileError,
@@ -84,7 +84,7 @@ class TestFeaturize:
 
     def test_path_keyword_flags(self):
         f = featurize("", "https://x.org/datasets/download/v1")
-        names = FeaturizerConfig().fixed_feature_names
+        names = FIXED_FEATURE_NAMES
         flags = dict(zip(names, f.fixed))
         assert flags["path_kw:data"] == 1.0
         assert flags["path_kw:dataset"] == 1.0
@@ -130,9 +130,7 @@ class TestTrain:
         assert a.to_json() == b.to_json()
 
     def test_weight_vector_length(self, fixture_model):
-        expected = len(fixture_model.vocabulary) + len(
-            fixture_model.featurizer.fixed_feature_names
-        )
+        expected = len(fixture_model.vocabulary) + len(FIXED_FEATURE_NAMES)
         assert len(fixture_model.weights) == expected
 
 
@@ -196,7 +194,6 @@ class TestHybrid:
             weights=[-w for w in fixture_model.weights],
             bias=fixture_model.bias + 123.0,
             threshold=fixture_model.threshold,
-            featurizer=fixture_model.featurizer,
             training=fixture_model.training,
         )
         assert classify_hybrid(m, fixture_model) == classify_hybrid(m, scrambled)
@@ -236,6 +233,17 @@ class TestSerialization:
         data = json.loads(fixture_model.to_json())
         data["weights"] = data["weights"][:-1]
         with pytest.raises(ValueError, match="length"):
+            TrainedModel.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("key, value", [
+        ("path_keywords", ["code", "data"]),
+        ("host_feature_prefix", "h:"),
+        ("tld_feature_prefix", "t:"),
+    ])
+    def test_foreign_featurizer_rejected(self, fixture_model, key, value):
+        data = json.loads(fixture_model.to_json())
+        data["featurizer"][key] = value
+        with pytest.raises(ValueError, match="featurizer"):
             TrainedModel.from_json(json.dumps(data))
 
 

@@ -350,3 +350,137 @@ class TestConfigResolution:
 
     def test_missing_required_option_is_usage_error(self, tmp_path):
         assert run("extract", "--out", tmp_path / "m.tsv") == EXIT_USAGE
+
+
+class TestOptionSources:
+    """Each command's options, wherever their values come from, go through
+    that command's own parser declarations."""
+
+    OPTIONS = {
+        "extract": {"config", "manifest", "window_start", "window_end", "docs_root",
+                    "dedup_per_doc", "out"},
+        "train": {"config", "labeled", "out", "learning_rate", "iterations", "l2",
+                  "threshold", "seed"},
+        "evaluate": {"config", "model", "labeled"},
+        "report": {"config", "manifest", "window_start", "window_end", "mentions", "model",
+                   "out_dir", "policy", "denylist", "patterns", "category_policy",
+                   "bin_width", "top_n"},
+        "pipeline": {"config", "manifest", "window_start", "window_end", "docs_root",
+                     "dedup_per_doc", "mentions", "model", "out_dir", "policy", "denylist",
+                     "patterns", "category_policy", "bin_width", "top_n"},
+    }
+
+    # kind: command, option, command-line flags, env value, config value,
+    # and the value the command sees from flag, env and config.
+    SOURCES = {
+        "int": ("report", "bin_width", ["--bin-width", "7"], "8", 9, (7, 8, 9)),
+        "float": ("train", "learning_rate", ["--learning-rate=0.5"], "0.25", 0.125,
+                  (0.5, 0.25, 0.125)),
+        "choice": ("pipeline", "category_policy", ["--category-policy", "classifier-decides"],
+                   "ghp-forces-oads", "classifier-decides",
+                   ("classifier-decides", "ghp-forces-oads", "classifier-decides")),
+        "boolean": ("extract", "dedup_per_doc", ["--no-dedup-per-doc"], "yes", False,
+                    (False, True, False)),
+        "path": ("evaluate", "model", ["--model", "flag.json"], "-env.json", "config.json",
+                 ("flag.json", "-env.json", "config.json")),
+    }
+
+    @staticmethod
+    def capture(monkeypatch, command):
+        seen = []
+        monkeypatch.setattr(cli_mod, f"cmd_{command}",
+                            lambda settings: seen.append(settings) or EXIT_OK)
+        return seen
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_reads_only_its_own_options(self, command, monkeypatch):
+        seen = self.capture(monkeypatch, command)
+        assert run(command) == EXIT_OK
+        assert set(seen[0]) - {"command", "func"} == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_flag_beats_env_beats_config(self, kind, tmp_path, monkeypatch):
+        command, dest, flags, env_value, config_value, expected = self.SOURCES[kind]
+        seen = self.capture(monkeypatch, command)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({dest: config_value}))
+        run(command, "--config", config)
+        monkeypatch.setenv("OADSCAN_" + dest.upper(), env_value)
+        run(command, "--config", config)
+        run(command, "--config", config, *flags)
+        assert [s[dest] for s in seen] == list(reversed(expected))
+
+    BAD = {
+        "int": ("pipeline", "bin_width", "abc", "--bin-width"),
+        "float": ("train", "learning_rate", "x", "--learning-rate"),
+        "choice": ("pipeline", "category_policy", "bogus", "--category-policy"),
+    }
+
+    @staticmethod
+    def command_line(command, tmp_path, out):
+        """A command line that runs, writing everything under ``out``."""
+        if command == "train":
+            return [command, "--labeled", DATA / "labeled_seed.tsv", "--out", out / "model.json"]
+        argv = [command, "--model", MODEL, "--manifest", CORPUS / "manifest.tsv",
+                "--out-dir", out]
+        if command == "report":
+            mentions = tmp_path / "mentions.tsv"
+            assert run("extract", "--manifest", CORPUS / "manifest.tsv",
+                       "--out", mentions) == EXIT_OK
+            argv += ["--mentions", mentions]
+        return argv
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_bad_value_is_usage_error_naming_the_flag(self, kind, source, tmp_path,
+                                                      monkeypatch, capsys):
+        command, dest, value, flag = self.BAD[kind]
+        out = tmp_path / "out"
+        argv = self.command_line(command, tmp_path, out)
+        if source == "env":
+            monkeypatch.setenv("OADSCAN_" + dest.upper(), value)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({dest: value}))
+            argv += ["--config", config]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "pipeline"])
+    @pytest.mark.parametrize("flag", ["--bin-width", "--top-n"])
+    def test_size_below_one_rejected_before_any_work(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = self.command_line(command, tmp_path, out)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, flag, "0")
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--window-start"), ("evaluate", "--window-start"),
+        ("report", "--seed"), ("pipeline", "--seed"),
+    ])
+    def test_option_the_command_never_reads_is_rejected(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(command, flag, "1")
+        assert exc.value.code == EXIT_USAGE
+
+    def test_another_commands_environment_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OADSCAN_BIN_WIDTH", "abc")
+        monkeypatch.setenv("OADSCAN_SEED", "abc")
+        out = tmp_path / "m.tsv"
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", out) == EXIT_OK
+        assert read_mentions_file(out)
+
+
+def test_pipeline_reads_the_manifest_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli_mod.load_manifest
+    monkeypatch.setattr(cli_mod, "load_manifest", lambda path: calls.append(path) or real(path))
+    assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
+               "--out-dir", tmp_path / "run") == EXIT_OK
+    assert len(calls) == 1

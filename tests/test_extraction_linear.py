@@ -4,7 +4,7 @@
 extraction passes.  The differential tests here hold the package to its
 output byte for byte: mentions, spans and contexts, the repaired text,
 the sentences, and the raw URI matches.  The scaling tests check that
-doubling the two adversarial input shapes at most about doubles the
+doubling the three adversarial input shapes at most about doubles the
 extraction time.
 """
 
@@ -49,6 +49,13 @@ def shape_b(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def shape_c(n: int) -> str:
+    """Tokens of about 2n scheme characters that hold a "www." or "://"
+    but no URI, the last one ending a line that repair examines."""
+    return ("See " + "a." * n + "www.b for it. " + "a." * n + "a_x://y.org/p and 1://"
+            + "a." * n + "www.b.\nSee " + "a." * n + "www.b/c\nd more text.\n") * 8
+
+
 def _outcome(extract, text: str, dedup: bool):
     try:
         return extract(doc(text), dedup=dedup)
@@ -77,22 +84,24 @@ def test_fixture_corpus_matches_reference():
 
 
 @pytest.mark.parametrize("text", [shape_a(1), shape_a(300), shape_b(1), shape_b(300),
-                                  shape_a(50) + shape_b(50)],
-                         ids=["a1", "a300", "b1", "b300", "a50+b50"])
+                                  shape_a(50) + shape_b(50), shape_c(1), shape_c(300)],
+                         ids=["a1", "a300", "b1", "b300", "a50+b50", "c1", "c300"])
 def test_adversarial_shapes_match_reference(text):
     assert_same_as_reference(text)
 
 
 # Pieces that exercise every branch of the three passes: URIs wrapped
 # mid-path, separator-free tokens with several "://" or "www." hits,
-# CRLF and Unicode line ends and spaces, angle brackets, the Kelvin sign
-# and long s (which the case-insensitive grammar reads as 'k' and 's'),
-# and prose words right after a break.
+# CRLF and Unicode line ends and spaces, angle brackets, the Kelvin sign,
+# long s and the two Turkish i's (which the case-insensitive grammar reads
+# as ASCII letters), long runs of scheme characters, a "://" with no
+# scheme start in its run, and prose words right after a break.
 PIECES = st.sampled_from([
     "https://", "http://", "ftp://", "://", ":/", "/", "//", "www.", "WWW.", "wWw.",
     "x.org", "github.com/u/r", "/data", "a+b", "-", ".", ",", ";", ")", "(", "]", "!", "?",
     '"', "'", "\u201c", " ", " ", "  ", "\n", "\n", "\r\n", "\n\n", "\n \n", "<", ">",
-    "\u00a0", "\u2028", "\x1c", "\t", "\u212a", "\u017f", "The", "A", "7", "x", "w",
+    "\u00a0", "\u2028", "\x1c", "\t", "\u212a", "\u017f", "\u0130", "\u0131", "The", "A",
+    "7", "x", "w", "_", "a.a.a.a.", "a." * 100, "1://", "a_x://",
     "the", "and", "with", "\nthe ", "\nand more", "\ndata",
     "https://zenodo.org/rec\nord/12", "www.example.org/a/\nb/c", "http://h.io/p\n/q",
     "http://a.b/c://d://e", "www.x/y://z", "a+www.q/r:/",
@@ -138,7 +147,8 @@ def _extraction_seconds(texts: list[str], rounds: int = 5) -> list[float]:
     return best
 
 
-@pytest.mark.parametrize("shape, n", [(shape_a, 1000), (shape_b, 1000)], ids=["a", "b"])
+@pytest.mark.parametrize("shape, n", [(shape_a, 1000), (shape_b, 1000), (shape_c, 1000)],
+                         ids=["a", "b", "c"])
 def test_doubling_the_input_at_most_doubles_extraction_time(shape, n):
     small, large = _extraction_seconds([shape(n), shape(2 * n)])
     assert large / small <= 2.5, f"t(2N)/t(N) = {large / small:.2f} at N = {n}"

@@ -65,6 +65,11 @@ class TestHostOf:
         assert split_port("example.org") == ("example.org", None)
         assert split_port("[::1]:443") == ("[::1]", "443")
         assert split_port("[::1]") == ("[::1]", None)
+        assert split_port("example.org:") == ("example.org", None)
+        assert split_port("[::1]:") == ("[::1]", None)
+        for host in ("example.org:abc", "[::1]x", "[::1]:8x"):
+            with pytest.raises(ValueError):
+                split_port(host)
 
 
 def _host_features(features):
