@@ -190,16 +190,17 @@ class CorpusAggregate:
         self.monthly[month] = existing.add(MonthlyStats(month, publications=count))
 
     def add_mention(self, month: str, category: Category, hostname: str) -> None:
-        if category is Category.GHP:
-            stats = MonthlyStats(month, 0, 1, 1, 0, 1, 0)
-        elif category is Category.NON_GHP_OADS:
-            stats = MonthlyStats(month, 0, 1, 1, 0, 0, 1)
+        ghp = category is Category.GHP
+        non_ghp_oads = category is Category.NON_GHP_OADS
+        if non_ghp_oads:
             self.hostnames[hostname] += 1
             self.hostname_total += 1
-        else:
-            stats = MonthlyStats(month, 0, 1, 0, 1, 0, 0)
-        existing = self.monthly.get(month, MonthlyStats(month))
-        self.monthly[month] = existing.add(stats)
+        s = self.monthly.get(month) or MonthlyStats(month)
+        oads = int(ghp or non_ghp_oads)
+        self.monthly[month] = MonthlyStats(
+            month, s.publications, s.uri_total + 1, s.oads + oads, s.non_oads + 1 - oads,
+            s.ghp + ghp, s.non_ghp_oads + non_ghp_oads,
+        )
 
     def hostname_stats(self) -> HostnameStats:
         return HostnameStats(dict(self.hostnames), self.hostname_total)

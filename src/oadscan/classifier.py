@@ -148,12 +148,9 @@ class Features:
     fixed: tuple[float, ...]
 
 
-def featurize(context: str, uri: str | ParsedUri) -> Features:
-    """Bag-of-words over the context (URI masked) plus URI lexical features.
-
-    Deterministic: tokens are reported in sorted order with raw counts.
-    """
-    parsed = parse_uri(uri)
+def _sparse_counts(context: str, parsed: ParsedUri) -> Counter[str]:
+    """The sparse features: context tokens with the URI masked, plus the
+    URI's ``host:`` and ``tld:`` features, with raw counts."""
     uri = parsed.uri
     masked = context
     if uri:
@@ -169,11 +166,25 @@ def featurize(context: str, uri: str | ParsedUri) -> Features:
         label = host.rsplit(".", 1)[-1]
         if label and label != host:
             counts["tld:" + label] += 1
+    return counts
 
+
+def _fixed_features(parsed: ParsedUri) -> tuple[float, ...]:
+    """One slot per ``FIXED_FEATURE_NAMES`` entry: the path keywords, then https."""
     path = parsed.path.lower()
     fixed = [1.0 if kw in path else 0.0 for kw in PATH_KEYWORDS]
-    fixed.append(1.0 if uri.lower().startswith("https://") else 0.0)
-    return Features(tuple(sorted(counts.items())), tuple(fixed))
+    fixed.append(1.0 if parsed.uri.lower().startswith("https://") else 0.0)
+    return tuple(fixed)
+
+
+def featurize(context: str, uri: str | ParsedUri) -> Features:
+    """Bag-of-words over the context (URI masked) plus URI lexical features.
+
+    Deterministic: tokens are reported in sorted order with raw counts.
+    """
+    parsed = parse_uri(uri)
+    return Features(tuple(sorted(_sparse_counts(context, parsed).items())),
+                    _fixed_features(parsed))
 
 
 # --- model ---------------------------------------------------------------
@@ -232,20 +243,29 @@ class TrainedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
+        """Parse a model file; any malformed file is a ValueError."""
         data = json.loads(text)
-        if data.get("featurizer") != _FEATURIZER_BLOCK:
-            raise ValueError(
-                f"model featurizer {data.get('featurizer')!r} is not this featurizer's "
-                f"{_FEATURIZER_BLOCK!r}"
+        if not isinstance(data, dict):
+            raise ValueError(f"model file holds a JSON {type(data).__name__}, not an object")
+        try:
+            if data["featurizer"] != _FEATURIZER_BLOCK:
+                raise ValueError(
+                    f"model featurizer {data['featurizer']!r} is not this featurizer's "
+                    f"{_FEATURIZER_BLOCK!r}"
+                )
+            model = cls(
+                vocabulary=dict(data["vocabulary"]),
+                weights=[float(w) for w in data["weights"]],
+                bias=float(data["bias"]),
+                threshold=float(data["threshold"]),
+                training=TrainingConfig(**data["training"]),
+                format_version=int(data["format_version"]),
             )
-        model = cls(
-            vocabulary=dict(data["vocabulary"]),
-            weights=[float(w) for w in data["weights"]],
-            bias=float(data["bias"]),
-            threshold=float(data["threshold"]),
-            training=TrainingConfig(**data["training"]),
-            format_version=int(data["format_version"]),
-        )
+        except KeyError as exc:
+            raise ValueError(f"model file has no {exc} key") from None
+        except TypeError as exc:
+            # a value of the wrong type, or an unknown training key
+            raise ValueError(f"malformed model file: {exc}") from None
         expected = len(model.vocabulary) + len(FIXED_FEATURE_NAMES)
         if len(model.weights) != expected:
             raise ValueError(
@@ -334,11 +354,22 @@ def train(
 
 
 def score_text(model: TrainedModel, context: str, uri: str | ParsedUri) -> float:
-    """OADS probability for a (context, uri) pair under the model."""
-    features = featurize(context, uri)
+    """OADS probability for a (context, uri) pair under the model.
+
+    Only the in-vocabulary tokens are looked up, but the terms are added
+    in the order ``featurize`` and ``_indexed`` give them (sorted tokens,
+    then the fixed slots), so the sum is bit-identical to that path's.
+    """
+    parsed = parse_uri(uri)
+    vocabulary, weights = model.vocabulary, model.weights
+    counts = _sparse_counts(context, parsed)
     z = model.bias
-    for idx, value in _indexed(features, model.vocabulary, len(model.vocabulary)):
-        z += model.weights[idx] * value
+    for token in sorted([t for t in counts if t in vocabulary]):
+        z += weights[vocabulary[token]] * counts[token]
+    n_vocab = len(vocabulary)
+    for k, value in enumerate(_fixed_features(parsed)):
+        if value:
+            z += weights[n_vocab + k] * value
     return _sigmoid(z)
 
 

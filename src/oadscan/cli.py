@@ -19,6 +19,11 @@ from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
 from . import __version__
 from .analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
 from .classifier import (
@@ -140,13 +145,25 @@ def _seconds(ns: int) -> float:
     return round(ns / 1e9, 6)
 
 
-def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict, **more) -> None:
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MB of 2**20 bytes;
+    None where the platform does not report it."""
+    if resource is None:
+        return None
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
+    return round(maxrss / (2**20 if sys.platform == "darwin" else 2**10), 3)
+
+
+def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict,
+                    timings: dict, **more) -> None:
     payload = {
         "tool": "oadscan",
         "version": __version__,
         "command": command,
         "config": config_echo,
         "counts": counts,
+        "timings": {**timings, "peak_rss_mb": _peak_rss_mb()},
         **more,
     }
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")

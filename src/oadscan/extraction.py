@@ -471,6 +471,8 @@ def write_mentions_file(path: str | Path, records: Iterable[MentionRecord]) -> i
 
 def read_mentions_file(path: str | Path) -> list[MentionRecord]:
     records: list[MentionRecord] = []
+    # A document's mentions are consecutive lines; they share one DocumentId.
+    last_raw_id, doc_id = None, None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -481,8 +483,10 @@ def read_mentions_file(path: str | Path) -> list[MentionRecord]:
                 raise MentionsFileError(f"{path}:{lineno}: expected 6 fields")
             raw_id, month, uri, start, end, context_json = fields
             try:
+                if raw_id != last_raw_id:
+                    doc_id, last_raw_id = parse_document_id(raw_id), raw_id
                 record = MentionRecord(
-                    parse_document_id(raw_id),
+                    doc_id,
                     validate_month(month),
                     uri,
                     (int(start), int(end)),

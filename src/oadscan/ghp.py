@@ -4,7 +4,8 @@ Hosts are tested against per-platform rules (exact host, dotted suffix,
 or first label) in the fixed order GitHub, GitLab, SourceForge,
 Bitbucket.  Matching is on whole host labels only, never raw substrings,
 so ``mygithub.example.com`` is not GitHub while ``gitlab.cern.ch`` is a
-GitLab instance.
+GitLab instance.  A rule set is compiled once into one lookup table per
+rule kind, so a host costs a lookup per dotted suffix, not a test per rule.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .classifier import Label
@@ -52,17 +54,26 @@ class HostRule:
         if self.kind == "suffix" and not self.host.startswith("."):
             raise ValueError(f"suffix rule must start with '.': {self.host!r}")
 
-    def matches(self, host: str) -> bool:
-        if self.kind == "exact":
-            return host == self.host
-        if self.kind == "suffix":
-            return host.endswith(self.host)
-        return host.split(".", 1)[0] == self.host
+
+# A compiled rule table: the rule's host (an exact host, a dotted suffix
+# with its leading dot, or a first label) -> (the position of its
+# platform in the rule set, the platform).
+_RuleTable = dict[str, tuple[int, Platform]]
 
 
 @dataclass(frozen=True)
 class GhpPatternSet:
     rules: tuple[tuple[Platform, tuple[HostRule, ...]], ...]
+
+    @cached_property
+    def tables(self) -> dict[str, _RuleTable]:
+        """The rules by kind, compiled on first use and kept.  A host
+        listed by several platforms keeps the earliest one."""
+        tables: dict[str, _RuleTable] = {kind: {} for kind in _RULE_KINDS}
+        for order, (platform, rules) in enumerate(self.rules):
+            for rule in rules:
+                tables[rule.kind].setdefault(rule.host, (order, platform))
+        return tables
 
     @classmethod
     def default(cls) -> "GhpPatternSet":
@@ -124,10 +135,21 @@ def detect_ghp(uri: str | ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS)
     host = parse_uri(uri).host
     if host is None:
         return None
-    for platform, rules in patterns.rules:
-        if any(rule.matches(host) for rule in rules):
-            return platform
-    return None
+    tables = patterns.tables
+    best = tables["exact"].get(host)
+    hit = tables["first-label"].get(host.partition(".")[0])
+    # Hits compare by platform position; one position is one platform.
+    if hit is not None and (best is None or hit < best):
+        best = hit
+    # A suffix rule matches when it equals the host from one of its dots on.
+    suffixes = tables["suffix"]
+    dot = host.find(".")
+    while dot != -1:
+        hit = suffixes.get(host[dot:])
+        if hit is not None and (best is None or hit < best):
+            best = hit
+        dot = host.find(".", dot + 1)
+    return None if best is None else best[1]
 
 
 class Category(Enum):

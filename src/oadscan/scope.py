@@ -53,7 +53,11 @@ class ScopeVerdict:
 
     @classmethod
     def from_reason(cls, reason: ScopeReason) -> "ScopeVerdict":
-        return cls(reason in _IN_SCOPE_REASONS, reason)
+        """The one shared verdict for ``reason``."""
+        return _VERDICTS[reason]
+
+
+_VERDICTS = {r: ScopeVerdict(r in _IN_SCOPE_REASONS, r) for r in ScopeReason}
 
 
 # Default ports per scheme; a host carrying its scheme's default port is
@@ -113,8 +117,8 @@ def split_port(host: str) -> tuple[str, str | None]:
 
     Bracketed IPv6 literals keep their brackets: ``[::1]:8080`` splits into
     (``[::1]``, ``8080``).  An empty port (``example.org:``) counts as no
-    port.  A port that is not all digits, or text after ``]`` that is not
-    a port, raises ValueError.
+    port.  A port that is not all digits, text after ``]`` that is not a
+    port, or a second colon in a host without brackets raises ValueError.
     """
     if host.startswith("["):
         end = host.find("]") + 1
@@ -128,6 +132,8 @@ def split_port(host: str) -> tuple[str, str | None]:
         head, sep, tail = host.rpartition(":")
         if not sep:
             return host, None
+        if ":" in head:
+            raise ValueError(f"colon inside host: {host!r}")
     if tail and not tail.isdigit():
         raise ValueError(f"port is not a number: {host!r}")
     return head, tail or None
@@ -201,6 +207,9 @@ def host_of(uri: str) -> str:
     return hostname
 
 
+_IPV4_CHARS = "0123456789."
+
+
 def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool:
     """True for localhost, loopback, link-local, and private-range hosts."""
     bare, _ = split_port(host.lower())
@@ -208,6 +217,10 @@ def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool
         return True
     if bare.startswith("[") and bare.endswith("]"):
         bare = bare[1:-1]
+    # An IPv6 address holds a colon and an IPv4 address only ASCII digits
+    # and dots; any other string cannot parse as either, so skip the parse.
+    if ":" not in bare and bare.strip(_IPV4_CHARS):
+        return False
     try:
         addr = ipaddress.ip_address(bare)
     except ValueError:

@@ -154,6 +154,27 @@ class TestEvaluate:
             "evaluate", "--model", tmp_path / "none.json", "--labeled", DATA / "labeled_seed.tsv"
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize("shape, named", [
+        ("missing key", "'weights'"),
+        ("unknown training key", "'momentum'"),
+        ("top level not an object", "list"),
+        ("value of the wrong type", "malformed model file"),
+    ])
+    def test_malformed_model_is_data_error_naming_it(self, tmp_path, caplog, shape, named):
+        data = json.loads(MODEL.read_text(encoding="utf-8"))
+        if shape == "missing key":
+            del data["weights"]
+        elif shape == "unknown training key":
+            data["training"]["momentum"] = 0.9
+        elif shape == "top level not an object":
+            data = [data]
+        else:
+            data["weights"] = None
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data), encoding="utf-8")
+        assert run("evaluate", "--model", model, "--labeled", DATA / "labeled_seed.tsv") == EXIT_DATA
+        assert named in caplog.text
+
 
 class TestReport:
     def test_zero_in_scope_mentions(self, tmp_path):
@@ -292,8 +313,9 @@ class TestTimings:
 
     @staticmethod
     def check(timings, keys):
-        assert set(timings) == keys
+        assert set(timings) == keys | {"peak_rss_mb"}
         assert all(v >= 0 for v in timings.values())
+        assert timings["peak_rss_mb"] > 0
 
     def test_each_command_records_its_stage_timings(self, tmp_path):
         mentions = tmp_path / "mentions.tsv"

@@ -324,3 +324,22 @@ class TestMentionsFile:
         path.write_text("only\tthree\tfields\n", encoding="utf-8")
         with pytest.raises(MentionsFileError, match=":1:"):
             read_mentions_file(path)
+
+    def test_consecutive_mentions_share_one_document_id(self, tmp_path):
+        ids = [DocumentId("a", 2), DocumentId("a", 2), DocumentId("b", 1), DocumentId("a", 2)]
+        records = [MentionRecord(i, "2019-01", f"https://x.org/{n}", (0, 15), "c")
+                   for n, i in enumerate(ids)]
+        path = tmp_path / "mentions.tsv"
+        write_mentions_file(path, records)
+        read = read_mentions_file(path)
+        assert read == records
+        assert read[0].doc_id is read[1].doc_id
+        assert read[2].doc_id is not read[1].doc_id
+        assert read[3].doc_id is not read[1].doc_id
+
+    def test_bad_document_id_after_a_good_one_rejected(self, tmp_path):
+        path = tmp_path / "mentions.tsv"
+        path.write_text("av1\t2019-01\thttps://x.org/a\t0\t15\t\"c\"\n"
+                        "av0\t2019-01\thttps://x.org/b\t0\t15\t\"c\"\n", encoding="utf-8")
+        with pytest.raises(MentionsFileError, match=":2:"):
+            read_mentions_file(path)

@@ -67,7 +67,8 @@ class TestHostOf:
         assert split_port("[::1]") == ("[::1]", None)
         assert split_port("example.org:") == ("example.org", None)
         assert split_port("[::1]:") == ("[::1]", None)
-        for host in ("example.org:abc", "[::1]x", "[::1]:8x"):
+        for host in ("example.org:abc", "[::1]x", "[::1]:8x", "example.org:8080:9090",
+                     "localhost:1:80", "a:b:", "::1"):
             with pytest.raises(ValueError):
                 split_port(host)
 
