@@ -10,7 +10,7 @@ and aggregates monthly and hostname statistics into CSV reports.
 __version__ = "0.1.0"
 
 from .classifier import Classification, Label, LabeledExample, TrainedModel
-from .corpus import CorpusManifest, Document, DocumentId, MonthWindow
+from .corpus import Document, DocumentId, MonthWindow
 from .extraction import UriMention
 from .ghp import Category, CategoryPolicy, Platform
 from .scope import ScopePolicy, ScopeReason, ScopeVerdict
@@ -20,7 +20,6 @@ __all__ = [
     "Category",
     "CategoryPolicy",
     "Classification",
-    "CorpusManifest",
     "Document",
     "DocumentId",
     "Label",

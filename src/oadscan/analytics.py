@@ -104,12 +104,6 @@ class HostnameStats:
     counts: dict[str, int]
     total: int
 
-    def share(self, hostname: str) -> float | None:
-        """This hostname's percentage of all counted mentions."""
-        if self.total == 0:
-            return None
-        return 100.0 * self.counts.get(hostname, 0) / self.total
-
 
 @dataclass(frozen=True)
 class HistogramSpec:
@@ -238,7 +232,7 @@ def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
     dispersion = dispersion_metrics(stats)
     figures: dict[str, float | int | None] = {
         "ghp_share_of_oads": ghp_share_of_oads(aggregate.totals()),
-        "top_hostname_share": stats.share(top[0][0]) if top else None,
+        "top_hostname_share": 100.0 * top[0][1] / stats.total if top else None,
         "distinct_hostnames": len(stats.counts),
     }
     for f in fields(DispersionMetrics):
@@ -302,7 +296,7 @@ def write_monthly_csv(path: str | Path, monthly: Sequence[MonthlyStats]) -> None
 def write_hostnames_csv(path: str | Path, stats: HostnameStats) -> None:
     ranked = sorted(stats.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = [
-        [host, str(count), _fmt(stats.share(host), 4)]
+        [host, str(count), _fmt(100.0 * count / stats.total, 4)]
         for host, count in ranked
     ]
     atomic_write_text(path, _csv_text(["hostname", "count", "share"], rows))

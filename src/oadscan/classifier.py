@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .extraction import UriMention
+from .extraction import MentionRecord, UriMention
 from .fileio import atomic_write_text
 from .scope import ParsedUri, parse_uri
 
@@ -32,7 +32,6 @@ __all__ = [
     "LabeledExample",
     "PATH_KEYWORDS",
     "FIXED_FEATURE_NAMES",
-    "Features",
     "TrainingConfig",
     "TrainedModel",
     "EvalMetrics",
@@ -41,9 +40,7 @@ __all__ = [
     "DEFAULT_DENYLIST",
     "load_denylist",
     "classify_heuristic",
-    "featurize",
     "train",
-    "predict",
     "score_text",
     "classify_hybrid",
     "evaluate",
@@ -104,15 +101,9 @@ def load_denylist(path: str | Path) -> frozenset[str]:
 
 
 def classify_heuristic(
-    mention: UriMention,
-    denylist: frozenset[str] = DEFAULT_DENYLIST,
-    parsed: ParsedUri | None = None,
+    parsed: ParsedUri, denylist: frozenset[str] = DEFAULT_DENYLIST
 ) -> Classification | None:
-    """Apply the rule layer; None defers the mention to the learned model.
-
-    ``parsed`` is the mention's URI already parsed, when the caller has it.
-    """
-    parsed = parse_uri(parsed or mention.uri)
+    """Apply the rule layer; None defers the mention to the learned model."""
     if parsed.in_domains(denylist):
         return Classification(Label.NON_OADS, Provenance.HEURISTIC_PUBLISHER, 0.0)
     if parsed.path.lower().endswith(".pdf"):
@@ -138,14 +129,6 @@ _FEATURIZER_BLOCK = {
     "path_keywords": list(PATH_KEYWORDS),
     "tld_feature_prefix": "tld:",
 }
-
-
-@dataclass(frozen=True)
-class Features:
-    """Sparse feature vector: token counts plus fixed URI-feature slots."""
-
-    tokens: tuple[tuple[str, float], ...]
-    fixed: tuple[float, ...]
 
 
 def _sparse_counts(context: str, parsed: ParsedUri) -> Counter[str]:
@@ -177,14 +160,18 @@ def _fixed_features(parsed: ParsedUri) -> tuple[float, ...]:
     return tuple(fixed)
 
 
-def featurize(context: str, uri: str | ParsedUri) -> Features:
-    """Bag-of-words over the context (URI masked) plus URI lexical features.
-
-    Deterministic: tokens are reported in sorted order with raw counts.
-    """
-    parsed = parse_uri(uri)
-    return Features(tuple(sorted(_sparse_counts(context, parsed).items())),
-                    _fixed_features(parsed))
+def _terms(
+    vocabulary: dict[str, int], counts: Counter[str], parsed: ParsedUri
+) -> list[tuple[int, float]]:
+    """The model's nonzero terms for one mention as (weight index, value):
+    the in-vocabulary tokens of ``counts`` in sorted order, then the
+    nonzero fixed slots.  Training and scoring both sum in this order, so
+    a score is bit-identical however it is reached."""
+    terms = [(vocabulary[t], counts[t]) for t in sorted([t for t in counts if t in vocabulary])]
+    for idx, value in enumerate(_fixed_features(parsed), start=len(vocabulary)):
+        if value:
+            terms.append((idx, value))
+    return terms
 
 
 # --- model ---------------------------------------------------------------
@@ -285,18 +272,6 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def _indexed(features: Features, vocabulary: dict[str, int], n_vocab: int) -> list[tuple[int, float]]:
-    pairs = []
-    for token, value in features.tokens:
-        idx = vocabulary.get(token)
-        if idx is not None:
-            pairs.append((idx, value))
-    for k, value in enumerate(features.fixed):
-        if value:
-            pairs.append((n_vocab + k, value))
-    return pairs
-
-
 def train(
     examples: Sequence[LabeledExample], config: TrainingConfig = TrainingConfig()
 ) -> TrainedModel:
@@ -316,13 +291,12 @@ def train(
         only = next(iter(labels)).value
         raise TrainingError(f"training data contains a single class: {only}")
 
-    featurized = [featurize(ex.context, ex.uri) for ex in examples]
-    vocab_tokens = sorted({tok for f in featurized for tok, _ in f.tokens})
-    vocabulary = {tok: i for i, tok in enumerate(vocab_tokens)}
-    n_vocab = len(vocabulary)
-    n_weights = n_vocab + len(FIXED_FEATURE_NAMES)
+    parsed = [parse_uri(ex.uri) for ex in examples]
+    counts = [_sparse_counts(ex.context, p) for ex, p in zip(examples, parsed)]
+    vocabulary = {tok: i for i, tok in enumerate(sorted(set().union(*counts)))}
+    n_weights = len(vocabulary) + len(FIXED_FEATURE_NAMES)
 
-    rows = [_indexed(f, vocabulary, n_vocab) for f in featurized]
+    rows = [_terms(vocabulary, c, p) for c, p in zip(counts, parsed)]
     targets = [1.0 if ex.label is Label.OADS else 0.0 for ex in examples]
 
     weights = [0.0] * n_weights
@@ -353,51 +327,34 @@ def train(
     )
 
 
-def score_text(model: TrainedModel, context: str, uri: str | ParsedUri) -> float:
-    """OADS probability for a (context, uri) pair under the model.
-
-    Only the in-vocabulary tokens are looked up, but the terms are added
-    in the order ``featurize`` and ``_indexed`` give them (sorted tokens,
-    then the fixed slots), so the sum is bit-identical to that path's.
-    """
-    parsed = parse_uri(uri)
-    vocabulary, weights = model.vocabulary, model.weights
-    counts = _sparse_counts(context, parsed)
+def score_text(model: TrainedModel, context: str, parsed: ParsedUri) -> float:
+    """OADS probability for a (context, URI) pair under the model."""
+    weights = model.weights
     z = model.bias
-    for token in sorted([t for t in counts if t in vocabulary]):
-        z += weights[vocabulary[token]] * counts[token]
-    n_vocab = len(vocabulary)
-    for k, value in enumerate(_fixed_features(parsed)):
-        if value:
-            z += weights[n_vocab + k] * value
+    for idx, value in _terms(model.vocabulary, _sparse_counts(context, parsed), parsed):
+        z += weights[idx] * value
     return _sigmoid(z)
 
 
-def predict(
-    model: TrainedModel, mention: UriMention, parsed: ParsedUri | None = None
-) -> Classification:
-    """Learned-model verdict; the decision boundary assigns OADS at >= threshold."""
-    score = score_text(model, mention.context, parsed or mention.uri)
-    label = Label.OADS if score >= model.threshold else Label.NON_OADS
-    return Classification(label, Provenance.LEARNED, score)
-
-
 def classify_hybrid(
-    mention: UriMention,
+    mention: UriMention | MentionRecord,
     model: TrainedModel,
     denylist: frozenset[str] = DEFAULT_DENYLIST,
     parsed: ParsedUri | None = None,
 ) -> Classification:
-    """Heuristic verdict when a rule matches, learned verdict otherwise.
+    """Heuristic verdict when a rule matches, learned verdict otherwise;
+    the learned verdict is OADS at a score >= the model's threshold.
 
     The mention's URI is parsed once (unless ``parsed`` is given) and both
     layers read that parse.
     """
     parsed = parse_uri(parsed or mention.uri)
-    verdict = classify_heuristic(mention, denylist, parsed)
+    verdict = classify_heuristic(parsed, denylist)
     if verdict is not None:
         return verdict
-    return predict(model, mention, parsed)
+    score = score_text(model, mention.context, parsed)
+    label = Label.OADS if score >= model.threshold else Label.NON_OADS
+    return Classification(label, Provenance.LEARNED, score)
 
 
 # --- evaluation ----------------------------------------------------------
@@ -433,7 +390,7 @@ def evaluate(model: TrainedModel, examples: Sequence[LabeledExample]) -> EvalMet
         raise ValueError("no examples to evaluate")
     tp = fp = fn = tn = 0
     for ex in examples:
-        score = score_text(model, ex.context, ex.uri)
+        score = score_text(model, ex.context, parse_uri(ex.uri))
         predicted = Label.OADS if score >= model.threshold else Label.NON_OADS
         if ex.label is Label.OADS:
             if predicted is Label.OADS:

@@ -49,9 +49,7 @@ from .corpus import (
 from .extraction import (
     MentionRecord,
     MentionsFileError,
-    UriMention,
     extract_uri_mentions,
-    mention_records,
     read_mentions_file,
     write_mentions_file,
 )
@@ -94,12 +92,22 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
+def _require_output_path(path: str | Path, what: str) -> Path:
+    """Check that an output file can be created, before any work is done."""
+    p = Path(path)
+    if not p.parent.is_dir():
+        raise UsageError(f"{what} {p}: directory {p.parent} does not exist")
+    if p.is_dir():
+        raise UsageError(f"{what} {p} is a directory")
+    return p
+
+
 class _Corpus(NamedTuple):
     """The manifest's latest document versions inside the window."""
 
     window: MonthWindow
     manifest_entries: int
-    entries: list[ManifestEntry]
+    entries: tuple[ManifestEntry, ...]
     window_skipped: int
 
 
@@ -198,7 +206,8 @@ def _run_extraction(
             read_failures += 1
             continue
         t1 = time.perf_counter_ns()
-        records.extend(mention_records(doc, extract_uri_mentions(doc, dedup=dedup)))
+        records.extend(MentionRecord(m.doc_id, doc.month, m.uri, m.span, m.context)
+                       for m in extract_uri_mentions(doc, dedup=dedup))
         read_ns += t1 - t0
         extract_ns += time.perf_counter_ns() - t1
         input_bytes += len(doc.text.encode("utf-8"))
@@ -225,8 +234,8 @@ def _run_extraction(
 
 def cmd_extract(settings: dict) -> int:
     _require(settings, "manifest", "out")
+    out_path = _require_output_path(settings["out"], "mentions file")
     corpus = _load_corpus(settings)
-    out_path = Path(settings["out"])
     counts, _, timings = _run_extraction(settings, corpus, out_path)
     echo = {
         "manifest": str(settings["manifest"]),
@@ -299,8 +308,7 @@ def _run_report(
                 f"{window.start}..{window.end} (doc {r.doc_id})"
             )
         parsed = parse_uri(r.uri)
-        mention = UriMention(r.doc_id, r.uri, r.context, r.span)
-        classification = classify_hybrid(mention, setup.model, setup.denylist, parsed)
+        classification = classify_hybrid(r, setup.model, setup.denylist, parsed)
         provenance_counts[classification.provenance.value] += 1
         verdict = is_in_scope(parsed, setup.policy)
         reason_counts[verdict.reason.value] += 1
@@ -370,7 +378,8 @@ def cmd_pipeline(settings: dict) -> int:
     corpus = _load_corpus(settings)
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    mentions_path = Path(settings["mentions"]) if settings["mentions"] else out_dir / "mentions.tsv"
+    mentions_path = _require_output_path(settings["mentions"] or out_dir / "mentions.tsv",
+                                         "mentions file")
     extract_counts, records, extract_timings = _run_extraction(settings, corpus, mentions_path)
     report_counts, figures, report_timings = _run_report(settings, corpus, setup, records, out_dir)
     echo = _report_echo(settings, corpus.window, mentions_path, out_dir)

@@ -10,13 +10,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 __all__ = [
     "DocumentId",
     "Document",
     "ManifestEntry",
-    "CorpusManifest",
     "MonthWindow",
     "DEFAULT_WINDOW",
     "ManifestError",
@@ -122,17 +120,6 @@ class ManifestEntry:
 
 
 @dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple[ManifestEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[ManifestEntry]:
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class Document:
     """One article version: identifier, publication month, extracted text."""
 
@@ -141,7 +128,7 @@ class Document:
     text: str
 
 
-def load_manifest(path: str | Path) -> CorpusManifest:
+def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
     """Load a manifest file without touching the referenced document files.
 
     Format: UTF-8, one record per line, fields
@@ -185,10 +172,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             except ValueError as exc:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from None
             entries.append(ManifestEntry(doc_id, month, rel_path))
-    return CorpusManifest(tuple(entries))
+    return tuple(entries)
 
 
-def select_latest_versions(manifest: CorpusManifest) -> CorpusManifest:
+def select_latest_versions(manifest: tuple[ManifestEntry, ...]) -> tuple[ManifestEntry, ...]:
     """Keep exactly one entry per base_id: the one with the highest version.
 
     The relative order of surviving entries is preserved.  Duplicate
@@ -209,19 +196,19 @@ def select_latest_versions(manifest: CorpusManifest) -> CorpusManifest:
     if duplicates:
         raise DuplicateVersionError(sorted(set(duplicates)))
     winners = {id(e) for e in best.values()}
-    return CorpusManifest(tuple(e for e in manifest if id(e) in winners))
+    return tuple(e for e in manifest if id(e) in winners)
 
 
 def filter_window(
-    manifest: CorpusManifest, window: MonthWindow = DEFAULT_WINDOW
-) -> tuple[CorpusManifest, int]:
+    manifest: tuple[ManifestEntry, ...], window: MonthWindow = DEFAULT_WINDOW
+) -> tuple[tuple[ManifestEntry, ...], int]:
     """Drop entries whose month falls outside the window.
 
     Returns the filtered manifest and the number of rejected entries; the
     caller is expected to surface the count as a warning, not an error.
     """
     kept = tuple(e for e in manifest if window.contains(e.month))
-    return CorpusManifest(kept), len(manifest) - len(kept)
+    return kept, len(manifest) - len(kept)
 
 
 def read_document(entry: ManifestEntry, root: str | Path) -> Document:

@@ -450,11 +450,6 @@ class MentionRecord:
 _MENTIONS_HEADER = "# doc_id\tmonth\turi\tspan_start\tspan_end\tcontext"
 
 
-def mention_records(doc: Document, mentions: Iterable[UriMention]) -> Iterator[MentionRecord]:
-    for m in mentions:
-        yield MentionRecord(m.doc_id, doc.month, m.uri, m.span, m.context)
-
-
 def write_mentions_file(path: str | Path, records: Iterable[MentionRecord]) -> int:
     """Write records to a mentions file (atomically); returns the count."""
     count = 0

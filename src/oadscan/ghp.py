@@ -130,9 +130,9 @@ class GhpPatternSet:
 DEFAULT_PATTERNS = GhpPatternSet.default()
 
 
-def detect_ghp(uri: str | ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) -> Platform | None:
+def detect_ghp(parsed: ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) -> Platform | None:
     """First platform whose host rules match the URI's host, if any."""
-    host = parse_uri(uri).host
+    host = parsed.host
     if host is None:
         return None
     tables = patterns.tables
@@ -173,7 +173,7 @@ def categorize(
     policy: CategoryPolicy = CategoryPolicy.GHP_FORCES_OADS,
 ) -> Category:
     """Bucket an in-scope classified mention as GHP / non-GHP OADS / non-OADS."""
-    platform = detect_ghp(uri, patterns)
+    platform = detect_ghp(parse_uri(uri), patterns)
     if platform is not None:
         if policy is CategoryPolicy.GHP_FORCES_OADS or label is Label.OADS:
             return Category.GHP

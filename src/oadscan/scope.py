@@ -186,12 +186,11 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
             hostname = f"{host}:{port}"
         else:
             hostname = host
-        bare = split_port(hostname)[0]
     except ValueError:
         return ParsedUri(uri, "", None, None, "", None)
     if not host:
         return ParsedUri(uri, scheme, None, port, parts.path, None)
-    return ParsedUri(uri, scheme, bare, port, parts.path, hostname)
+    return ParsedUri(uri, scheme, host, port, parts.path, hostname)
 
 
 def host_of(uri: str) -> str:
@@ -225,7 +224,9 @@ def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool
         addr = ipaddress.ip_address(bare)
     except ValueError:
         return False
-    return any(addr in net for net in policy.networks)
+    # An IPv4-mapped IPv6 address (::ffff:10.0.0.1) reaches the IPv4 host.
+    mapped = addr.version == 6 and addr.ipv4_mapped
+    return any(addr in net or (mapped and mapped in net) for net in policy.networks)
 
 
 def is_in_scope(uri: str | ParsedUri, policy: ScopePolicy = DEFAULT_POLICY) -> ScopeVerdict:

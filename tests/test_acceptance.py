@@ -22,16 +22,16 @@ from conftest import make_mention
 from fixture_labels import generate_examples
 from oadscan.analytics import (
     CorpusAggregate,
-    HostnameStats,
     MonthlyStats,
     category_percentages,
     dispersion_metrics,
     frequency_histogram,
     ghp_share_of_oads,
     merge,
+    paper_figures,
     top_hostnames,
 )
-from oadscan.classifier import Label, Provenance, evaluate, predict, train
+from oadscan.classifier import Label, Provenance, classify_hybrid, evaluate, score_text, train
 from oadscan.cli import EXIT_OK, main
 from oadscan.extraction import read_mentions_file
 from oadscan.ghp import Category, CategoryPolicy, categorize, detect_ghp
@@ -68,8 +68,8 @@ def test_ratio_reproduction():
         pct_ghp, _, _ = category_percentages(corpus_totals)
         assert pct_ghp == pytest.approx(33.05, abs=0.01)
         assert ghp_share_of_oads(corpus_totals) == pytest.approx(33.05, abs=0.01)
-        hosts = HostnameStats({"cds.cern.ch": 4953}, 258288)
-        assert hosts.share("cds.cern.ch") == pytest.approx(1.9177, abs=0.005)
+        hosts = CorpusAggregate(hostnames=Counter({"cds.cern.ch": 4953}), hostname_total=258288)
+        assert paper_figures(hosts)["top_hostname_share"] == pytest.approx(1.9177, abs=0.005)
 
 
 def test_accounting_identity():
@@ -118,11 +118,11 @@ def test_heuristic_rules(fixture_model, monkeypatch):
     with _criterion("heuristic rules decide without consulting the model"):
         calls = []
 
-        def counting_predict(model, mention):
-            calls.append(mention.uri)
-            return predict(model, mention)
+        def counting_score_text(model, context, parsed):
+            calls.append(parsed.uri)
+            return score_text(model, context, parsed)
 
-        monkeypatch.setattr(classifier_mod, "predict", counting_predict)
+        monkeypatch.setattr(classifier_mod, "score_text", counting_score_text)
         uris = [
             "https://link.springer.com/article/10.1007/x",
             "http://springer.com/toc",
@@ -168,7 +168,7 @@ def test_classifier_determinism_and_quality(tmp_path, labeled_seed):
         fixture_uris = {e.uri for e in examples}
         for ex in labeled_seed:
             assert ex.uri not in fixture_uris
-            c = predict(model, make_mention(ex.uri, ex.context))
+            c = classify_hybrid(make_mention(ex.uri, ex.context), model)
             assert c.label is ex.label, ex.uri
 
 
@@ -184,7 +184,7 @@ def test_ghp_detection():
         assert uris["https://gitlab.cern.ch/group/proj"] == "gitlab"
         assert uris["https://mygithub.example.com/x"] == "-"
         for uri, expected in rows:
-            got = detect_ghp(uri)
+            got = detect_ghp(parse_uri(uri))
             assert (got.value if got else "-") == expected, uri
 
         rng = random.Random(404)
@@ -327,19 +327,27 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch):
         assert main(["extract", "--manifest", str(CORPUS / "manifest.tsv"),
                      "--out", str(mentions)]) == EXIT_OK
         parses = []
-        urlsplit = scope_mod.urlsplit
+        port_splits = []
+        urlsplit, split_port = scope_mod.urlsplit, scope_mod.split_port
 
         def counting_urlsplit(*args, **kwargs):
             parses.append(args[0])
             return urlsplit(*args, **kwargs)
 
+        def counting_split_port(*args, **kwargs):
+            port_splits.append(args[0])
+            return split_port(*args, **kwargs)
+
         monkeypatch.setattr(scope_mod, "urlsplit", counting_urlsplit)
+        monkeypatch.setattr(scope_mod, "split_port", counting_split_port)
         assert main(["report", "--mentions", str(mentions), "--model", str(DATA / "model.json"),
                      "--manifest", str(CORPUS / "manifest.tsv"),
                      "--out-dir", str(tmp_path / "reports")]) == EXIT_OK
         uris = [r.uri for r in read_mentions_file(mentions)]
         assert len(uris) >= 30
         assert Counter(parses) == Counter(uris)
+        # One split in the parse, one more in the private-host check.
+        assert len(port_splits) <= 2 * len(uris)
 
 
 def test_paper_figures_from_report(tmp_path):

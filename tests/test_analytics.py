@@ -15,6 +15,7 @@ from oadscan.analytics import (
     frequency_histogram,
     ghp_share_of_oads,
     merge,
+    paper_figures,
     top_hostnames,
     write_monthly_csv,
 )
@@ -110,8 +111,8 @@ class TestCategoryPercentages:
 
 class TestHostnameStats:
     def test_published_share(self):
-        stats = HostnameStats({"cds.cern.ch": 4953}, 258288)
-        assert stats.share("cds.cern.ch") == pytest.approx(1.9177, abs=0.005)
+        agg = CorpusAggregate(hostnames=Counter({"cds.cern.ch": 4953}), hostname_total=258288)
+        assert paper_figures(agg)["top_hostname_share"] == pytest.approx(1.9177, abs=0.005)
 
     def test_singleton(self):
         stats = hostname_stats(["https://only.example.org/x"])

@@ -13,16 +13,17 @@ from oadscan.classifier import (
     Provenance,
     TrainedModel,
     TrainingError,
+    _fixed_features,
+    _sparse_counts,
     classify_heuristic,
     classify_hybrid,
     evaluate,
-    featurize,
-    predict,
     read_labeled_file,
     score_text,
     train,
     write_labeled_file,
 )
+from oadscan.scope import parse_uri
 
 
 class TestClassification:
@@ -36,7 +37,7 @@ class TestClassification:
 
 class TestHeuristics:
     def test_publisher_denylist(self):
-        c = classify_heuristic(make_mention("https://link.springer.com/article/x"))
+        c = classify_heuristic(parse_uri("https://link.springer.com/article/x"))
         assert c is not None
         assert c.label is Label.NON_OADS
         assert c.provenance is Provenance.HEURISTIC_PUBLISHER
@@ -49,28 +50,27 @@ class TestHeuristics:
             "https://example.org/paper.Pdf?download=1",
             "https://example.org/dir/paper.pdf#page=3",
         ):
-            c = classify_heuristic(make_mention(uri))
+            c = classify_heuristic(parse_uri(uri))
             assert c is not None and c.provenance is Provenance.HEURISTIC_PDF, uri
 
     def test_pdf_in_query_only_does_not_match(self):
-        assert classify_heuristic(make_mention("https://example.org/view?file=a.pdf")) is None
+        assert classify_heuristic(parse_uri("https://example.org/view?file=a.pdf")) is None
 
     def test_no_rule_defers(self):
-        assert classify_heuristic(make_mention("https://github.com/user/repo")) is None
+        assert classify_heuristic(parse_uri("https://github.com/user/repo")) is None
 
     def test_denylist_matches_host_suffix_not_substring(self):
-        assert classify_heuristic(make_mention("https://www.wiley.com/en-us/x")) is not None
-        assert classify_heuristic(make_mention("https://journals.sagepub.com/doi/1")) is not None
+        assert classify_heuristic(parse_uri("https://www.wiley.com/en-us/x")) is not None
+        assert classify_heuristic(parse_uri("https://journals.sagepub.com/doi/1")) is not None
         # substring but not a label-boundary suffix
-        assert classify_heuristic(make_mention("https://notspringer.com/x")) is None
-        assert classify_heuristic(make_mention("https://springer.com.evil.org/x")) is None
+        assert classify_heuristic(parse_uri("https://notspringer.com/x")) is None
+        assert classify_heuristic(parse_uri("https://springer.com.evil.org/x")) is None
 
 
 class TestFeaturize:
     def test_context_tokens_counted_and_uri_masked(self):
         uri = "http://ibm.biz/multishapeinsertion"
-        f = featurize(f"The dataset is available at {uri}.", uri)
-        tokens = dict(f.tokens)
+        tokens = _sparse_counts(f"The dataset is available at {uri}.", parse_uri(uri))
         assert tokens["dataset"] == 1.0
         assert tokens["available"] == 1.0
         assert "multishapeinsertion" not in tokens
@@ -78,26 +78,26 @@ class TestFeaturize:
         assert tokens["tld:biz"] == 1.0
 
     def test_empty_context_gives_only_uri_features(self):
-        f = featurize("", "https://a.b/c")
-        assert dict(f.tokens) == {"host:a.b": 1.0, "tld:b": 1.0}
-        assert f.fixed == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # scheme:https flag
+        parsed = parse_uri("https://a.b/c")
+        assert dict(_sparse_counts("", parsed)) == {"host:a.b": 1.0, "tld:b": 1.0}
+        assert _fixed_features(parsed) == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # scheme:https flag
 
     def test_path_keyword_flags(self):
-        f = featurize("", "https://x.org/datasets/download/v1")
+        fixed = _fixed_features(parse_uri("https://x.org/datasets/download/v1"))
         names = FIXED_FEATURE_NAMES
-        flags = dict(zip(names, f.fixed))
+        flags = dict(zip(names, fixed))
         assert flags["path_kw:data"] == 1.0
         assert flags["path_kw:dataset"] == 1.0
         assert flags["path_kw:download"] == 1.0
         assert flags["path_kw:code"] == 0.0
 
     def test_deterministic(self):
-        args = ("Some context with https://x.org/a inside.", "https://x.org/a")
-        assert featurize(*args) == featurize(*args)
+        context, parsed = "Some context with https://x.org/a inside.", parse_uri("https://x.org/a")
+        assert _sparse_counts(context, parsed) == _sparse_counts(context, parsed)
+        assert _fixed_features(parsed) == _fixed_features(parsed)
 
     def test_token_count_scales(self):
-        f = featurize("data data data", "")
-        assert dict(f.tokens)["data"] == 3.0
+        assert _sparse_counts("data data data", parse_uri(""))["data"] == 3.0
 
 
 class TestTrain:
@@ -108,7 +108,7 @@ class TestTrain:
         ]
         model = train(examples)
         for ex in examples:
-            score = score_text(model, ex.context, ex.uri)
+            score = score_text(model, ex.context, parse_uri(ex.uri))
             assert (score >= model.threshold) == (ex.label is Label.OADS)
 
     def test_seed_set_fully_learned(self, labeled_seed):
@@ -138,28 +138,27 @@ class TestPredict:
     def test_seed_sentences_with_fixture_model(self, fixture_model, labeled_seed):
         # The seed sentences are not part of the training fixture set.
         for ex in labeled_seed:
-            c = predict(fixture_model, make_mention(ex.uri, ex.context))
+            c = classify_hybrid(make_mention(ex.uri, ex.context), fixture_model)
             assert c.label is ex.label, ex.uri
             assert c.provenance is Provenance.LEARNED
 
     def test_deterministic(self, fixture_model):
         m = make_mention("https://zenodo.org/record/9", "The dataset is available here.")
-        assert predict(fixture_model, m) == predict(fixture_model, m)
+        assert classify_hybrid(m, fixture_model) == classify_hybrid(m, fixture_model)
 
     def test_score_in_unit_interval(self, fixture_model, labeled_200):
         for ex in labeled_200[:50]:
-            c = predict(fixture_model, make_mention(ex.uri, ex.context))
-            assert 0.0 <= c.score <= 1.0
+            assert 0.0 <= score_text(fixture_model, ex.context, parse_uri(ex.uri)) <= 1.0
 
     def test_threshold_boundary_assigns_oads(self):
         model = TrainedModel(vocabulary={}, weights=[0.0] * 6, bias=0.0, threshold=0.5)
-        c = predict(model, make_mention("", ""))
+        c = classify_hybrid(make_mention("", ""), model)
         assert c.score == 0.5
         assert c.label is Label.OADS
 
     def test_empty_vocabulary_scores_sigmoid_bias(self):
         model = TrainedModel(vocabulary={}, weights=[0.0] * 6, bias=0.0, threshold=0.75)
-        c = predict(model, make_mention("anything at all", "http://x.org/a"))
+        c = classify_hybrid(make_mention("anything at all", "http://x.org/a"), model)
         assert c.score == 0.5
         assert c.label is Label.NON_OADS
 
@@ -168,7 +167,7 @@ class TestPredict:
         idx = fixture_model.vocabulary["dataset"]
         assert fixture_model.weights[idx] > 0
         scores = [
-            score_text(fixture_model, " ".join(["dataset"] * k), "http://x.org/a")
+            score_text(fixture_model, " ".join(["dataset"] * k), parse_uri("http://x.org/a"))
             for k in range(6)
         ]
         assert all(b >= a for a, b in zip(scores, scores[1:]))
@@ -177,9 +176,9 @@ class TestPredict:
 class TestHybrid:
     def test_heuristic_short_circuits_model(self, fixture_model, monkeypatch):
         calls = []
-        real = classifier_mod.predict
+        real = classifier_mod.score_text
         monkeypatch.setattr(
-            classifier_mod, "predict", lambda *a, **k: calls.append(1) or real(*a, **k)
+            classifier_mod, "score_text", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         m = make_mention("https://www.sciencedirect.com/science/article/x.pdf")
         c = classifier_mod.classify_hybrid(m, fixture_model)
@@ -220,8 +219,9 @@ class TestSerialization:
     def test_roundtrip_preserves_predictions(self, fixture_model, labeled_200):
         clone = TrainedModel.from_json(fixture_model.to_json())
         for ex in labeled_200[:40]:
-            assert score_text(clone, ex.context, ex.uri) == score_text(
-                fixture_model, ex.context, ex.uri
+            parsed = parse_uri(ex.uri)
+            assert score_text(clone, ex.context, parsed) == score_text(
+                fixture_model, ex.context, parsed
             )
 
     def test_save_load(self, tmp_path, fixture_model):

@@ -81,6 +81,24 @@ class TestExtract:
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert run("extract", "--manifest", tmp_path / "nope.tsv", "--out", tmp_path / "m.tsv") == EXIT_USAGE
 
+    def test_missing_out_directory_is_usage_error_before_reading(self, tmp_path, monkeypatch,
+                                                                 caplog):
+        reads = []
+        monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
+        out = tmp_path / "missing" / "dir" / "m.tsv"
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", out) == EXIT_USAGE
+        assert reads == []
+        assert f"mentions file {out}: directory {out.parent} does not exist" in caplog.text
+
+    def test_out_that_is_a_directory_is_usage_error_before_reading(self, tmp_path, monkeypatch,
+                                                                   caplog):
+        reads = []
+        monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv",
+                   "--out", tmp_path) == EXIT_USAGE
+        assert reads == []
+        assert f"mentions file {tmp_path} is a directory" in caplog.text
+
     def test_window_filtering(self, tmp_path):
         root = write_corpus(tmp_path, [
             ("old", 1, "2006-01", "See https://zenodo.org/record/5."),
@@ -281,6 +299,16 @@ class TestPipeline:
         assert sum(counts["scope_reasons"].values()) == counts["mentions"]
         assert sum(counts["categories"].values()) == counts["in_scope"]
 
+
+    def test_missing_mentions_directory_is_usage_error_before_reading(self, tmp_path,
+                                                                      monkeypatch, caplog):
+        reads = []
+        monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
+        mentions = tmp_path / "missing" / "m.tsv"
+        assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
+                   "--out-dir", tmp_path / "run", "--mentions", mentions) == EXIT_USAGE
+        assert reads == []
+        assert f"mentions file {mentions}: directory {mentions.parent} does not exist" in caplog.text
 
     def test_missing_model_fails_before_extracting(self, tmp_path):
         out_dir = tmp_path / "run"

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oadscan.corpus import (
-    CorpusManifest,
     Document,
     DocumentId,
     DocumentReadError,
@@ -44,7 +43,7 @@ class TestLoadManifest:
         ])
         manifest = load_manifest(p)
         assert len(manifest) == 3
-        assert manifest.entries[0] == ManifestEntry(DocumentId("a", 1), "2019-05", "docs/a1.txt")
+        assert manifest[0] == ManifestEntry(DocumentId("a", 1), "2019-05", "docs/a1.txt")
         assert [e.doc_id.base_id for e in manifest] == ["a", "b", "c"]
 
     def test_empty_file(self, tmp_path):
@@ -85,7 +84,7 @@ class TestLoadManifest:
     def test_id_suffix_must_agree_with_version_column(self, tmp_path):
         ok = write_manifest(tmp_path, ["a1v3\t3\t2019-05\ta.txt"])
         manifest = load_manifest(ok)
-        assert manifest.entries[0].doc_id == DocumentId("a1", 3)
+        assert manifest[0].doc_id == DocumentId("a1", 3)
         bad = write_manifest(tmp_path, ["a1v3\t2\t2019-05\ta.txt"])
         with pytest.raises(ManifestError, match="disagrees"):
             load_manifest(bad)
@@ -114,23 +113,21 @@ class TestParseDocumentId:
 
 class TestSelectLatestVersions:
     def test_keeps_maximal_version(self):
-        manifest = CorpusManifest((entry("X", 1), entry("X", 3), entry("X", 2)))
+        manifest = (entry("X", 1), entry("X", 3), entry("X", 2))
         result = select_latest_versions(manifest)
         assert [e.doc_id for e in result] == [DocumentId("X", 3)]
 
     def test_singleton(self):
-        manifest = CorpusManifest((entry("X", 1),))
-        assert select_latest_versions(manifest).entries == manifest.entries
+        manifest = (entry("X", 1),)
+        assert select_latest_versions(manifest) == manifest
 
     def test_order_preserved(self):
-        manifest = CorpusManifest(
-            (entry("X", 2), entry("Y", 1), entry("X", 5), entry("Y", 3))
-        )
+        manifest = (entry("X", 2), entry("Y", 1), entry("X", 5), entry("Y", 3))
         result = select_latest_versions(manifest)
         assert [(e.doc_id.base_id, e.doc_id.version) for e in result] == [("X", 5), ("Y", 3)]
 
     def test_duplicate_pairs_rejected(self):
-        manifest = CorpusManifest((entry("X", 1), entry("X", 1)))
+        manifest = (entry("X", 1), entry("X", 1))
         with pytest.raises(DuplicateVersionError, match="Xv1"):
             select_latest_versions(manifest)
 
@@ -143,7 +140,7 @@ class TestSelectLatestVersions:
                 pairs.add((rng.choice(bases), rng.randint(1, 9)))
             entries = [entry(b, v) for b, v in pairs]
             rng.shuffle(entries)
-            manifest = CorpusManifest(tuple(entries))
+            manifest = tuple(entries)
             result = select_latest_versions(manifest)
             # Brute force: group by base, take max version.
             expected = {}
@@ -156,7 +153,7 @@ class TestSelectLatestVersions:
             assert select_latest_versions(result) == result
 
     def test_idempotent(self):
-        manifest = CorpusManifest((entry("X", 2), entry("Y", 1), entry("X", 5)))
+        manifest = (entry("X", 2), entry("Y", 1), entry("X", 5))
         once = select_latest_versions(manifest)
         assert select_latest_versions(once) == once
 
@@ -190,9 +187,7 @@ class TestWindow:
         assert not w.contains("2007-03") and not w.contains("2022-01")
 
     def test_filter_window_counts_rejects(self):
-        manifest = CorpusManifest(
-            (entry("a", 1, month="2006-12"), entry("b", 1, month="2010-06"))
-        )
+        manifest = (entry("a", 1, month="2006-12"), entry("b", 1, month="2010-06"))
         kept, skipped = filter_window(manifest)
         assert [e.doc_id.base_id for e in kept] == ["b"]
         assert skipped == 1

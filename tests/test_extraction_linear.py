@@ -11,7 +11,9 @@ extraction time.
 from __future__ import annotations
 
 import gc
+import math
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -124,31 +126,39 @@ def test_segmentation_with_overlapping_spans_matches_reference(text, raw_spans):
     assert extraction.segment_sentences(text, spans) == ref.segment_sentences(text, spans)
 
 
-def _extraction_seconds(texts: list[str], rounds: int = 5) -> list[float]:
-    """Fastest of a few in-process extractions of each text.
+def _doubling_ratios(small: str, large: str, rounds: int = 9) -> list[float]:
+    """t(large) / t(small) of in-process extraction, once per round.
 
-    The texts take turns, so a slow phase of the machine hits them alike,
-    and the clock is the process's CPU time, which other processes'
-    load leaves out.  The collector is paused so that its passes over the
-    test process's heap are not counted.
+    Each round times the two texts back to back, so a slow phase of the
+    machine tends to hit both sides of its ratio.  Each timing repeats the
+    extraction until the batch runs for at least 20 ms, far above clock
+    jitter, and the clock is the process's CPU time, which other
+    processes' load leaves out.  The collector is paused so that its
+    passes over the test process's heap are not counted.
     """
-    documents = [doc(text) for text in texts]
-    best = [float("inf")] * len(documents)
+    documents = [doc(small), doc(large)]
     gc.collect()
     gc.disable()
     try:
+        t0 = time.process_time()
+        extraction.extract_uri_mentions(documents[0])
+        reps = max(1, math.ceil(0.02 / max(time.process_time() - t0, 1e-6)))
+        ratios = []
         for _ in range(rounds):
-            for i, document in enumerate(documents):
+            seconds = []
+            for document in documents:
                 t0 = time.process_time()
-                extraction.extract_uri_mentions(document)
-                best[i] = min(best[i], time.process_time() - t0)
+                for _ in range(reps):
+                    extraction.extract_uri_mentions(document)
+                seconds.append(time.process_time() - t0)
+            ratios.append(seconds[1] / seconds[0])
     finally:
         gc.enable()
-    return best
+    return ratios
 
 
 @pytest.mark.parametrize("shape, n", [(shape_a, 1000), (shape_b, 1000), (shape_c, 1000)],
                          ids=["a", "b", "c"])
 def test_doubling_the_input_at_most_doubles_extraction_time(shape, n):
-    small, large = _extraction_seconds([shape(n), shape(2 * n)])
-    assert large / small <= 2.5, f"t(2N)/t(N) = {large / small:.2f} at N = {n}"
+    ratio = statistics.median(_doubling_ratios(shape(n), shape(2 * n)))
+    assert ratio <= 2.5, f"t(2N)/t(N) = {ratio:.2f} at N = {n}"

@@ -16,6 +16,7 @@ from oadscan.ghp import (
     categorize,
     detect_ghp,
 )
+from oadscan.scope import parse_uri
 
 GHP_CASES = Path(__file__).parent / "data" / "ghp_cases.tsv"
 
@@ -33,23 +34,23 @@ def load_ghp_cases():
 class TestDetectGhp:
     def test_github_repo_path(self):
         uri = "https://github.com/elescamilla/Extract-URLs/blob/main/extract.py"
-        assert detect_ghp(uri) is Platform.GITHUB
+        assert detect_ghp(parse_uri(uri)) is Platform.GITHUB
 
     def test_self_hosted_gitlab_first_label(self):
-        assert detect_ghp("https://gitlab.cern.ch/group/proj") is Platform.GITLAB
+        assert detect_ghp(parse_uri("https://gitlab.cern.ch/group/proj")) is Platform.GITLAB
 
     def test_embedded_name_is_not_a_label_match(self):
-        assert detect_ghp("https://mygithub.example.com/x") is None
+        assert detect_ghp(parse_uri("https://mygithub.example.com/x")) is None
 
     def test_sourceforge(self):
-        assert detect_ghp("https://sourceforge.net/projects/foo") is Platform.SOURCEFORGE
+        assert detect_ghp(parse_uri("https://sourceforge.net/projects/foo")) is Platform.SOURCEFORGE
 
     def test_fixture_table(self):
         cases = load_ghp_cases()
         assert len(cases) >= 20
         assert sum(1 for _, p in cases if p is None) >= 5
         for uri, expected in cases:
-            assert detect_ghp(uri) is expected, uri
+            assert detect_ghp(parse_uri(uri)) is expected, uri
 
     def test_fixture_platforms_disjoint(self):
         # On the fixture set, at most one platform's rules match any host.
@@ -58,16 +59,16 @@ class TestDetectGhp:
                 platform
                 for platform, rules in DEFAULT_PATTERNS.rules
                 for rule in rules
-                if detect_ghp(uri, GhpPatternSet(((platform, (rule,)),))) is platform
+                if detect_ghp(parse_uri(uri), GhpPatternSet(((platform, (rule,)),))) is platform
             ]
             assert len(set(matched)) <= 1, uri
 
     def test_unparseable_uri_matches_nothing(self):
-        assert detect_ghp("not a uri") is None
-        assert detect_ghp("mailto:me@github.com") is None
+        assert detect_ghp(parse_uri("not a uri")) is None
+        assert detect_ghp(parse_uri("mailto:me@github.com")) is None
 
     def test_port_does_not_break_label_match(self):
-        assert detect_ghp("https://github.com:8443/u/r") is Platform.GITHUB
+        assert detect_ghp(parse_uri("https://github.com:8443/u/r")) is Platform.GITHUB
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
@@ -82,8 +83,8 @@ class TestDetectGhp:
             ' "gitlab": [], "sourceforge": [], "bitbucket": []}'
         )
         patterns = GhpPatternSet.from_file(path)
-        assert detect_ghp("https://github.com/a/b", patterns) is Platform.GITHUB
-        assert detect_ghp("https://gitlab.com/a/b", patterns) is None
+        assert detect_ghp(parse_uri("https://github.com/a/b"), patterns) is Platform.GITHUB
+        assert detect_ghp(parse_uri("https://gitlab.com/a/b"), patterns) is None
 
 
 HOST_LABEL_ALPHABET = st.sampled_from(["alpha", "beta", "data", "lab", "web", "mirror"])
@@ -99,7 +100,7 @@ class TestHostLabelSafety:
     @given(non_platform_hosts())
     @settings(max_examples=200)
     def test_no_platform_label_means_no_match(self, host):
-        assert detect_ghp(f"https://{host}/path") is None
+        assert detect_ghp(parse_uri(f"https://{host}/path")) is None
 
 
 class TestCategorize:
@@ -150,4 +151,4 @@ class TestCategorize:
         assert decided <= forced
         assert decided == {(u, l) for u, l in forced if l is Label.OADS}
         # under the default policy, GHP category equals the regex match set
-        assert forced == {(u, l) for u, l in mentions if detect_ghp(u) is not None}
+        assert forced == {(u, l) for u, l in mentions if detect_ghp(parse_uri(u)) is not None}

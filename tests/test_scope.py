@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_mention
-from oadscan.classifier import classify_heuristic, featurize
+from oadscan.classifier import _sparse_counts, classify_heuristic
 from oadscan.ghp import detect_ghp
 from oadscan.scope import (
     DEFAULT_POLICY,
@@ -73,9 +72,9 @@ class TestHostOf:
                 split_port(host)
 
 
-def _host_features(features):
+def _host_features(counts):
     """The host:/tld: feature names, prefix dropped; '-' when absent."""
-    tokens = [t for t, _ in features.tokens]
+    tokens = list(counts)
     host = [t[len("host:"):] for t in tokens if t.startswith("host:")]
     tld = [t[len("tld:"):] for t in tokens if t.startswith("tld:")]
     return (host or ["-"])[0], (tld or ["-"])[0]
@@ -97,10 +96,10 @@ class TestParseUri:
                 assert host_of(uri) == parsed.hostname == host, uri
             for form in (uri, parsed):
                 assert is_in_scope(form).reason.value == reason, uri
-                got = detect_ghp(form)
-                assert (got.value if got else "-") == platform, uri
-                assert _host_features(featurize("", form)) == (host_feature, tld_feature), uri
-            verdict = classify_heuristic(make_mention(uri))
+            got = detect_ghp(parsed)
+            assert (got.value if got else "-") == platform, uri
+            assert _host_features(_sparse_counts("", parsed)) == (host_feature, tld_feature), uri
+            verdict = classify_heuristic(parsed)
             assert (verdict.provenance.value if verdict else "-") == provenance, uri
 
     def test_fields(self):
