@@ -1,8 +1,8 @@
 """Corpus statistics: monthly time series, hostname frequencies, reports.
 
-All aggregates are plain counts and merge by addition, so a corpus can be
-processed in shards and combined.  Percentages and shares are expressed
-in percentage points (0..100).
+One pass over a corpus fills one ``CorpusAggregate`` of plain counts,
+and the reports and the paper's figures are read from it.  Percentages
+and shares are expressed in percentage points (0..100).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,24 +20,17 @@ from .ghp import Category, CategoryPolicy
 __all__ = [
     "MonthlyStats",
     "HostnameStats",
-    "HistogramSpec",
     "DispersionMetrics",
     "AggregateConfig",
     "CorpusAggregate",
-    "MergeConfigError",
     "category_percentages",
     "ghp_share_of_oads",
-    "merge",
     "frequency_histogram",
     "top_hostnames",
     "dispersion_metrics",
     "paper_figures",
     "write_reports",
 ]
-
-
-class MergeConfigError(ValueError):
-    """Aggregates built under different configs cannot be merged."""
 
 
 @dataclass(frozen=True)
@@ -62,19 +55,6 @@ class MonthlyStats:
             raise ValueError(f"uri_total != oads + non_oads in {self}")
         if self.oads != self.ghp + self.non_ghp_oads:
             raise ValueError(f"oads != ghp + non_ghp_oads in {self}")
-
-    def add(self, other: "MonthlyStats") -> "MonthlyStats":
-        if other.month != self.month:
-            raise ValueError(f"month mismatch: {self.month} vs {other.month}")
-        return MonthlyStats(
-            self.month,
-            self.publications + other.publications,
-            self.uri_total + other.uri_total,
-            self.oads + other.oads,
-            self.non_oads + other.non_oads,
-            self.ghp + other.ghp,
-            self.non_ghp_oads + other.non_ghp_oads,
-        )
 
 
 def category_percentages(stats: MonthlyStats) -> tuple[float, float, float] | None:
@@ -105,30 +85,24 @@ class HostnameStats:
     total: int
 
 
-@dataclass(frozen=True)
-class HistogramSpec:
+def frequency_histogram(
+    stats: HostnameStats, bin_width: int = 50
+) -> tuple[tuple[int, int, int], ...]:
     """Hostnames bucketed by their frequency into half-open bins
-    [k*w, (k+1)*w); bins are contiguous from zero and sum to the number
-    of distinct hostnames."""
-
-    bin_width: int
-    bins: tuple[tuple[int, int, int], ...]  # (start, end, hostname count)
-
-
-def frequency_histogram(stats: HostnameStats, bin_width: int = 50) -> HistogramSpec:
+    [k*w, (k+1)*w), as (start, end, hostname count); bins are contiguous
+    from zero and sum to the number of distinct hostnames."""
     if bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     if not stats.counts:
-        return HistogramSpec(bin_width, ())
+        return ()
     max_freq = max(stats.counts.values())
     n_bins = max_freq // bin_width + 1
     buckets = [0] * n_bins
     for freq in stats.counts.values():
         buckets[freq // bin_width] += 1
-    bins = tuple(
+    return tuple(
         (k * bin_width, (k + 1) * bin_width, buckets[k]) for k in range(n_bins)
     )
-    return HistogramSpec(bin_width, bins)
 
 
 def top_hostnames(stats: HostnameStats, n: int) -> list[tuple[str, int]]:
@@ -161,7 +135,7 @@ def dispersion_metrics(stats: HostnameStats) -> DispersionMetrics | None:
     )
 
 
-# --- mergeable corpus-level aggregate -------------------------------------
+# --- corpus-level aggregate ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -172,23 +146,21 @@ class AggregateConfig:
 
 @dataclass
 class CorpusAggregate:
-    """Everything the reports need, mergeable across corpus shards."""
+    """Everything the reports need, filled by one pass over a corpus."""
 
     config: AggregateConfig = field(default_factory=AggregateConfig)
     monthly: dict[str, MonthlyStats] = field(default_factory=dict)
     hostnames: Counter = field(default_factory=Counter)
-    hostname_total: int = 0
 
     def add_publications(self, month: str, count: int = 1) -> None:
-        existing = self.monthly.get(month, MonthlyStats(month))
-        self.monthly[month] = existing.add(MonthlyStats(month, publications=count))
+        s = self.monthly.get(month) or MonthlyStats(month)
+        self.monthly[month] = replace(s, publications=s.publications + count)
 
     def add_mention(self, month: str, category: Category, hostname: str) -> None:
         ghp = category is Category.GHP
         non_ghp_oads = category is Category.NON_GHP_OADS
         if non_ghp_oads:
             self.hostnames[hostname] += 1
-            self.hostname_total += 1
         s = self.monthly.get(month) or MonthlyStats(month)
         oads = int(ghp or non_ghp_oads)
         self.monthly[month] = MonthlyStats(
@@ -197,29 +169,15 @@ class CorpusAggregate:
         )
 
     def hostname_stats(self) -> HostnameStats:
-        return HostnameStats(dict(self.hostnames), self.hostname_total)
+        return HostnameStats(dict(self.hostnames), sum(self.hostnames.values()))
 
     def monthly_list(self) -> list[MonthlyStats]:
         return [self.monthly[m] for m in sorted(self.monthly)]
 
     def totals(self) -> MonthlyStats:
-        total = MonthlyStats("total")
-        for stats in self.monthly.values():
-            total = total.add(replace(stats, month="total"))
-        return total
-
-
-def merge(a: CorpusAggregate, b: CorpusAggregate) -> CorpusAggregate:
-    """Field-wise sum of two aggregates built under the same config."""
-    if a.config != b.config:
-        raise MergeConfigError(f"config mismatch: {a.config} vs {b.config}")
-    monthly = dict(a.monthly)
-    for month, stats in b.monthly.items():
-        existing = monthly.get(month)
-        monthly[month] = stats if existing is None else existing.add(stats)
-    hostnames = Counter(a.hostnames)
-    hostnames.update(b.hostnames)
-    return CorpusAggregate(a.config, monthly, hostnames, a.hostname_total + b.hostname_total)
+        """Every month's counts summed field by field."""
+        columns = zip(*(astuple(s)[1:] for s in self.monthly.values()))
+        return MonthlyStats("total", *map(sum, columns))
 
 
 def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
@@ -302,8 +260,8 @@ def write_hostnames_csv(path: str | Path, stats: HostnameStats) -> None:
     atomic_write_text(path, _csv_text(["hostname", "count", "share"], rows))
 
 
-def write_histogram_csv(path: str | Path, histogram: HistogramSpec) -> None:
-    rows = [[str(s), str(e), str(c)] for s, e, c in histogram.bins]
+def write_histogram_csv(path: str | Path, bins: Sequence[tuple[int, int, int]]) -> None:
+    rows = [[str(s), str(e), str(c)] for s, e, c in bins]
     atomic_write_text(path, _csv_text(["bin_start", "bin_end", "hostname_count"], rows))
 
 

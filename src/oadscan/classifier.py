@@ -211,11 +211,10 @@ class TrainedModel:
     bias: float
     threshold: float
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    format_version: int = MODEL_FORMAT_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "format_version": self.format_version,
+            "format_version": MODEL_FORMAT_VERSION,
             "featurizer": _FEATURIZER_BLOCK,
             "training": asdict(self.training),
             "vocabulary": self.vocabulary,
@@ -235,6 +234,9 @@ class TrainedModel:
         if not isinstance(data, dict):
             raise ValueError(f"model file holds a JSON {type(data).__name__}, not an object")
         try:
+            if data["format_version"] != MODEL_FORMAT_VERSION:
+                raise ValueError(f"model format_version {data['format_version']!r} "
+                                 f"is not {MODEL_FORMAT_VERSION}")
             if data["featurizer"] != _FEATURIZER_BLOCK:
                 raise ValueError(
                     f"model featurizer {data['featurizer']!r} is not this featurizer's "
@@ -246,7 +248,6 @@ class TrainedModel:
                 bias=float(data["bias"]),
                 threshold=float(data["threshold"]),
                 training=TrainingConfig(**data["training"]),
-                format_version=int(data["format_version"]),
             )
         except KeyError as exc:
             raise ValueError(f"model file has no {exc} key") from None

@@ -210,18 +210,18 @@ _IPV4_CHARS = "0123456789."
 
 
 def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool:
-    """True for localhost, loopback, link-local, and private-range hosts."""
-    bare, _ = split_port(host.lower())
-    if bare == "localhost" or bare.endswith(".localhost"):
+    """True for localhost, loopback, link-local, and private-range hosts.
+    ``host`` is a ``ParsedUri.host``: lowercased, its port split off."""
+    if host == "localhost" or host.endswith(".localhost"):
         return True
-    if bare.startswith("[") and bare.endswith("]"):
-        bare = bare[1:-1]
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     # An IPv6 address holds a colon and an IPv4 address only ASCII digits
     # and dots; any other string cannot parse as either, so skip the parse.
-    if ":" not in bare and bare.strip(_IPV4_CHARS):
+    if ":" not in host and host.strip(_IPV4_CHARS):
         return False
     try:
-        addr = ipaddress.ip_address(bare)
+        addr = ipaddress.ip_address(host)
     except ValueError:
         return False
     # An IPv4-mapped IPv6 address (::ffff:10.0.0.1) reaches the IPv4 host.
@@ -237,7 +237,7 @@ def is_in_scope(uri: str | ParsedUri, policy: ScopePolicy = DEFAULT_POLICY) -> S
     parsed = parse_uri(uri)
     if parsed.scheme not in policy.allowed_schemes or parsed.host is None:
         return ScopeVerdict.from_reason(ScopeReason.SCHEME_EXCLUDED)
-    if is_private_or_local(parsed.hostname, policy):
+    if is_private_or_local(parsed.host, policy):
         return ScopeVerdict.from_reason(ScopeReason.LOCAL_OR_PRIVATE_HOST)
     if parsed.in_domains(policy.publication_hosts):
         return ScopeVerdict.from_reason(ScopeReason.PUBLICATION_LINK)

@@ -177,6 +177,7 @@ class TestEvaluate:
         ("unknown training key", "'momentum'"),
         ("top level not an object", "list"),
         ("value of the wrong type", "malformed model file"),
+        ("other format version", "format_version 99"),
     ])
     def test_malformed_model_is_data_error_naming_it(self, tmp_path, caplog, shape, named):
         data = json.loads(MODEL.read_text(encoding="utf-8"))
@@ -186,6 +187,8 @@ class TestEvaluate:
             data["training"]["momentum"] = 0.9
         elif shape == "top level not an object":
             data = [data]
+        elif shape == "other format version":
+            data["format_version"] = 99
         else:
             data["weights"] = None
         model = tmp_path / "model.json"

@@ -132,7 +132,7 @@ class TestIsPrivateOrLocal:
          "[::1]", "[fe80::1]", "[fc00::2]", "localhost:8080", "10.0.0.7:9999"],
     )
     def test_private(self, host):
-        assert is_private_or_local(host)
+        assert is_private_or_local(split_port(host.lower())[0])
 
     @pytest.mark.parametrize(
         "host",
