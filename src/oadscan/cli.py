@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import contextlib
 import logging
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import astuple, fields
+from functools import partial
+from operator import add, attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -25,7 +28,13 @@ except ImportError:  # Windows
     resource = None
 
 from . import __version__
-from .analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
+from .analytics import (
+    AggregateConfig,
+    CorpusAggregate,
+    MonthlyStats,
+    paper_figures,
+    write_reports,
+)
 from .classifier import (
     DEFAULT_DENYLIST,
     LabeledFileError,
@@ -50,12 +59,14 @@ from .extraction import (
     MentionRecord,
     MentionsFileError,
     extract_uri_mentions,
+    format_mentions,
     read_mentions_file,
-    write_mentions_file,
+    write_mentions_text,
 )
 from .fileio import atomic_write_text
 from .ghp import Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, categorize
 from .scope import DEFAULT_POLICY, ScopePolicy, ScopeReason, is_in_scope, parse_uri
+from . import shards
 
 log = logging.getLogger("oadscan")
 
@@ -129,7 +140,7 @@ class _ReportSetup(NamedTuple):
     policy: ScopePolicy
     denylist: frozenset[str]
     patterns: GhpPatternSet
-    category_policy: CategoryPolicy
+    config: AggregateConfig  # the category policy and the histogram bin width
 
 
 def _load_report_setup(settings: dict) -> _ReportSetup:
@@ -145,8 +156,8 @@ def _load_report_setup(settings: dict) -> _ReportSetup:
     patterns = DEFAULT_PATTERNS
     if settings["patterns"] is not None:
         patterns = GhpPatternSet.from_file(_require_file(settings["patterns"], "pattern file"))
-    return _ReportSetup(model, policy, denylist, patterns,
-                        CategoryPolicy(settings["category_policy"]))
+    config = AggregateConfig(CategoryPolicy(settings["category_policy"]), settings["bin_width"])
+    return _ReportSetup(model, policy, denylist, patterns, config)
 
 
 def _seconds(ns: int) -> float:
@@ -154,11 +165,13 @@ def _seconds(ns: int) -> float:
 
 
 def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size so far, in MB of 2**20 bytes;
-    None where the platform does not report it."""
+    """The largest peak resident set size so far of this process and of
+    its reaped workers, in MB of 2**20 bytes; None where the platform does
+    not report it."""
     if resource is None:
         return None
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    maxrss = max(resource.getrusage(who).ru_maxrss
+                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     # Linux reports kilobytes, macOS bytes.
     return round(maxrss / (2**20 if sys.platform == "darwin" else 2**10), 3)
 
@@ -180,30 +193,32 @@ def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict,
 # --- extract ---------------------------------------------------------------
 
 
-def _run_extraction(
-    settings: dict, corpus: _Corpus, out_path: Path
-) -> tuple[dict, list[MentionRecord], dict]:
-    """Shared by extract and pipeline: documents in, mentions file out.
+class _ExtractPart(NamedTuple):
+    """One shard of documents, extracted."""
 
-    Returns the counts, the records written (in file order) and the
-    stage timings.
-    """
-    docs_root = Path(settings["docs_root"] or Path(settings["manifest"]).parent)
-    if corpus.window_skipped:
-        log.warning("%d document(s) outside corpus window %s..%s skipped",
-                    corpus.window_skipped, corpus.window.start, corpus.window.end)
+    lines: str  # its mentions-file lines, in manifest order
+    mentions: int
+    skipped: list[tuple[str, str]]  # (doc_id, reason) of each unreadable document
+    input_bytes: int
+    read_ns: int
+    extract_ns: int
+    format_ns: int
+    report: _ReportPart | None  # pipeline only
 
-    dedup = settings["dedup_per_doc"]
-    read_failures = 0
+
+def _extract_shard(docs_root: Path, dedup: bool, report: _ReportJob | None,
+                   entries: Sequence[ManifestEntry]) -> _ExtractPart:
+    """Read and extract a shard's documents; for ``pipeline`` (``report``
+    given), also run the report loop on their mentions."""
+    skipped = []
     input_bytes = read_ns = extract_ns = 0
     records: list[MentionRecord] = []
-    for entry in corpus.entries:
+    for entry in entries:
         t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
         except DocumentReadError as exc:
-            log.warning("skipping document: %s", exc)
-            read_failures += 1
+            skipped.append((str(entry.doc_id), exc.reason))
             continue
         t1 = time.perf_counter_ns()
         records.extend(MentionRecord(m.doc_id, doc.month, m.uri, m.span, m.context)
@@ -211,22 +226,65 @@ def _run_extraction(
         read_ns += t1 - t0
         extract_ns += time.perf_counter_ns() - t1
         input_bytes += len(doc.text.encode("utf-8"))
+    t0 = time.perf_counter_ns()
+    lines = format_mentions(records)
+    format_ns = time.perf_counter_ns() - t0
+    return _ExtractPart(lines, len(records), skipped, input_bytes, read_ns, extract_ns,
+                        format_ns, _report_records(report, records) if report else None)
+
+
+def _document_bytes(docs_root: Path, entries: Sequence[ManifestEntry]) -> int:
+    """The documents' size on disk; one that cannot be read counts 0."""
+    total = 0
+    for entry in entries:
+        with contextlib.suppress(OSError):
+            total += (docs_root / entry.path).stat().st_size
+    return total
+
+
+def _run_extraction(
+    settings: dict, corpus: _Corpus, out_path: Path, report: _ReportJob | None = None
+) -> tuple[dict, list[_ExtractPart], dict]:
+    """Shared by extract and pipeline: documents in, mentions file out.
+
+    The documents are cut into contiguous shards by ``shards.shard_count``.
+    Returns the counts, the shards' parts and the stage timings (seconds
+    summed over the shards).  No mentions file is written when a shard
+    fails.
+    """
+    docs_root = Path(settings["docs_root"] or Path(settings["manifest"]).parent)
+    if corpus.window_skipped:
+        log.warning("%d document(s) outside corpus window %s..%s skipped",
+                    corpus.window_skipped, corpus.window.start, corpus.window.end)
+
+    runs = shards.contiguous(corpus.entries,
+                             shards.shard_count(_document_bytes(docs_root, corpus.entries)))
+    parts = shards.run_shards(
+        partial(_extract_shard, docs_root, settings["dedup_per_doc"], report), runs)
+    skipped = [s for part in parts for s in part.skipped]
+    for doc_id, reason in skipped:
+        log.warning("skipping document %s: %s", doc_id, reason)
 
     t0 = time.perf_counter_ns()
-    mention_count = write_mentions_file(out_path, records)
+    write_mentions_text(out_path, [part.lines for part in parts])
     write_ns = time.perf_counter_ns() - t0
+    mention_count = sum(part.mentions for part in parts)
+    input_bytes = sum(part.input_bytes for part in parts)
+    extract_ns = sum(part.extract_ns for part in parts)
     log.info("extract: %d manifest entries, %d documents, %d mentions, %d read failures",
-             corpus.manifest_entries, len(corpus.entries), mention_count, read_failures)
+             corpus.manifest_entries, len(corpus.entries), mention_count, len(skipped))
     return {
         "manifest_entries": corpus.manifest_entries,
         "documents": len(corpus.entries),
         "window_skipped": corpus.window_skipped,
-        "read_failures": read_failures,
+        "read_failures": len(skipped),
+        "skipped": skipped,
         "mentions": mention_count,
-    }, records, {
-        "read_documents_s": _seconds(read_ns),
+    }, parts, {
+        "workers": len(runs),
+        "read_documents_s": _seconds(sum(part.read_ns for part in parts)),
         "extract_s": _seconds(extract_ns),
-        "write_mentions_s": _seconds(write_ns),
+        "write_mentions_s": _seconds(sum(part.format_ns for part in parts) + write_ns),
         "input_mb": round(input_bytes / 1e6, 6),
         "extract_mb_per_s": round(input_bytes / 1e6 / (extract_ns / 1e9), 3) if extract_ns else None,
     }
@@ -281,23 +339,41 @@ def cmd_evaluate(settings: dict) -> int:
 # --- report ----------------------------------------------------------------
 
 
-def _run_report(
-    settings: dict,
-    corpus: _Corpus,
-    setup: _ReportSetup,
-    records: list[MentionRecord],
-    out_dir: Path,
-) -> tuple[dict, dict, dict]:
-    """Classify, scope and categorize mentions into the CSV reports.
+class _ReportJob(NamedTuple):
+    """What a shard's report loop reads besides its mentions."""
 
-    Returns the counts, the paper's figures and the stage timings.
-    """
+    setup: _ReportSetup
+    window: MonthWindow
+
+
+class _ReportPart(NamedTuple):
+    """One shard's counts, to be summed with the other shards'."""
+
+    aggregate: CorpusAggregate  # mentions only; the parent adds publications
+    provenance: dict[str, int]
+    scope_reasons: dict[str, int]
+    categories: dict[str, int]
+    mentions: int
+    read_ns: int
+    classify_ns: int
+
+
+class _ShardError(NamedTuple):
+    """A report shard's error.  The serial run reads the whole mentions
+    file before it checks any month, so a file error (rank 0) anywhere
+    beats a month outside the window (rank 1); within a rank the first
+    shard's wins."""
+
+    rank: int
+    message: str
+
+
+def _report_records(job: _ReportJob, records: list[MentionRecord],
+                    read_ns: int = 0) -> _ReportPart:
+    """Classify, scope and categorize mentions into a partial aggregate."""
     t0 = time.perf_counter_ns()
-    window = corpus.window
-    aggregate = CorpusAggregate(AggregateConfig(setup.category_policy, settings["bin_width"]))
-    for entry in corpus.entries:
-        aggregate.add_publications(entry.month)
-
+    setup, window = job.setup, job.window
+    aggregate = CorpusAggregate(setup.config)
     provenance_counts = {p: 0 for p in ("heuristic_publisher", "heuristic_pdf", "learned")}
     reason_counts = {r.value: 0 for r in ScopeReason}
     category_counts = {c.value: 0 for c in Category}
@@ -314,28 +390,74 @@ def _run_report(
         reason_counts[verdict.reason.value] += 1
         if verdict.in_scope:
             category = categorize(parsed, classification.label, setup.patterns,
-                                  setup.category_policy)
+                                  setup.config.category_policy)
             category_counts[category.value] += 1
             aggregate.add_mention(r.month, category, parsed.hostname)
+    return _ReportPart(aggregate, provenance_counts, reason_counts, category_counts,
+                       len(records), read_ns, time.perf_counter_ns() - t0)
+
+
+def _report_shard(job: _ReportJob, path: Path,
+                  byte_range: tuple[int, int]) -> _ReportPart | _ShardError:
+    """Read the mention lines in a byte range of the mentions file, then
+    run the report loop on them."""
+    t0 = time.perf_counter_ns()
+    try:
+        records = read_mentions_file(path, *byte_range)
+    except MentionsFileError as exc:
+        return _ShardError(0, str(exc))
+    read_ns = time.perf_counter_ns() - t0
+    try:
+        return _report_records(job, records, read_ns)
+    except MentionsFileError as exc:
+        return _ShardError(1, str(exc))
+
+
+def _merge(total: CorpusAggregate, part: CorpusAggregate) -> None:
+    """Add a shard's monthly and hostname counts into the total."""
+    for month, stats in part.monthly.items():
+        before = total.monthly.get(month) or MonthlyStats(month)
+        total.monthly[month] = MonthlyStats(month, *map(add, astuple(before)[1:],
+                                                         astuple(stats)[1:]))
+    total.hostnames.update(part.hostnames)
+
+
+def _write_report(
+    settings: dict, corpus: _Corpus, parts: list[_ReportPart], out_dir: Path
+) -> tuple[dict, dict, dict]:
+    """Sum the shards' parts into the CSV reports.
+
+    Returns the counts, the paper's figures and the stage timings.  Every
+    report sorts its rows by a total order, so shard order cannot reach
+    the output.
+    """
+    t0 = time.perf_counter_ns()
+    aggregate = CorpusAggregate(parts[0].aggregate.config)
+    for entry in corpus.entries:
+        aggregate.add_publications(entry.month)
+    for part in parts:
+        _merge(aggregate, part.aggregate)
+    counts = {key: {k: sum(getattr(part, key)[k] for part in parts)
+                    for k in getattr(parts[0], key)}
+              for key in ("provenance", "scope_reasons", "categories")}
+    mention_count = sum(part.mentions for part in parts)
 
     t1 = time.perf_counter_ns()
     report_paths = write_reports(out_dir, aggregate, settings["top_n"])
     t2 = time.perf_counter_ns()
     totals = aggregate.totals()
     log.info("report: %d mentions, %d in scope, %d months, reports in %s",
-             len(records), totals.uri_total, len(aggregate.monthly), out_dir)
+             mention_count, totals.uri_total, len(aggregate.monthly), out_dir)
     return {
         "documents": len(corpus.entries),
         "window_skipped": corpus.window_skipped,
-        "mentions": len(records),
+        "mentions": mention_count,
         "in_scope": totals.uri_total,
-        "provenance": provenance_counts,
-        "scope_reasons": reason_counts,
-        "categories": category_counts,
+        **counts,
         "months": len(aggregate.monthly),
         "reports": sorted(Path(p).name for p in report_paths.values()),
     }, paper_figures(aggregate), {
-        "classify_s": _seconds(t1 - t0),
+        "classify_s": _seconds(sum(part.classify_ns for part in parts) + t1 - t0),
         "write_reports_s": _seconds(t2 - t1),
     }
 
@@ -362,13 +484,20 @@ def cmd_report(settings: dict) -> int:
     out_dir = Path(settings["out_dir"])
     setup = _load_report_setup(settings)
     corpus = _load_corpus(settings)
-    t0 = time.perf_counter_ns()
-    records = read_mentions_file(mentions_path)
-    read_ns = time.perf_counter_ns() - t0
-    counts, figures, timings = _run_report(settings, corpus, setup, records, out_dir)
+    # Each shard reads its own line-aligned byte range of the mentions file.
+    ranges = shards.line_ranges(mentions_path,
+                                shards.shard_count(os.path.getsize(mentions_path)))
+    results = shards.run_shards(
+        partial(_report_shard, _ReportJob(setup, corpus.window), mentions_path), ranges)
+    errors = [r for r in results if isinstance(r, _ShardError)]
+    if errors:
+        raise MentionsFileError(min(errors, key=attrgetter("rank")).message)
+    counts, figures, timings = _write_report(settings, corpus, results, out_dir)
     echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
     _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures,
-                    timings={"read_mentions_s": _seconds(read_ns), **timings})
+                    timings={"workers": len(ranges),
+                             "read_mentions_s": _seconds(sum(r.read_ns for r in results)),
+                             **timings})
     return EXIT_OK
 
 
@@ -380,8 +509,11 @@ def cmd_pipeline(settings: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mentions_path = _require_output_path(settings["mentions"] or out_dir / "mentions.tsv",
                                          "mentions file")
-    extract_counts, records, extract_timings = _run_extraction(settings, corpus, mentions_path)
-    report_counts, figures, report_timings = _run_report(settings, corpus, setup, records, out_dir)
+    # Each shard extracts its documents and runs the report loop on them.
+    extract_counts, parts, extract_timings = _run_extraction(
+        settings, corpus, mentions_path, _ReportJob(setup, corpus.window))
+    report_counts, figures, report_timings = _write_report(
+        settings, corpus, [part.report for part in parts], out_dir)
     echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
     echo["docs_root"] = str(settings["docs_root"] or Path(settings["manifest"]).parent)
     echo["dedup_per_doc"] = settings["dedup_per_doc"]

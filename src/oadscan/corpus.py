@@ -48,7 +48,8 @@ class DocumentReadError(OSError):
     def __init__(self, doc_id: "DocumentId", path: Path, cause: Exception):
         self.doc_id = doc_id
         self.path = path
-        super().__init__(f"cannot read document {doc_id}: {path}: {cause}")
+        self.reason = f"{path}: {cause}"
+        super().__init__(f"cannot read document {doc_id}: {self.reason}")
 
 
 _MONTH_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")

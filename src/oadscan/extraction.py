@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -42,6 +43,8 @@ __all__ = [
     "repair_linewrap",
     "trim_trailing",
     "canonicalize_raw",
+    "format_mentions",
+    "write_mentions_text",
     "write_mentions_file",
     "read_mentions_file",
 ]
@@ -450,44 +453,82 @@ class MentionRecord:
 _MENTIONS_HEADER = "# doc_id\tmonth\turi\tspan_start\tspan_end\tcontext"
 
 
+def format_mentions(records: Iterable[MentionRecord]) -> str:
+    """The mentions-file lines of records, each ending in a newline."""
+    return "".join(
+        f"{r.doc_id}\t{r.month}\t{r.uri}\t{r.span[0]}\t{r.span[1]}\t"
+        f"{json.dumps(r.context, ensure_ascii=True)}\n"
+        for r in records
+    )
+
+
+def write_mentions_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write a mentions file (atomically): the header, then each chunk of
+    lines from ``format_mentions`` in turn."""
+    atomic_write_text(path, _MENTIONS_HEADER + "\n", *chunks)
+
+
 def write_mentions_file(path: str | Path, records: Iterable[MentionRecord]) -> int:
     """Write records to a mentions file (atomically); returns the count."""
-    count = 0
-    lines = [_MENTIONS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.doc_id}\t{r.month}\t{r.uri}\t{r.span[0]}\t{r.span[1]}\t"
-            f"{json.dumps(r.context, ensure_ascii=True)}"
-        )
-        count += 1
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return count
+    records = list(records)
+    write_mentions_text(path, [format_mentions(records)])
+    return len(records)
 
 
-def read_mentions_file(path: str | Path) -> list[MentionRecord]:
+def _line_breaks(data: bytes) -> int:
+    """Line ends in data as text mode reads them: LF, CRLF or a lone CR."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def read_mentions_file(path: str | Path, start: int = 0,
+                       end: int | None = None) -> list[MentionRecord]:
+    """The records of the lines that begin in bytes [start, end) of a
+    mentions file (to its end when ``end`` is None).
+
+    ``start`` is 0 or just after a newline byte.  Line ends are read as
+    text mode reads them (LF, CRLF or a lone CR), and each line is decoded
+    as UTF-8 on its own.  A bad line raises ``MentionsFileError`` naming
+    the path and its line number in the whole file, whatever the range.
+    """
     records: list[MentionRecord] = []
     # A document's mentions are consecutive lines; they share one DocumentId.
     last_raw_id, doc_id = None, None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t", 5)
-            if len(fields) != 6:
-                raise MentionsFileError(f"{path}:{lineno}: expected 6 fields")
-            raw_id, month, uri, start, end, context_json = fields
-            try:
-                if raw_id != last_raw_id:
-                    doc_id, last_raw_id = parse_document_id(raw_id), raw_id
-                record = MentionRecord(
-                    doc_id,
-                    validate_month(month),
-                    uri,
-                    (int(start), int(end)),
-                    json.loads(context_json),
-                )
-            except ValueError as exc:
-                raise MentionsFileError(f"{path}:{lineno}: {exc}") from None
-            records.append(record)
+    stop = sys.maxsize if end is None else end
+    lineno = 0  # lines read from start
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            pos = start
+            for raw in fh:  # split at LF only
+                if pos >= stop:
+                    break
+                pos += len(raw)
+                for chunk in raw.replace(b"\r\n", b"\n").split(b"\r") if b"\r" in raw else (raw,):
+                    lineno += 1
+                    line = chunk.decode("utf-8").rstrip("\n")
+                    if not line or line.startswith("#"):
+                        continue
+                    fields = line.split("\t", 5)
+                    if len(fields) != 6:
+                        raise ValueError("expected 6 fields")
+                    raw_id, month, uri, span_start, span_end, context = fields
+                    if raw_id != last_raw_id:
+                        doc_id, last_raw_id = parse_document_id(raw_id), raw_id
+                    record = MentionRecord(
+                        doc_id,
+                        validate_month(month),
+                        uri,
+                        (int(span_start), int(span_end)),
+                        json.loads(context),
+                    )
+                    if not isinstance(record.context, str):
+                        raise ValueError("context is not a JSON string")
+                    records.append(record)
+    except ValueError as exc:
+        reason = (f"invalid UTF-8 at byte offset {exc.start} of the line ({exc.reason})"
+                  if isinstance(exc, UnicodeDecodeError) else exc)
+        if start:
+            with open(path, "rb") as fh:
+                lineno += _line_breaks(fh.read(start))
+        raise MentionsFileError(f"{path}:{lineno}: {reason}") from None
     return records

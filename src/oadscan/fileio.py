@@ -6,9 +6,9 @@ import os
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never
-    observe a half-written file.
+def atomic_write_text(path: str | Path, *texts: str) -> None:
+    """Write the texts, one after another, to path via a temp file and
+    rename, so readers never observe a half-written file.
 
     The file gets mode 0o666 less the process umask, as ``open`` would
     give it.
@@ -23,7 +23,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oadscan import shards
 from oadscan.classifier import TrainedModel, read_labeled_file
 from oadscan.corpus import DocumentId
 from oadscan.extraction import UriMention
@@ -11,6 +12,27 @@ from oadscan.extraction import UriMention
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CORPUS = DATA_DIR / "fixture_corpus"
 GOLDEN_DIR = DATA_DIR / "golden"
+
+
+def pytest_addoption(parser):
+    parser.addoption("--shards", type=int, default=None, metavar="N",
+                     help="cut every command's input into N shards, whatever its size "
+                     "(default: the commands' own choice)")
+
+
+@pytest.fixture
+def force_shards(monkeypatch):
+    """Call with N to make the commands cut their input into N shards
+    (fewer when there are fewer documents or lines)."""
+    def force(n: int) -> None:
+        monkeypatch.setattr(shards, "shard_count", lambda input_bytes: n)
+    return force
+
+
+@pytest.fixture(autouse=True)
+def _shards_option(request, force_shards):
+    if request.config.getoption("--shards") is not None:
+        force_shards(request.config.getoption("--shards"))
 
 
 @pytest.fixture(scope="session")

@@ -305,8 +305,9 @@ def test_end_to_end_golden_run(tmp_path):
         ).read_bytes()
 
 
-def test_report_parses_each_uri_once(tmp_path, monkeypatch):
+def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
     with _criterion("report parses each mention's URI once"):
+        force_shards(1)  # the counters see this process's calls only
         mentions = tmp_path / "mentions.tsv"
         assert main(["extract", "--manifest", str(CORPUS / "manifest.tsv"),
                      "--out", str(mentions)]) == EXIT_OK

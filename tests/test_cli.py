@@ -49,7 +49,7 @@ class TestExtract:
         meta = json.loads((tmp_path / "mentions.tsv.meta.json").read_text())
         assert meta["counts"] == {
             "manifest_entries": 3, "documents": 3, "window_skipped": 0,
-            "read_failures": 0, "mentions": 3,
+            "read_failures": 0, "skipped": [], "mentions": 3,
         }
 
     def test_empty_manifest(self, tmp_path):
@@ -71,6 +71,9 @@ class TestExtract:
         assert run("extract", "--manifest", root / "manifest.tsv", "--out", out) == EXIT_OK
         meta = json.loads((tmp_path / "mentions.tsv.meta.json").read_text())
         assert meta["counts"]["read_failures"] == 1
+        assert meta["counts"]["skipped"] == [
+            ["missingv1", f"{root / 'docs' / 'gone.txt'}: [Errno 2] No such file or directory: "
+                          f"'{root / 'docs' / 'gone.txt'}'"]]
         assert meta["counts"]["mentions"] == 1
 
     def test_malformed_manifest_is_data_error(self, tmp_path):
@@ -344,7 +347,7 @@ class TestTimings:
 
     @staticmethod
     def check(timings, keys):
-        assert set(timings) == keys | {"peak_rss_mb"}
+        assert set(timings) == keys | {"workers", "peak_rss_mb"}
         assert all(v >= 0 for v in timings.values())
         assert timings["peak_rss_mb"] > 0
 

@@ -343,3 +343,28 @@ class TestMentionsFile:
                         "av0\t2019-01\thttps://x.org/b\t0\t15\t\"c\"\n", encoding="utf-8")
         with pytest.raises(MentionsFileError, match=":2:"):
             read_mentions_file(path)
+
+    def test_malformed_context_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "mentions.tsv"
+        path.write_text("# header\n"
+                        "av1\t2019-01\thttps://x.org/a\t0\t15\t\"c\"\n"
+                        "av1\t2019-01\thttps://x.org/b\t0\t15\t\"unterminated\n",
+                        encoding="utf-8")
+        with pytest.raises(MentionsFileError, match=r":3: Unterminated string"):
+            read_mentions_file(path)
+
+    @pytest.mark.parametrize("context", ["7", "null", '["c"]', '{"c": 1}'])
+    def test_context_that_is_not_a_string_rejected(self, tmp_path, context):
+        path = tmp_path / "mentions.tsv"
+        path.write_text(f"av1\t2019-01\thttps://x.org/a\t0\t15\t{context}\n", encoding="utf-8")
+        with pytest.raises(MentionsFileError, match=r":1: context is not a JSON string"):
+            read_mentions_file(path)
+
+    def test_invalid_utf8_named_with_its_line(self, tmp_path):
+        path = tmp_path / "mentions.tsv"
+        path.write_bytes(b"av1\t2019-01\thttps://x.org/a\t0\t15\t\"c\"\r\n"
+                         b"av1\t2019-01\thttps://x.org/\xff\t0\t15\t\"c\"\n")
+        with pytest.raises(MentionsFileError) as exc:
+            read_mentions_file(path)
+        assert str(exc.value) == (f"{path}:2: invalid UTF-8 at byte offset 26 of the line "
+                                  "(invalid start byte)")
