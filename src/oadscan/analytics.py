@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -146,38 +146,47 @@ class AggregateConfig:
 
 @dataclass
 class CorpusAggregate:
-    """Everything the reports need, filled by one pass over a corpus."""
+    """Everything the reports need: plain counts, filled by one pass over a
+    corpus, or by passes over parts of it summed with ``update``."""
 
     config: AggregateConfig = field(default_factory=AggregateConfig)
-    monthly: dict[str, MonthlyStats] = field(default_factory=dict)
-    hostnames: Counter = field(default_factory=Counter)
+    publications: Counter = field(default_factory=Counter)  # month -> documents
+    mentions: Counter = field(default_factory=Counter)  # (month, Category) -> in scope
+    hostnames: Counter = field(default_factory=Counter)  # over non-GHP OADS mentions
 
     def add_publications(self, month: str, count: int = 1) -> None:
-        s = self.monthly.get(month) or MonthlyStats(month)
-        self.monthly[month] = replace(s, publications=s.publications + count)
+        self.publications[month] += count
 
     def add_mention(self, month: str, category: Category, hostname: str) -> None:
-        ghp = category is Category.GHP
-        non_ghp_oads = category is Category.NON_GHP_OADS
-        if non_ghp_oads:
+        self.mentions[month, category] += 1
+        if category is Category.NON_GHP_OADS:
             self.hostnames[hostname] += 1
-        s = self.monthly.get(month) or MonthlyStats(month)
-        oads = int(ghp or non_ghp_oads)
-        self.monthly[month] = MonthlyStats(
-            month, s.publications, s.uri_total + 1, s.oads + oads, s.non_oads + 1 - oads,
-            s.ghp + ghp, s.non_ghp_oads + non_ghp_oads,
-        )
+
+    def update(self, other: CorpusAggregate) -> None:
+        """Add another aggregate's counts to this one's.  ``Counter.update``
+        keeps a zero count (a month without documents), where ``+`` drops it."""
+        self.publications.update(other.publications)
+        self.mentions.update(other.mentions)
+        self.hostnames.update(other.hostnames)
 
     def hostname_stats(self) -> HostnameStats:
         return HostnameStats(dict(self.hostnames), sum(self.hostnames.values()))
 
     def monthly_list(self) -> list[MonthlyStats]:
-        return [self.monthly[m] for m in sorted(self.monthly)]
+        months = set(self.publications).union(month for month, _ in self.mentions)
+        return [_monthly_stats(m, self.publications[m], *(self.mentions[m, c] for c in Category))
+                for m in sorted(months)]
 
     def totals(self) -> MonthlyStats:
-        """Every month's counts summed field by field."""
-        columns = zip(*(astuple(s)[1:] for s in self.monthly.values()))
-        return MonthlyStats("total", *map(sum, columns))
+        """Every month's counts summed."""
+        return _monthly_stats("total", sum(self.publications.values()), *(
+            sum(n for (_, c), n in self.mentions.items() if c is category) for category in Category))
+
+
+def _monthly_stats(month: str, publications: int, ghp: int, non_ghp_oads: int,
+                   non_oads: int) -> MonthlyStats:
+    oads = ghp + non_ghp_oads
+    return MonthlyStats(month, publications, oads + non_oads, oads, non_oads, ghp, non_ghp_oads)
 
 
 def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
@@ -219,36 +228,15 @@ def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
 def write_monthly_csv(path: str | Path, monthly: Sequence[MonthlyStats]) -> None:
     rows = []
     for s in monthly:
-        pct = category_percentages(s)
         pubs = float(s.publications) if s.publications else None
-        rows.append(
-            [
-                s.month,
-                str(s.publications),
-                str(s.uri_total),
-                str(s.oads),
-                str(s.non_oads),
-                str(s.ghp),
-                str(s.non_ghp_oads),
-                _fmt(s.uri_total / pubs if pubs else None, 4),
-                _fmt(s.oads / pubs if pubs else None, 4),
-                _fmt(s.non_oads / pubs if pubs else None, 4),
-                _fmt(pct[0] if pct else None, 2),
-                _fmt(pct[1] if pct else None, 2),
-                _fmt(pct[2] if pct else None, 2),
-            ]
-        )
-    atomic_write_text(
-        path,
-        _csv_text(
-            [
-                "month", "publications", "uri_total", "oads", "non_oads",
-                "ghp", "non_ghp_oads", "avg_total", "avg_oads",
-                "avg_non_oads", "pct_ghp", "pct_non_ghp_oads", "pct_non_oads",
-            ],
-            rows,
-        ),
-    )
+        counts = (s.publications, s.uri_total, s.oads, s.non_oads, s.ghp, s.non_ghp_oads)
+        rows.append([s.month, *map(str, counts),
+                     *(_fmt(n / pubs if pubs else None, 4) for n in counts[1:4]),
+                     *(_fmt(pct, 2) for pct in category_percentages(s) or (None,) * 3)])
+    header = ["month", "publications", "uri_total", "oads", "non_oads", "ghp", "non_ghp_oads",
+              "avg_total", "avg_oads", "avg_non_oads", "pct_ghp", "pct_non_ghp_oads",
+              "pct_non_oads"]
+    atomic_write_text(path, _csv_text(header, rows))
 
 
 def write_hostnames_csv(path: str | Path, stats: HostnameStats) -> None:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .extraction import MentionRecord, UriMention
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_object, load_json, string_list
 from .scope import ParsedUri, parse_uri
 
 __all__ = [
@@ -95,9 +95,16 @@ DEFAULT_DENYLIST = frozenset({"springer.com", "wiley.com", "sagepub.com"})
 
 
 def load_denylist(path: str | Path) -> frozenset[str]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    hosts = data["publisher_hosts"] if isinstance(data, dict) else data
-    return frozenset(str(h).lower() for h in hosts)
+    """Publisher hosts from a JSON file: a list of host names, or an object
+    whose one key ``publisher_hosts`` holds that list."""
+    return load_json(path, _denylist)
+
+
+def _denylist(value: object) -> frozenset[str]:
+    if isinstance(value, dict):
+        value = json_object(value, "denylist", ["publisher_hosts"],
+                            required=["publisher_hosts"])["publisher_hosts"]
+    return frozenset(h.lower() for h in string_list(value, "denylist"))
 
 
 def classify_heuristic(

@@ -16,9 +16,9 @@ import logging
 import os
 import sys
 import time
-from dataclasses import astuple, fields
+from collections import Counter
+from dataclasses import fields
 from functools import partial
-from operator import add, attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -28,16 +28,11 @@ except ImportError:  # Windows
     resource = None
 
 from . import __version__
-from .analytics import (
-    AggregateConfig,
-    CorpusAggregate,
-    MonthlyStats,
-    paper_figures,
-    write_reports,
-)
+from .analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
 from .classifier import (
     DEFAULT_DENYLIST,
     LabeledFileError,
+    Provenance,
     TrainedModel,
     TrainingConfig,
     classify_hybrid,
@@ -75,7 +70,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 _ENV_PREFIX = "OADSCAN_"
-_TRUTHY = ("1", "true", "yes")
+# A boolean option's environment and config-file values, as the flag they give.
+_BOOLEAN = {"1": "--", "true": "--", "yes": "--", "0": "--no-", "false": "--no-", "no": "--no-"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +109,16 @@ def _require_output_path(path: str | Path, what: str) -> Path:
     return p
 
 
+def _require_output_dir(path: str | Path) -> Path:
+    """Check that an output directory exists or can be made, before any
+    work is done; the command makes it when it writes."""
+    p = Path(path)
+    nearest = next(d for d in (p, *p.parents) if d.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"output directory {p}: {nearest} is not a directory")
+    return p
+
+
 class _Corpus(NamedTuple):
     """The manifest's latest document versions inside the window."""
 
@@ -146,18 +152,16 @@ class _ReportSetup(NamedTuple):
 def _load_report_setup(settings: dict) -> _ReportSetup:
     """Check and load the report's inputs, so that an error in any of them
     stops the run before it reads or writes anything else."""
-    model = TrainedModel.load(_require_file(settings["model"], "model file"))
-    policy = DEFAULT_POLICY
-    if settings["policy"] is not None:
-        policy = ScopePolicy.from_file(_require_file(settings["policy"], "policy file"))
-    denylist = DEFAULT_DENYLIST
-    if settings["denylist"] is not None:
-        denylist = load_denylist(_require_file(settings["denylist"], "denylist file"))
-    patterns = DEFAULT_PATTERNS
-    if settings["patterns"] is not None:
-        patterns = GhpPatternSet.from_file(_require_file(settings["patterns"], "pattern file"))
-    config = AggregateConfig(CategoryPolicy(settings["category_policy"]), settings["bin_width"])
-    return _ReportSetup(model, policy, denylist, patterns, config)
+    def load(name, loader, default):
+        path = settings[name]
+        return default if path is None else loader(_require_file(path, f"{name} file"))
+
+    return _ReportSetup(
+        TrainedModel.load(_require_file(settings["model"], "model file")),
+        load("policy", ScopePolicy.from_file, DEFAULT_POLICY),
+        load("denylist", load_denylist, DEFAULT_DENYLIST),
+        load("patterns", GhpPatternSet.from_file, DEFAULT_PATTERNS),
+        AggregateConfig(CategoryPolicy(settings["category_policy"]), settings["bin_width"]))
 
 
 def _seconds(ns: int) -> float:
@@ -190,47 +194,61 @@ def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict,
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+# --- shard results ----------------------------------------------------------
+
+
+class _Part(NamedTuple):
+    """One shard's results, or the sum of every shard's (``_add``)."""
+
+    lines: list[str]  # mentions-file text, one chunk per shard (extract, pipeline)
+    skipped: list[tuple[str, str]]  # (doc_id, reason) of each unreadable document
+    counts: Counter  # "mentions", "input_bytes" and each Provenance, ScopeReason, Category
+    ns: Counter  # nanoseconds per stage
+    aggregate: CorpusAggregate | None  # in-scope mentions (report, pipeline)
+
+
+def _add(parts: Sequence[_Part]) -> _Part:
+    """The parts summed: text and skipped documents joined in order, counts,
+    times and aggregates added (``update`` keeps zero counts, ``+`` would not)."""
+    counts, ns = Counter(), Counter()
+    for part in parts:
+        counts.update(part.counts)
+        ns.update(part.ns)
+    aggregates = [part.aggregate for part in parts if part.aggregate is not None]
+    for aggregate in aggregates[1:]:
+        aggregates[0].update(aggregate)
+    return _Part([t for part in parts for t in part.lines],
+                 [s for part in parts for s in part.skipped], counts, ns,
+                 aggregates[0] if aggregates else None)
+
+
 # --- extract ---------------------------------------------------------------
 
 
-class _ExtractPart(NamedTuple):
-    """One shard of documents, extracted."""
-
-    lines: str  # its mentions-file lines, in manifest order
-    mentions: int
-    skipped: list[tuple[str, str]]  # (doc_id, reason) of each unreadable document
-    input_bytes: int
-    read_ns: int
-    extract_ns: int
-    format_ns: int
-    report: _ReportPart | None  # pipeline only
-
-
-def _extract_shard(docs_root: Path, dedup: bool, report: _ReportJob | None,
-                   entries: Sequence[ManifestEntry]) -> _ExtractPart:
-    """Read and extract a shard's documents; for ``pipeline`` (``report``
+def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
+                   entries: Sequence[ManifestEntry]) -> _Part:
+    """Read and extract a shard's documents; for ``pipeline`` (``setup``
     given), also run the report loop on their mentions."""
-    skipped = []
-    input_bytes = read_ns = extract_ns = 0
+    part = _Part([], [], Counter(), Counter(), None)
     records: list[MentionRecord] = []
     for entry in entries:
         t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
         except DocumentReadError as exc:
-            skipped.append((str(entry.doc_id), exc.reason))
+            part.skipped.append((str(entry.doc_id), exc.reason))
             continue
         t1 = time.perf_counter_ns()
         records.extend(MentionRecord(m.doc_id, doc.month, m.uri, m.span, m.context)
                        for m in extract_uri_mentions(doc, dedup=dedup))
-        read_ns += t1 - t0
-        extract_ns += time.perf_counter_ns() - t1
-        input_bytes += len(doc.text.encode("utf-8"))
+        part.ns["read_documents"] += t1 - t0
+        part.ns["extract"] += time.perf_counter_ns() - t1
+        part.counts["input_bytes"] += len(doc.text.encode("utf-8"))
     t0 = time.perf_counter_ns()
-    lines = format_mentions(records)
-    format_ns = time.perf_counter_ns() - t0
-    return _ExtractPart(lines, len(records), skipped, input_bytes, read_ns, extract_ns,
-                        format_ns, _report_records(report, records) if report else None)
+    part.lines.append(format_mentions(records))
+    part.ns["write_mentions"] += time.perf_counter_ns() - t0
+    part.counts["mentions"] = len(records)
+    return _add([part, _report_records(setup, records)]) if setup else part
 
 
 def _document_bytes(docs_root: Path, entries: Sequence[ManifestEntry]) -> int:
@@ -243,14 +261,14 @@ def _document_bytes(docs_root: Path, entries: Sequence[ManifestEntry]) -> int:
 
 
 def _run_extraction(
-    settings: dict, corpus: _Corpus, out_path: Path, report: _ReportJob | None = None
-) -> tuple[dict, list[_ExtractPart], dict]:
+    settings: dict, corpus: _Corpus, out_path: Path, setup: _ReportSetup | None = None
+) -> tuple[dict, _Part, dict]:
     """Shared by extract and pipeline: documents in, mentions file out.
 
     The documents are cut into contiguous shards by ``shards.shard_count``.
-    Returns the counts, the shards' parts and the stage timings (seconds
-    summed over the shards).  No mentions file is written when a shard
-    fails.
+    Returns the counts, the shards' summed part and the stage timings
+    (seconds summed over the shards).  No mentions file is written when a
+    shard fails.
     """
     docs_root = Path(settings["docs_root"] or Path(settings["manifest"]).parent)
     if corpus.window_skipped:
@@ -259,34 +277,32 @@ def _run_extraction(
 
     runs = shards.contiguous(corpus.entries,
                              shards.shard_count(_document_bytes(docs_root, corpus.entries)))
-    parts = shards.run_shards(
-        partial(_extract_shard, docs_root, settings["dedup_per_doc"], report), runs)
-    skipped = [s for part in parts for s in part.skipped]
-    for doc_id, reason in skipped:
+    total = _add(shards.run_shards(
+        partial(_extract_shard, docs_root, settings["dedup_per_doc"], setup), runs))
+    for doc_id, reason in total.skipped:
         log.warning("skipping document %s: %s", doc_id, reason)
 
     t0 = time.perf_counter_ns()
-    write_mentions_text(out_path, [part.lines for part in parts])
-    write_ns = time.perf_counter_ns() - t0
-    mention_count = sum(part.mentions for part in parts)
-    input_bytes = sum(part.input_bytes for part in parts)
-    extract_ns = sum(part.extract_ns for part in parts)
+    write_mentions_text(out_path, total.lines)
+    total.ns["write_mentions"] += time.perf_counter_ns() - t0
+    input_mb, extract_s = total.counts["input_bytes"] / 1e6, total.ns["extract"] / 1e9
     log.info("extract: %d manifest entries, %d documents, %d mentions, %d read failures",
-             corpus.manifest_entries, len(corpus.entries), mention_count, len(skipped))
+             corpus.manifest_entries, len(corpus.entries), total.counts["mentions"],
+             len(total.skipped))
     return {
         "manifest_entries": corpus.manifest_entries,
         "documents": len(corpus.entries),
         "window_skipped": corpus.window_skipped,
-        "read_failures": len(skipped),
-        "skipped": skipped,
-        "mentions": mention_count,
-    }, parts, {
+        "read_failures": len(total.skipped),
+        "skipped": total.skipped,
+        "mentions": total.counts["mentions"],
+    }, total, {
         "workers": len(runs),
-        "read_documents_s": _seconds(sum(part.read_ns for part in parts)),
-        "extract_s": _seconds(extract_ns),
-        "write_mentions_s": _seconds(sum(part.format_ns for part in parts) + write_ns),
-        "input_mb": round(input_bytes / 1e6, 6),
-        "extract_mb_per_s": round(input_bytes / 1e6 / (extract_ns / 1e9), 3) if extract_ns else None,
+        "read_documents_s": _seconds(total.ns["read_documents"]),
+        "extract_s": _seconds(total.ns["extract"]),
+        "write_mentions_s": _seconds(total.ns["write_mentions"]),
+        "input_mb": round(input_mb, 6),
+        "extract_mb_per_s": round(input_mb / extract_s, 3) if extract_s else None,
     }
 
 
@@ -339,184 +355,130 @@ def cmd_evaluate(settings: dict) -> int:
 # --- report ----------------------------------------------------------------
 
 
-class _ReportJob(NamedTuple):
-    """What a shard's report loop reads besides its mentions."""
-
-    setup: _ReportSetup
-    window: MonthWindow
-
-
-class _ReportPart(NamedTuple):
-    """One shard's counts, to be summed with the other shards'."""
-
-    aggregate: CorpusAggregate  # mentions only; the parent adds publications
-    provenance: dict[str, int]
-    scope_reasons: dict[str, int]
-    categories: dict[str, int]
-    mentions: int
-    read_ns: int
-    classify_ns: int
-
-
-class _ShardError(NamedTuple):
-    """A report shard's error.  The serial run reads the whole mentions
-    file before it checks any month, so a file error (rank 0) anywhere
-    beats a month outside the window (rank 1); within a rank the first
-    shard's wins."""
-
-    rank: int
-    message: str
-
-
-def _report_records(job: _ReportJob, records: list[MentionRecord],
-                    read_ns: int = 0) -> _ReportPart:
+def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
     """Classify, scope and categorize mentions into a partial aggregate."""
     t0 = time.perf_counter_ns()
-    setup, window = job.setup, job.window
+    counts: Counter = Counter()
     aggregate = CorpusAggregate(setup.config)
-    provenance_counts = {p: 0 for p in ("heuristic_publisher", "heuristic_pdf", "learned")}
-    reason_counts = {r.value: 0 for r in ScopeReason}
-    category_counts = {c.value: 0 for c in Category}
     for r in records:
-        if not window.contains(r.month):
-            raise MentionsFileError(
-                f"mention month {r.month} outside corpus window "
-                f"{window.start}..{window.end} (doc {r.doc_id})"
-            )
         parsed = parse_uri(r.uri)
         classification = classify_hybrid(r, setup.model, setup.denylist, parsed)
-        provenance_counts[classification.provenance.value] += 1
+        counts[classification.provenance] += 1
         verdict = is_in_scope(parsed, setup.policy)
-        reason_counts[verdict.reason.value] += 1
+        counts[verdict.reason] += 1
         if verdict.in_scope:
             category = categorize(parsed, classification.label, setup.patterns,
                                   setup.config.category_policy)
-            category_counts[category.value] += 1
+            counts[category] += 1
             aggregate.add_mention(r.month, category, parsed.hostname)
-    return _ReportPart(aggregate, provenance_counts, reason_counts, category_counts,
-                       len(records), read_ns, time.perf_counter_ns() - t0)
+    return _Part([], [], counts, Counter(classify=time.perf_counter_ns() - t0), aggregate)
 
 
-def _report_shard(job: _ReportJob, path: Path,
-                  byte_range: tuple[int, int]) -> _ReportPart | _ShardError:
+def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
+                  byte_range: tuple[int, int]) -> _Part | MentionsFileError:
     """Read the mention lines in a byte range of the mentions file, then
-    run the report loop on them."""
+    run the report loop on them.
+
+    A malformed line raises.  A month outside the window is returned
+    instead, and raised by the parent once every shard is done: the serial
+    run reads the whole file before it checks a month, so a malformed line
+    in any shard comes first.
+    """
     t0 = time.perf_counter_ns()
-    try:
-        records = read_mentions_file(path, *byte_range)
-    except MentionsFileError as exc:
-        return _ShardError(0, str(exc))
+    records = read_mentions_file(path, *byte_range)
+    for r in records:
+        if not window.contains(r.month):
+            return MentionsFileError(f"mention month {r.month} outside corpus window "
+                                     f"{window.start}..{window.end} (doc {r.doc_id})")
     read_ns = time.perf_counter_ns() - t0
-    try:
-        return _report_records(job, records, read_ns)
-    except MentionsFileError as exc:
-        return _ShardError(1, str(exc))
-
-
-def _merge(total: CorpusAggregate, part: CorpusAggregate) -> None:
-    """Add a shard's monthly and hostname counts into the total."""
-    for month, stats in part.monthly.items():
-        before = total.monthly.get(month) or MonthlyStats(month)
-        total.monthly[month] = MonthlyStats(month, *map(add, astuple(before)[1:],
-                                                         astuple(stats)[1:]))
-    total.hostnames.update(part.hostnames)
+    part = _report_records(setup, records)
+    part.counts["mentions"] = len(records)
+    part.ns["read_mentions"] = read_ns
+    return part
 
 
 def _write_report(
-    settings: dict, corpus: _Corpus, parts: list[_ReportPart], out_dir: Path
+    settings: dict, corpus: _Corpus, total: _Part, out_dir: Path
 ) -> tuple[dict, dict, dict]:
-    """Sum the shards' parts into the CSV reports.
+    """Write the CSV reports from the shards' summed part.
 
     Returns the counts, the paper's figures and the stage timings.  Every
     report sorts its rows by a total order, so shard order cannot reach
     the output.
     """
     t0 = time.perf_counter_ns()
-    aggregate = CorpusAggregate(parts[0].aggregate.config)
+    aggregate = total.aggregate
     for entry in corpus.entries:
         aggregate.add_publications(entry.month)
-    for part in parts:
-        _merge(aggregate, part.aggregate)
-    counts = {key: {k: sum(getattr(part, key)[k] for part in parts)
-                    for k in getattr(parts[0], key)}
-              for key in ("provenance", "scope_reasons", "categories")}
-    mention_count = sum(part.mentions for part in parts)
-
     t1 = time.perf_counter_ns()
     report_paths = write_reports(out_dir, aggregate, settings["top_n"])
     t2 = time.perf_counter_ns()
-    totals = aggregate.totals()
+    totals, months = aggregate.totals(), len(aggregate.monthly_list())
     log.info("report: %d mentions, %d in scope, %d months, reports in %s",
-             mention_count, totals.uri_total, len(aggregate.monthly), out_dir)
+             total.counts["mentions"], totals.uri_total, months, out_dir)
     return {
         "documents": len(corpus.entries),
         "window_skipped": corpus.window_skipped,
-        "mentions": mention_count,
+        "mentions": total.counts["mentions"],
         "in_scope": totals.uri_total,
-        **counts,
-        "months": len(aggregate.monthly),
+        **{key: {member.value: total.counts[member] for member in enum}
+           for key, enum in (("provenance", Provenance), ("scope_reasons", ScopeReason),
+                             ("categories", Category))},
+        "months": months,
         "reports": sorted(Path(p).name for p in report_paths.values()),
     }, paper_figures(aggregate), {
-        "classify_s": _seconds(sum(part.classify_ns for part in parts) + t1 - t0),
+        "classify_s": _seconds(total.ns["classify"] + t1 - t0),
         "write_reports_s": _seconds(t2 - t1),
     }
 
 
-def _report_echo(settings: dict, window: MonthWindow, mentions, out_dir: Path) -> dict:
-    return {
-        "manifest": str(settings["manifest"]),
-        "mentions": str(mentions),
-        "model": str(settings["model"]),
-        "out_dir": str(out_dir),
-        "policy": settings["policy"] and str(settings["policy"]),
-        "denylist": settings["denylist"] and str(settings["denylist"]),
-        "patterns": settings["patterns"] and str(settings["patterns"]),
-        "category_policy": settings["category_policy"],
-        "bin_width": settings["bin_width"],
-        "top_n": settings["top_n"],
-        "window": [window.start, window.end],
-    }
+def _report_echo(settings: dict, window: MonthWindow, mentions: Path, out_dir: Path) -> dict:
+    # Option values are argparse's strings and numbers (None when unset).
+    echo = {k: settings[k] for k in ("manifest", "model", "policy", "denylist", "patterns",
+                                     "category_policy", "bin_width", "top_n")}
+    return {**echo, "mentions": str(mentions), "out_dir": str(out_dir),
+            "window": [window.start, window.end]}
 
 
 def cmd_report(settings: dict) -> int:
     _require(settings, "mentions", "model", "manifest", "out_dir")
     mentions_path = _require_file(settings["mentions"], "mentions file")
-    out_dir = Path(settings["out_dir"])
+    out_dir = _require_output_dir(settings["out_dir"])
     setup = _load_report_setup(settings)
     corpus = _load_corpus(settings)
     # Each shard reads its own line-aligned byte range of the mentions file.
     ranges = shards.line_ranges(mentions_path,
                                 shards.shard_count(os.path.getsize(mentions_path)))
-    results = shards.run_shards(
-        partial(_report_shard, _ReportJob(setup, corpus.window), mentions_path), ranges)
-    errors = [r for r in results if isinstance(r, _ShardError)]
-    if errors:
-        raise MentionsFileError(min(errors, key=attrgetter("rank")).message)
-    counts, figures, timings = _write_report(settings, corpus, results, out_dir)
+    parts = shards.run_shards(partial(_report_shard, setup, corpus.window, mentions_path),
+                              ranges)
+    for part in parts:
+        if isinstance(part, MentionsFileError):
+            raise part
+    total = _add(parts)
+    counts, figures, timings = _write_report(settings, corpus, total, out_dir)
     echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
     _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures,
                     timings={"workers": len(ranges),
-                             "read_mentions_s": _seconds(sum(r.read_ns for r in results)),
+                             "read_mentions_s": _seconds(total.ns["read_mentions"]),
                              **timings})
     return EXIT_OK
 
 
 def cmd_pipeline(settings: dict) -> int:
     _require(settings, "manifest", "model", "out_dir")
+    out_dir = _require_output_dir(settings["out_dir"])
     setup = _load_report_setup(settings)
     corpus = _load_corpus(settings)
-    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     mentions_path = _require_output_path(settings["mentions"] or out_dir / "mentions.tsv",
                                          "mentions file")
     # Each shard extracts its documents and runs the report loop on them.
-    extract_counts, parts, extract_timings = _run_extraction(
-        settings, corpus, mentions_path, _ReportJob(setup, corpus.window))
-    report_counts, figures, report_timings = _write_report(
-        settings, corpus, [part.report for part in parts], out_dir)
-    echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
-    echo["docs_root"] = str(settings["docs_root"] or Path(settings["manifest"]).parent)
-    echo["dedup_per_doc"] = settings["dedup_per_doc"]
+    extract_counts, total, extract_timings = _run_extraction(settings, corpus, mentions_path,
+                                                             setup)
+    report_counts, figures, report_timings = _write_report(settings, corpus, total, out_dir)
+    echo = {**_report_echo(settings, corpus.window, mentions_path, out_dir),
+            "docs_root": str(settings["docs_root"] or Path(settings["manifest"]).parent),
+            "dedup_per_doc": settings["dedup_per_doc"]}
     counts = {"extract": extract_counts, "report": report_counts}
     _write_metadata(out_dir / "run_metadata.json", "pipeline", echo, counts, figures=figures,
                     timings={**extract_timings, **report_timings})
@@ -613,8 +575,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> 
 
     The first parse names the command and so its options.  Each option's
     --config value, then its OADSCAN_<OPTION> value, is put ahead of the
-    command line's own flags as --option=value (a boolean as --option or
-    --no-option), and the command is parsed again.  argparse keeps the last
+    command line's own flags as --option=value (a boolean's 1/true/yes as
+    --option, 0/false/no as --no-option), and the command is parsed again.  argparse keeps the last
     value it reads, so flag > environment > config > default, and every
     value passes the option's own type and choice checks.
     """
@@ -635,11 +597,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> 
             value = lookup(dest)
             if value is None:
                 continue
-            flag = "--" + dest.replace("_", "-")
-            if isinstance(getattr(args, dest), bool):
-                earlier.append(flag if str(value).lower() in _TRUTHY else "--no-" + flag[2:])
-            else:
-                earlier.append(f"{flag}={value}")
+            option = dest.replace("_", "-")
+            spelling = str(value).lower()  # JSON true and false read "true" and "false"
+            if isinstance(getattr(args, dest), bool) and spelling in _BOOLEAN:
+                earlier.append(_BOOLEAN[spelling] + option)
+            else:  # argparse rejects any other value of a boolean flag
+                earlier.append(f"--{option}={value}")
     at = argv.index(args.command) + 1
     return parser.parse_args([*argv[:at], *earlier, *argv[at:]])
 

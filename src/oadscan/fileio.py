@@ -1,9 +1,14 @@
-"""Small file-output helpers shared across the pipeline."""
+"""Small file helpers shared across the pipeline: atomic output, and the
+checks of the JSON filter-configuration files."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+from typing import Callable, Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def atomic_write_text(path: str | Path, *texts: str) -> None:
@@ -32,3 +37,35 @@ def atomic_write_text(path: str | Path, *texts: str) -> None:
         except OSError:
             pass
         raise
+
+
+def load_json(path: str | Path, parse: Callable[[object], T]) -> T:
+    """``parse`` applied to the JSON value in a file.  A file that is not
+    UTF-8 JSON, or a value that ``parse`` rejects with a ValueError, is a
+    ValueError naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def json_object(value: object, what: str, keys: Sequence[str],
+                required: Iterable[str] = ()) -> dict:
+    """``value`` checked to be a JSON object with every required key and no
+    key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {json.dumps(value)[:60]}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}; the keys are {', '.join(keys)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} has no {key!r} key")
+    return value
+
+
+def string_list(value: object, what: str) -> list[str]:
+    """``value`` checked to be a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings, not {json.dumps(value)[:60]}")
+    return value

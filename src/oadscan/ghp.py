@@ -10,13 +10,13 @@ rule kind, so a host costs a lookup per dotted suffix, not a test per rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 from .classifier import Label
+from .fileio import json_object, load_json
 from .scope import ParsedUri, parse_uri
 
 __all__ = [
@@ -37,8 +37,6 @@ class Platform(Enum):
     SOURCEFORGE = "sourceforge"
     BITBUCKET = "bitbucket"
 
-
-_PLATFORM_ORDER = (Platform.GITHUB, Platform.GITLAB, Platform.SOURCEFORGE, Platform.BITBUCKET)
 
 _RULE_KINDS = ("exact", "suffix", "first-label")
 
@@ -76,58 +74,44 @@ class GhpPatternSet:
         return tables
 
     @classmethod
-    def default(cls) -> "GhpPatternSet":
-        return cls(
-            (
-                (
-                    Platform.GITHUB,
-                    (
-                        HostRule("exact", "github.com"),
-                        HostRule("suffix", ".github.com"),
-                        HostRule("suffix", ".github.io"),
-                    ),
-                ),
-                (
-                    Platform.GITLAB,
-                    (
-                        HostRule("exact", "gitlab.com"),
-                        HostRule("first-label", "gitlab"),
-                    ),
-                ),
-                (
-                    Platform.SOURCEFORGE,
-                    (
-                        HostRule("exact", "sourceforge.net"),
-                        HostRule("suffix", ".sourceforge.net"),
-                    ),
-                ),
-                (
-                    Platform.BITBUCKET,
-                    (
-                        HostRule("exact", "bitbucket.org"),
-                        HostRule("suffix", ".bitbucket.org"),
-                    ),
-                ),
-            )
-        )
+    def from_file(cls, path: str | Path) -> "GhpPatternSet":
+        """Load a pattern file; it replaces the whole rule set."""
+        return load_json(path, cls._from_json)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "GhpPatternSet":
-        """Load per-platform rule lists from JSON keyed by platform name."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    def _from_json(cls, value: object) -> "GhpPatternSet":
+        """Rules from a JSON object keyed by platform name, each holding a
+        list of {"kind": ..., "host": ...} rules; an absent platform has none."""
+        data = json_object(value, "patterns", [p.value for p in Platform])
         rules = []
-        for platform in _PLATFORM_ORDER:
+        for platform in Platform:
             entries = data.get(platform.value, [])
-            rules.append(
-                (
-                    platform,
-                    tuple(HostRule(e["kind"], str(e["host"]).lower()) for e in entries),
-                )
-            )
+            if not isinstance(entries, list):
+                raise ValueError(f"the {platform.value} rules must be a list")
+            rules.append((platform, tuple(_host_rule(e, platform) for e in entries)))
         return cls(tuple(rules))
 
 
-DEFAULT_PATTERNS = GhpPatternSet.default()
+def _host_rule(value: object, platform: Platform) -> HostRule:
+    what = f"a {platform.value} rule"
+    rule = json_object(value, what, ("kind", "host"), required=("kind", "host"))
+    if not isinstance(rule["kind"], str) or not isinstance(rule["host"], str):
+        raise ValueError(f"{what}'s kind and host must be strings: {rule}")
+    return HostRule(rule["kind"], rule["host"].lower())
+
+
+# The built-in rules, written as a pattern file holds them.
+DEFAULT_PATTERNS = GhpPatternSet._from_json({
+    "github": [{"kind": "exact", "host": "github.com"},
+               {"kind": "suffix", "host": ".github.com"},
+               {"kind": "suffix", "host": ".github.io"}],
+    "gitlab": [{"kind": "exact", "host": "gitlab.com"},
+               {"kind": "first-label", "host": "gitlab"}],
+    "sourceforge": [{"kind": "exact", "host": "sourceforge.net"},
+                    {"kind": "suffix", "host": ".sourceforge.net"}],
+    "bitbucket": [{"kind": "exact", "host": "bitbucket.org"},
+                  {"kind": "suffix", "host": ".bitbucket.org"}],
+})
 
 
 def detect_ghp(parsed: ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) -> Platform | None:

@@ -13,12 +13,13 @@ its fields instead of splitting the string again.
 from __future__ import annotations
 
 import ipaddress
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from urllib.parse import urlsplit
+
+from .fileio import json_object, load_json, string_list
 
 __all__ = [
     "ScopeReason",
@@ -98,15 +99,20 @@ class ScopePolicy:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScopePolicy":
-        """Load a policy JSON file; absent keys keep their defaults."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Load a policy JSON file: an object whose keys are this class's
+        fields, each a list of strings; absent keys keep their defaults."""
+        return load_json(path, cls._from_json)
+
+    @classmethod
+    def _from_json(cls, value: object) -> "ScopePolicy":
         kwargs = {}
-        for key in ("allowed_schemes", "publication_hosts", "doi_hosts", "doi_allow_prefixes"):
-            if key in data:
-                kwargs[key] = frozenset(str(v).lower() for v in data[key])
-        if "private_ranges" in data:
-            kwargs["private_ranges"] = tuple(str(v) for v in data["private_ranges"])
-        return cls(**kwargs)
+        for key, items in json_object(value, "policy", [f.name for f in fields(cls)]).items():
+            items = string_list(items, key)
+            kwargs[key] = (tuple(items) if key == "private_ranges"
+                           else frozenset(v.lower() for v in items))
+        policy = cls(**kwargs)
+        policy.networks  # a range that is not an IP network fails here, not mid-run
+        return policy
 
 
 DEFAULT_POLICY = ScopePolicy()

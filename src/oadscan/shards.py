@@ -18,7 +18,7 @@ S = TypeVar("S")
 R = TypeVar("R")
 
 # The most workers a command starts.  Two is the largest count measured
-# to pay (report 1.6x, pipeline 1.35x on a 2-CPU host); more is untested.
+# to pay (report 1.53x, pipeline 1.40x on a 2-CPU host); more is untested.
 MAX_WORKERS = 2
 # The least input a worker is given.  Starting the pool costs about 40 ms,
 # and report and pipeline get through 3-5 MB/s of input per CPU, so a

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oadscan.analytics import (
     CorpusAggregate,
@@ -243,3 +244,39 @@ class TestCsvOutput:
         assert lines[0].startswith("month,publications,uri_total")
         assert lines[1] == "2020-01,2,3,2,1,1,1,1.5000,1.0000,0.5000,33.33,33.33,33.33"
         assert lines[2] == "2020-02,3,0,0,0,0,0,0.0000,0.0000,0.0000,,,"
+
+
+MONTHS = st.sampled_from(["2019-01", "2019-02", "2020-07", "2021-12"])
+# ("publications", month, count) or ("mention", month, category, host); a
+# count of 0 still gives the month a row.
+EVENTS = st.lists(st.one_of(
+    st.tuples(st.just("publications"), MONTHS, st.integers(0, 3)),
+    st.tuples(st.just("mention"), MONTHS, st.sampled_from(list(Category)),
+              st.sampled_from(["a.org", "b.org", "c.org"])),
+), max_size=40)
+
+
+def fill(events):
+    agg = CorpusAggregate()
+    for kind, *args in events:
+        if kind == "publications":
+            agg.add_publications(*args)
+        else:
+            agg.add_mention(*args)
+    return agg
+
+
+def readings(agg):
+    return agg.monthly_list(), agg.totals(), agg.hostname_stats(), paper_figures(agg)
+
+
+@given(events=EVENTS, cuts=st.tuples(*[st.integers(0, 40)] * 3))
+@settings(max_examples=300, deadline=None)
+def test_update_joins_parts_into_the_one_pass_aggregate(events, cuts):
+    whole = readings(fill(events))
+    for bounds in ([cuts[0]], sorted(cuts[1:])):
+        ends = [min(b, len(events)) for b in bounds] + [len(events)]
+        joined = fill(events[:ends[0]])
+        for start, end in zip(ends, ends[1:]):
+            joined.update(fill(events[start:end]))
+        assert readings(joined) == whole

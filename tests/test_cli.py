@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import stat
 from pathlib import Path
@@ -262,6 +263,78 @@ class TestReport:
         ) == EXIT_DATA
 
 
+    def test_out_dir_that_is_a_file_is_usage_error_before_reading(self, tmp_path, monkeypatch,
+                                                                  caplog):
+        mentions = tmp_path / "m.tsv"
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
+        reads = []
+        monkeypatch.setattr(cli_mod, "read_mentions_file", lambda *a: reads.append(a))
+        for out_dir in (mentions, mentions / "sub"):
+            assert run("report", "--mentions", mentions, "--model", MODEL, "--manifest",
+                       CORPUS / "manifest.tsv", "--out-dir", out_dir) == EXIT_USAGE
+            assert f"output directory {out_dir}: {mentions} is not a directory" in caplog.text
+        assert reads == []
+
+
+class TestFilterFiles:
+    """A malformed --policy, --denylist or --patterns file is a data error
+    that names the file and the problem, found before any output exists."""
+
+    CASES = {
+        "denylist unknown key": ("--denylist", '{"hosts": ["a.org"]}', "unknown key 'hosts'"),
+        "denylist empty object": ("--denylist", "{}", "no 'publisher_hosts' key"),
+        "denylist one string": ("--denylist", '"springer.com"', "must be a list of strings"),
+        "denylist number host": ("--denylist", '[1, "a.org"]', "must be a list of strings"),
+        "patterns rule without kind": ("--patterns", '{"github": [{"host": "github.com"}]}',
+                                       "a github rule has no 'kind' key"),
+        "patterns unknown platform": ("--patterns", '{"githib": []}', "unknown key 'githib'"),
+        "patterns rules not a list": ("--patterns", '{"gitlab": {"kind": "exact"}}',
+                                      "gitlab rules must be a list"),
+        "patterns host not a string": ("--patterns",
+                                       '{"github": [{"kind": "exact", "host": 7}]}',
+                                       "kind and host must be strings"),
+        "patterns list": ("--patterns", "[]", "patterns must be a JSON object"),
+        "policy value of the wrong type": ("--policy", '{"allowed_schemes": 5}',
+                                           "allowed_schemes must be a list of strings"),
+        "policy list": ("--policy", '["http"]', "policy must be a JSON object"),
+        "policy unknown key": ("--policy", '{"allowed_scheme": ["http"]}',
+                               "unknown key 'allowed_scheme'"),
+        "policy bad range": ("--policy", '{"private_ranges": ["10.0.0.300/8"]}', "10.0.0.300/8"),
+        "policy not JSON": ("--policy", '{"allowed_schemes": [', "Expecting value"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_malformed_file_is_data_error_naming_it(self, case, tmp_path, caplog):
+        option, text, problem = self.CASES[case]
+        path = tmp_path / "filter.json"
+        path.write_text(text, encoding="utf-8")
+        mentions = tmp_path / "m.tsv"
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
+        caplog.clear()
+        out = tmp_path / "r"
+        assert run("report", "--mentions", mentions, "--model", MODEL, "--manifest",
+                   CORPUS / "manifest.tsv", "--out-dir", out, option, path) == EXIT_DATA
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{path}: ") and problem in errors[0]
+        assert not out.exists()
+
+    def test_denylist_list_and_object_forms_agree(self, tmp_path):
+        mentions = tmp_path / "m.tsv"
+        assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
+        outputs = []
+        for n, text in enumerate(['["Zenodo.org"]', '{"publisher_hosts": ["zenodo.org"]}']):
+            denylist = tmp_path / f"denylist{n}.json"
+            denylist.write_text(text, encoding="utf-8")
+            out = tmp_path / f"r{n}"
+            assert run("report", "--mentions", mentions, "--model", MODEL, "--manifest",
+                       CORPUS / "manifest.tsv", "--out-dir", out,
+                       "--denylist", denylist) == EXIT_OK
+            outputs.append(json.loads((out / "run_metadata.json").read_text())["counts"])
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["provenance"]["heuristic_publisher"] > 0
+
+
 class TestPipeline:
     def test_fused_equals_staged(self, tmp_path):
         staged_mentions = tmp_path / "mentions.tsv"
@@ -470,6 +543,7 @@ class TestOptionSources:
         "int": ("pipeline", "bin_width", "abc", "--bin-width"),
         "float": ("train", "learning_rate", "x", "--learning-rate"),
         "choice": ("pipeline", "category_policy", "bogus", "--category-policy"),
+        "boolean": ("pipeline", "dedup_per_doc", "ture", "--dedup-per-doc"),
     }
 
     @staticmethod
@@ -504,6 +578,32 @@ class TestOptionSources:
         assert exc.value.code == EXIT_USAGE
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True), (True, True),
+        ("0", False), ("False", False), ("no", False), (False, False),
+    ])
+    def test_boolean_spellings(self, value, expected, tmp_path, monkeypatch):
+        seen = self.capture(monkeypatch, "extract")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dedup_per_doc": value}))
+        run("extract", "--config", config)
+        # the environment's value over the config file's opposite
+        config.write_text(json.dumps({"dedup_per_doc": not expected}))
+        monkeypatch.setenv("OADSCAN_DEDUP_PER_DOC", str(value))
+        run("extract", "--config", config)
+        assert [s["dedup_per_doc"] for s in seen] == [expected, expected]
+
+    @pytest.mark.parametrize("value", [0.5, "ture", ""])
+    def test_other_boolean_value_in_config_is_usage_error(self, value, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dedup_per_doc": value}))
+        with pytest.raises(SystemExit) as exc:
+            run("extract", "--config", config, "--manifest", CORPUS / "manifest.tsv",
+                "--out", tmp_path / "m.tsv")
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --dedup-per-doc" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
 
     @pytest.mark.parametrize("command", ["report", "pipeline"])
     @pytest.mark.parametrize("flag", ["--bin-width", "--top-n"])

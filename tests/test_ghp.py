@@ -70,6 +70,18 @@ class TestDetectGhp:
     def test_port_does_not_break_label_match(self):
         assert detect_ghp(parse_uri("https://github.com:8443/u/r")) is Platform.GITHUB
 
+    def test_default_rules(self):
+        assert DEFAULT_PATTERNS.rules == (
+            (Platform.GITHUB, (HostRule("exact", "github.com"), HostRule("suffix", ".github.com"),
+                               HostRule("suffix", ".github.io"))),
+            (Platform.GITLAB, (HostRule("exact", "gitlab.com"),
+                               HostRule("first-label", "gitlab"))),
+            (Platform.SOURCEFORGE, (HostRule("exact", "sourceforge.net"),
+                                    HostRule("suffix", ".sourceforge.net"))),
+            (Platform.BITBUCKET, (HostRule("exact", "bitbucket.org"),
+                                  HostRule("suffix", ".bitbucket.org"))),
+        )
+
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             HostRule("suffix", "github.com")  # suffix must start with a dot
