@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .extraction import MentionRecord, UriMention
+from .extraction import UriMention
 from .fileio import atomic_write_text, json_object, load_json, string_list
 from .scope import ParsedUri, parse_uri
 
@@ -345,18 +345,14 @@ def score_text(model: TrainedModel, context: str, parsed: ParsedUri) -> float:
 
 
 def classify_hybrid(
-    mention: UriMention | MentionRecord,
-    model: TrainedModel,
-    denylist: frozenset[str] = DEFAULT_DENYLIST,
-    parsed: ParsedUri | None = None,
+    mention: UriMention, model: TrainedModel, denylist: frozenset[str] = DEFAULT_DENYLIST
 ) -> Classification:
     """Heuristic verdict when a rule matches, learned verdict otherwise;
     the learned verdict is OADS at a score >= the model's threshold.
 
-    The mention's URI is parsed once (unless ``parsed`` is given) and both
-    layers read that parse.
+    The mention's URI is parsed once and both layers read that parse.
     """
-    parsed = parse_uri(parsed or mention.uri)
+    parsed = parse_uri(mention.uri)
     verdict = classify_heuristic(parsed, denylist)
     if verdict is not None:
         return verdict

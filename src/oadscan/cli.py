@@ -35,10 +35,11 @@ from .classifier import (
     Provenance,
     TrainedModel,
     TrainingConfig,
-    classify_hybrid,
+    classify_heuristic,
     evaluate,
     load_denylist,
     read_labeled_file,
+    score_text,
     train,
 )
 from .corpus import (
@@ -59,7 +60,7 @@ from .extraction import (
     write_mentions_text,
 )
 from .fileio import atomic_write_text
-from .ghp import Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, categorize
+from .ghp import Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, detect_ghp
 from .scope import DEFAULT_POLICY, ScopePolicy, ScopeReason, is_in_scope, parse_uri
 from . import shards
 
@@ -356,21 +357,37 @@ def cmd_evaluate(settings: dict) -> int:
 
 
 def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
-    """Classify, scope and categorize mentions into a partial aggregate."""
+    """Classify, scope and categorize mentions into a partial aggregate.
+
+    Rules and scope run on every mention, as each is counted.  The model
+    scores an in-scope mention no rule decided, and only when its category
+    depends on the label: no GHP platform, or the classifier-decides policy.
+    """
     t0 = time.perf_counter_ns()
     counts: Counter = Counter()
     aggregate = CorpusAggregate(setup.config)
+    ghp_forces_oads = setup.config.category_policy is CategoryPolicy.GHP_FORCES_OADS
     for r in records:
         parsed = parse_uri(r.uri)
-        classification = classify_hybrid(r, setup.model, setup.denylist, parsed)
-        counts[classification.provenance] += 1
+        rule = classify_heuristic(parsed, setup.denylist)
+        counts[Provenance.LEARNED if rule is None else rule.provenance] += 1
         verdict = is_in_scope(parsed, setup.policy)
         counts[verdict.reason] += 1
-        if verdict.in_scope:
-            category = categorize(parsed, classification.label, setup.patterns,
-                                  setup.config.category_policy)
-            counts[category] += 1
-            aggregate.add_mention(r.month, category, parsed.hostname)
+        if not verdict.in_scope:
+            continue
+        platform = detect_ghp(parsed, setup.patterns)
+        if platform is not None and ghp_forces_oads:
+            category = Category.GHP
+        elif rule is not None:  # the rules' label is Non-OADS
+            category = Category.NON_OADS
+        else:
+            counts["scored"] += 1
+            if score_text(setup.model, r.context, parsed) < setup.model.threshold:
+                category = Category.NON_OADS
+            else:
+                category = Category.NON_GHP_OADS if platform is None else Category.GHP
+        counts[category] += 1
+        aggregate.add_mention(r.month, category, parsed.hostname)
     return _Part([], [], counts, Counter(classify=time.perf_counter_ns() - t0), aggregate)
 
 
@@ -421,6 +438,7 @@ def _write_report(
         "window_skipped": corpus.window_skipped,
         "mentions": total.counts["mentions"],
         "in_scope": totals.uri_total,
+        "scored": total.counts["scored"],  # the mentions the learned model scored
         **{key: {member.value: total.counts[member] for member in enum}
            for key, enum in (("provenance", Provenance), ("scope_reasons", ScopeReason),
                              ("categories", Category))},

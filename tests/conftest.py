@@ -29,10 +29,16 @@ def force_shards(monkeypatch):
     return force
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "real_shard_count: the test checks the commands' own "
+                            "shard count, so --shards leaves it alone")
+
+
 @pytest.fixture(autouse=True)
 def _shards_option(request, force_shards):
-    if request.config.getoption("--shards") is not None:
-        force_shards(request.config.getoption("--shards"))
+    n = request.config.getoption("--shards")
+    if n is not None and request.node.get_closest_marker("real_shard_count") is None:
+        force_shards(n)
 
 
 @pytest.fixture(scope="session")

@@ -210,6 +210,7 @@ def test_skipped_documents_recorded_and_logged_in_manifest_order(tmp_path, caplo
 # --- how many shards, and dead workers ---------------------------------------
 
 
+@pytest.mark.real_shard_count
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_shard_count(monkeypatch, cpus):
     monkeypatch.setattr(shards, "_usable_cpus", lambda: cpus)
@@ -219,6 +220,7 @@ def test_shard_count(monkeypatch, cpus):
     assert shards.shard_count(10**9) == min(cpus, MAX_WORKERS)
 
 
+@pytest.mark.real_shard_count
 def test_input_size_sets_the_shards(tmp_path, monkeypatch):
     # The golden corpus is far below two minimum shards, so one process
     # does the work; a corpus of two or more minimum shards is cut in two.
