@@ -186,7 +186,9 @@ class CorpusAggregate:
 def _monthly_stats(month: str, publications: int, ghp: int, non_ghp_oads: int,
                    non_oads: int) -> MonthlyStats:
     oads = ghp + non_ghp_oads
-    return MonthlyStats(month, publications, oads + non_oads, oads, non_oads, ghp, non_ghp_oads)
+    stats = MonthlyStats(month, publications, oads + non_oads, oads, non_oads, ghp, non_ghp_oads)
+    stats.check()
+    return stats
 
 
 def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:

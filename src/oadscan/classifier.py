@@ -55,6 +55,8 @@ class Label(Enum):
 
 
 class Provenance(Enum):
+    __hash__ = object.__hash__  # equality is identity; skip Enum's Python-level hash
+
     HEURISTIC_PUBLISHER = "heuristic_publisher"
     HEURISTIC_PDF = "heuristic_pdf"
     LEARNED = "learned"

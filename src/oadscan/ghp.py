@@ -137,6 +137,8 @@ def detect_ghp(parsed: ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) ->
 
 
 class Category(Enum):
+    __hash__ = object.__hash__  # equality is identity; skip Enum's Python-level hash
+
     GHP = "ghp"
     NON_GHP_OADS = "non_ghp_oads"
     NON_OADS = "non_oads"

@@ -13,6 +13,7 @@ its fields instead of splitting the string again.
 from __future__ import annotations
 
 import ipaddress
+import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -36,6 +37,8 @@ __all__ = [
 
 
 class ScopeReason(Enum):
+    __hash__ = object.__hash__  # equality is identity; skip Enum's Python-level hash
+
     SCHEME_EXCLUDED = "scheme_excluded"
     LOCAL_OR_PRIVATE_HOST = "local_or_private_host"
     PUBLICATION_LINK = "publication_link"
@@ -179,15 +182,36 @@ class ParsedUri:
         return True
 
 
+# A plain URI: scheme://authority[/path][?query or #fragment], with no
+# space, and no userinfo or IPv6 brackets in the authority.  urlsplit
+# splits such a URI (when it is also ASCII and printable) at the first
+# "/", "?" and "#" after the authority, as this pattern's groups do.
+_PLAIN_URI = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#@\[\] ]*)(/[^?# ]*)?(?:[?#][^ ]*)?")
+
+
+def _split(uri: str) -> tuple[str, str, str]:
+    """(scheme, netloc, path) of a URI, as ``urlsplit`` gives them.
+
+    A plain URI is split by one regex match; every other URI goes through
+    ``urlsplit`` and its checks, whose ValueError propagates.
+    """
+    if uri.isascii() and uri.isprintable():
+        m = _PLAIN_URI.fullmatch(uri)
+        if m is not None:
+            return m[1], m[2], m[3] or ""
+    parts = urlsplit(uri)
+    return parts.scheme, parts.netloc, parts.path
+
+
 def parse_uri(uri: str | ParsedUri) -> ParsedUri:
     """Parse a URI string; an already-parsed value is returned unchanged."""
     if isinstance(uri, ParsedUri):
         return uri
     try:
-        parts = urlsplit(uri)
-        scheme = parts.scheme.lower()
+        scheme, netloc, path = _split(uri)
+        scheme = scheme.lower()
         # Strip userinfo; the rightmost @ separates it from the host.
-        host, port = split_port(parts.netloc.rpartition("@")[2].lower())
+        host, port = split_port(netloc.rpartition("@")[2].lower())
         if port is not None and port != _DEFAULT_PORTS.get(scheme):
             hostname = f"{host}:{port}"
         else:
@@ -195,8 +219,8 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
     except ValueError:
         return ParsedUri(uri, "", None, None, "", None)
     if not host:
-        return ParsedUri(uri, scheme, None, port, parts.path, None)
-    return ParsedUri(uri, scheme, host, port, parts.path, hostname)
+        return ParsedUri(uri, scheme, None, port, path, None)
+    return ParsedUri(uri, scheme, host, port, path, hostname)
 
 
 def host_of(uri: str) -> str:

@@ -26,13 +26,35 @@ MAX_WORKERS = 2
 MIN_SHARD_BYTES = 256 * 1024
 
 
+# The cgroup v2 CPU quota at the top of the mounted hierarchy, which in a
+# container is the container's own cgroup: "max <period>" when there is
+# no limit, "<quota> <period>" when the cgroup may use quota microseconds
+# of CPU time per period.  Absent on the host's root cgroup and on v1.
+CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+
+
+def _quota_cpus() -> int | None:
+    """The CPUs' worth of time the cgroup quota allows, rounded up; None
+    when there is no quota or its file is missing or malformed."""
+    try:
+        quota, period = (int(v) for v in CPU_MAX.read_text().split())
+    except (OSError, ValueError):
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
+    """The CPUs this process may run on, and the cgroup quota lets it
+    keep busy; 1 where it cannot fork."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _quota_cpus() or cpus)
 
 
 def shard_count(input_bytes: int) -> int:

@@ -311,9 +311,12 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
         mentions = tmp_path / "mentions.tsv"
         assert main(["extract", "--manifest", str(CORPUS / "manifest.tsv"),
                      "--out", str(mentions)]) == EXIT_OK
-        parses = []
-        port_splits = []
-        urlsplit, split_port = scope_mod.urlsplit, scope_mod.split_port
+        splits, parses, port_splits = [], [], []
+        split, urlsplit, split_port = scope_mod._split, scope_mod.urlsplit, scope_mod.split_port
+
+        def counting_split(*args, **kwargs):
+            splits.append(args[0])
+            return split(*args, **kwargs)
 
         def counting_urlsplit(*args, **kwargs):
             parses.append(args[0])
@@ -323,6 +326,7 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
             port_splits.append(args[0])
             return split_port(*args, **kwargs)
 
+        monkeypatch.setattr(scope_mod, "_split", counting_split)
         monkeypatch.setattr(scope_mod, "urlsplit", counting_urlsplit)
         monkeypatch.setattr(scope_mod, "split_port", counting_split_port)
         assert main(["report", "--mentions", str(mentions), "--model", str(DATA / "model.json"),
@@ -330,7 +334,13 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
                      "--out-dir", str(tmp_path / "reports")]) == EXIT_OK
         uris = [r.uri for r in read_mentions_file(mentions)]
         assert len(uris) >= 30
-        assert Counter(parses) == Counter(uris)
+        assert Counter(splits) == Counter(uris)
+        # urlsplit runs for exactly the URIs the plain-URI regex rejects;
+        # the golden corpus has URIs on both paths.
+        rejected = [u for u in uris if not (u.isascii() and u.isprintable()
+                                            and scope_mod._PLAIN_URI.fullmatch(u))]
+        assert 0 < len(rejected) < len(uris)
+        assert Counter(parses) == Counter(rejected)
         # One split, in the parse; the private-host check reads its host.
         assert len(port_splits) == len(uris)
 

@@ -1,10 +1,14 @@
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oadscan import scope
 from oadscan.classifier import _sparse_counts, classify_heuristic
 from oadscan.ghp import detect_ghp
 from oadscan.scope import (
@@ -116,6 +120,75 @@ class TestParseUri:
         assert not parse_uri("https://notspringer.com/x").in_domains(domains)
         assert not parse_uri("https://springer.com.evil.org/x").in_domains(domains)
         assert not parse_uri("mailto:x@doi.org").in_domains(domains)
+
+
+# Plain URIs (ports default, other, empty and malformed), the same with
+# one odd piece put in anywhere (userinfo, an IPv6 bracket, whitespace, a
+# control or non-ASCII character, a separator), and arbitrary text.
+_PLAIN = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http", "HTTPS", "ftp", "file", "git+ssh", "a1.-", "1http", ""]),
+        st.sampled_from(["://", "://", "://", "://", "://", ":", ":/", "//"]),
+        st.text(alphabet="aZ09.-_~%!", max_size=10),
+        st.sampled_from(["", "", ":80", ":443", ":8080", ":", ":abc", ":1:2"]),
+        st.sampled_from(["", "/", "/", "?", "#"]),
+        st.text(alphabet="aZ/?#:@.%[]", max_size=10),
+    ),
+)
+_ODD = st.sampled_from(["[", "]", "[::1]", "[::1", "@", "u:pw@", " ", "\t", "\n", "\x00",
+                        "\x7f", "é", "＠", ":", "/", "?", "#", "//"])
+_URIS = st.one_of(
+    _PLAIN,
+    st.builds(lambda uri, odd, at: uri[:at] + odd + uri[at:], _PLAIN, _ODD, st.integers(0, 40)),
+    st.text(max_size=30),
+)
+
+
+class TestPlainUriSplit:
+    """The regex split of a plain URI against the urlsplit path it skips."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_URIS)
+    @example("http://[::1]:8080/x")
+    @example("http://[::1]x/")
+    @example("http://[::1/x")
+    @example("http://[::1")
+    @example("http://user:pw@Example.org:8443/x")
+    @example("http://example.org:80/x")
+    @example("https://example.org:443/x")
+    @example("http://example.org:8080/x")
+    @example("http://example.org:/x")
+    @example("http://example.org:abc/x")
+    @example("http://a:b:c/x")
+    @example("http://exa mple.org/x")
+    @example("http://example.org/a b")
+    @example("http://exa\tmple.org/x")
+    @example("http://example.org/\tx")
+    @example("http://exa\x00mple.org/x")
+    @example("http://exa\x7fmple.org/x")
+    @example("http://exämple.org/x")
+    @example("http://user＠example.org/x")
+    @example("file:///x")
+    @example("http://")
+    @example("http://example.org?q=/x")
+    @example("http://example.org#f/x")
+    @example("http://example.org?q#f")
+    @example("HTTP://EXAMPLE.ORG/A")
+    def test_matches_the_urlsplit_path(self, uri):
+        fast = parse_uri(uri)
+        with mock.patch.object(scope, "_PLAIN_URI", re.compile(r"(?!)")):
+            reference = parse_uri(uri)  # every URI through urlsplit
+        assert fast == reference
+
+    def test_only_plain_uris_reach_urlsplit(self):
+        plain = ["https://GitHub.com:8443/a?b#c", "file:///x", "http://"]
+        other = ["http://[::1]:8080/x", "http://u@h/", "http://h/a b", "http://é/",
+                 "http://h/\tx", "mailto:x@y.org"]
+        with mock.patch.object(scope, "urlsplit", wraps=scope.urlsplit) as spy:
+            for uri in plain + other:
+                parse_uri(uri)
+        assert [c.args[0] for c in spy.call_args_list] == other
 
 
 class TestIsPrivateOrLocal:

@@ -220,6 +220,35 @@ def test_shard_count(monkeypatch, cpus):
     assert shards.shard_count(10**9) == min(cpus, MAX_WORKERS)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="one CPU where the commands cannot fork")
+@pytest.mark.parametrize("cpu_max, mask, expected", [
+    ("max 100000\n", 2, 2),        # no quota: the affinity mask decides
+    ("100000 100000\n", 2, 1),     # one CPU's worth of time
+    ("50000 100000\n", 2, 1),      # part of a CPU rounds up to one
+    ("150000 100000\n", 4, 2),     # 1.5 CPUs round up to two
+    ("400000 100000\n", 2, 2),     # a quota above the mask leaves the mask
+    (None, 3, 3),                  # no cpu.max file
+    ("", 2, 2),                    # malformed files are ignored
+    ("100000\n", 2, 2),
+    ("max max\n", 2, 2),
+    ("1 2 3\n", 2, 2),
+    ("0 100000\n", 2, 2),
+    ("100000 0\n", 2, 2),
+    ("-100000 100000\n", 2, 2),
+])
+def test_usable_cpus_honours_the_cgroup_quota(tmp_path, monkeypatch, cpu_max, mask, expected):
+    # A fake cpu.max file stands in for the cgroup's; no real quota is set.
+    fake = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        fake.write_text(cpu_max)
+    monkeypatch.setattr(shards, "CPU_MAX", fake)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(mask)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: mask)
+    assert shards._usable_cpus() == expected
+
+
 @pytest.mark.real_shard_count
 def test_input_size_sets_the_shards(tmp_path, monkeypatch):
     # The golden corpus is far below two minimum shards, so one process

@@ -45,6 +45,17 @@ def test_only_scope_parses_uris():
     assert found == []
 
 
+def test_one_urlsplit_call_site():
+    # scope._split sends every URI the plain-URI regex rejects to urlsplit;
+    # a second reference would be a second parse path.
+    tree = ast.parse((SRC / "scope.py").read_text(encoding="utf-8"))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    sites = [(getattr(stmt, "name", None), id(node) in called)
+             for stmt in tree.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute)) and "urlsplit" in _names(node)]
+    assert sites == [("_split", True)]
+
+
 # Exports kept for the tests alone, each with the reason it stays.
 TEST_FACING_EXPORTS = {
     ("extraction", "canonicalize_raw"): "the oracle of the mention span contract",
