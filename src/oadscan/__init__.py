@@ -13,7 +13,7 @@ from .classifier import Classification, Label, LabeledExample, TrainedModel
 from .corpus import Document, DocumentId, MonthWindow
 from .extraction import UriMention
 from .ghp import Category, CategoryPolicy, Platform
-from .scope import ScopePolicy, ScopeReason, ScopeVerdict
+from .scope import ScopePolicy, ScopeReason
 
 __all__ = [
     "__version__",
@@ -28,7 +28,6 @@ __all__ = [
     "Platform",
     "ScopePolicy",
     "ScopeReason",
-    "ScopeVerdict",
     "TrainedModel",
     "UriMention",
 ]

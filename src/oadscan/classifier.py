@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .extraction import UriMention
 from .fileio import atomic_write_text, json_object, load_json, string_list
@@ -45,7 +45,6 @@ __all__ = [
     "classify_hybrid",
     "evaluate",
     "read_labeled_file",
-    "write_labeled_file",
 ]
 
 
@@ -111,12 +110,13 @@ def _denylist(value: object) -> frozenset[str]:
 
 def classify_heuristic(
     parsed: ParsedUri, denylist: frozenset[str] = DEFAULT_DENYLIST
-) -> Classification | None:
-    """Apply the rule layer; None defers the mention to the learned model."""
+) -> Provenance | None:
+    """The rule that labels the mention Non-OADS, if any; None defers the
+    mention to the learned model."""
     if parsed.in_domains(denylist):
-        return Classification(Label.NON_OADS, Provenance.HEURISTIC_PUBLISHER, 0.0)
+        return Provenance.HEURISTIC_PUBLISHER
     if parsed.path.lower().endswith(".pdf"):
-        return Classification(Label.NON_OADS, Provenance.HEURISTIC_PDF, 0.0)
+        return Provenance.HEURISTIC_PDF
     return None
 
 
@@ -355,9 +355,9 @@ def classify_hybrid(
     The mention's URI is parsed once and both layers read that parse.
     """
     parsed = parse_uri(mention.uri)
-    verdict = classify_heuristic(parsed, denylist)
-    if verdict is not None:
-        return verdict
+    rule = classify_heuristic(parsed, denylist)
+    if rule is not None:
+        return Classification(Label.NON_OADS, rule, 0.0)
     score = score_text(model, mention.context, parsed)
     label = Label.OADS if score >= model.threshold else Label.NON_OADS
     return Classification(label, Provenance.LEARNED, score)
@@ -427,8 +427,8 @@ def evaluate(model: TrainedModel, examples: Sequence[LabeledExample]) -> EvalMet
 
 # --- labeled-example files -----------------------------------------------
 #
-# Line format: label<TAB>uri<TAB>context.  Contexts are stored raw, one
-# record per line; the writer flattens internal newlines/tabs to spaces.
+# Line format: label<TAB>uri<TAB>context, one record per line.  A leading
+# UTF-8 byte order mark is skipped.
 
 _LABEL_ALIASES = {
     "oads": Label.OADS,
@@ -439,7 +439,7 @@ _LABEL_ALIASES = {
 
 def read_labeled_file(path: str | Path) -> list[LabeledExample]:
     examples: list[LabeledExample] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -453,11 +453,3 @@ def read_labeled_file(path: str | Path) -> list[LabeledExample]:
                 raise LabeledFileError(f"{path}:{lineno}: unknown label {raw_label!r}")
             examples.append(LabeledExample(context, uri, label))
     return examples
-
-
-def write_labeled_file(path: str | Path, examples: Iterable[LabeledExample]) -> None:
-    lines = []
-    for ex in examples:
-        context = re.sub(r"[\t\n\r]+", " ", ex.context)
-        lines.append(f"{ex.label.value}\t{ex.uri}\t{context}")
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -60,7 +60,8 @@ from .extraction import (
     write_mentions_text,
 )
 from .fileio import atomic_write_text
-from .ghp import Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, detect_ghp
+from .ghp import (Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, category_of,
+                  detect_ghp, label_decides)
 from .scope import DEFAULT_POLICY, ScopePolicy, ScopeReason, is_in_scope, parse_uri
 from . import shards
 
@@ -360,32 +361,27 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
     """Classify, scope and categorize mentions into a partial aggregate.
 
     Rules and scope run on every mention, as each is counted.  The model
-    scores an in-scope mention no rule decided, and only when its category
-    depends on the label: no GHP platform, or the classifier-decides policy.
+    scores an in-scope mention no rule decided whose category reads the
+    label; any other mention passes Non-OADS, which is a rule's label.
     """
     t0 = time.perf_counter_ns()
     counts: Counter = Counter()
     aggregate = CorpusAggregate(setup.config)
-    ghp_forces_oads = setup.config.category_policy is CategoryPolicy.GHP_FORCES_OADS
+    category_policy = setup.config.category_policy
     for r in records:
         parsed = parse_uri(r.uri)
         rule = classify_heuristic(parsed, setup.denylist)
-        counts[Provenance.LEARNED if rule is None else rule.provenance] += 1
-        verdict = is_in_scope(parsed, setup.policy)
-        counts[verdict.reason] += 1
-        if not verdict.in_scope:
+        counts[Provenance.LEARNED if rule is None else rule] += 1
+        reason = is_in_scope(parsed, setup.policy)
+        counts[reason] += 1
+        if not reason.in_scope:
             continue
         platform = detect_ghp(parsed, setup.patterns)
-        if platform is not None and ghp_forces_oads:
-            category = Category.GHP
-        elif rule is not None:  # the rules' label is Non-OADS
-            category = Category.NON_OADS
-        else:
+        oads = False
+        if rule is None and label_decides(platform, category_policy):
             counts["scored"] += 1
-            if score_text(setup.model, r.context, parsed) < setup.model.threshold:
-                category = Category.NON_OADS
-            else:
-                category = Category.NON_GHP_OADS if platform is None else Category.GHP
+            oads = score_text(setup.model, r.context, parsed) >= setup.model.threshold
+        category = category_of(platform, oads, category_policy)
         counts[category] += 1
         aggregate.add_mention(r.month, category, parsed.hostname)
     return _Part([], [], counts, Counter(classify=time.perf_counter_ns() - t0), aggregate)
@@ -603,7 +599,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> 
     config = {}
     if args.config is not None:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(config, dict):

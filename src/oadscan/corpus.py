@@ -132,13 +132,13 @@ class Document:
 def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
     """Load a manifest file without touching the referenced document files.
 
-    Format: UTF-8, one record per line, fields
+    Format: UTF-8 (a leading BOM is skipped), one record per line, fields
     ``id<TAB>version<TAB>YYYY-MM<TAB>relative/path.txt``.  Lines starting
     with ``#`` and blank lines are ignored.  Record order is preserved and
     no validation against disk contents happens here.
     """
     entries: list[ManifestEntry] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -40,11 +40,11 @@ def atomic_write_text(path: str | Path, *texts: str) -> None:
 
 
 def load_json(path: str | Path, parse: Callable[[object], T]) -> T:
-    """``parse`` applied to the JSON value in a file.  A file that is not
-    UTF-8 JSON, or a value that ``parse`` rejects with a ValueError, is a
-    ValueError naming the file."""
+    """``parse`` applied to the JSON value in a file (a leading BOM is
+    skipped).  A file that is not UTF-8 JSON, or a value that ``parse``
+    rejects with a ValueError, is a ValueError naming the file."""
     try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+        return parse(json.loads(Path(path).read_text(encoding="utf-8-sig")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

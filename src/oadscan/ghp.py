@@ -27,6 +27,8 @@ __all__ = [
     "Category",
     "CategoryPolicy",
     "detect_ghp",
+    "label_decides",
+    "category_of",
     "categorize",
 ]
 
@@ -152,17 +154,21 @@ class CategoryPolicy(Enum):
     CLASSIFIER_DECIDES = "classifier-decides"
 
 
-def categorize(
-    uri: str | ParsedUri,
-    label: Label,
-    patterns: GhpPatternSet = DEFAULT_PATTERNS,
-    policy: CategoryPolicy = CategoryPolicy.GHP_FORCES_OADS,
-) -> Category:
+def label_decides(platform: Platform | None, policy: CategoryPolicy) -> bool:
+    """True when ``category_of`` reads the label for a mention on
+    ``platform``: off every GHP host, or when the classifier decides."""
+    return platform is None or policy is CategoryPolicy.CLASSIFIER_DECIDES
+
+
+def category_of(platform: Platform | None, oads: bool, policy: CategoryPolicy) -> Category:
+    """The category of an in-scope mention on ``platform`` (None off every
+    GHP host) whose label is OADS when ``oads``."""
+    if platform is not None and (oads or policy is CategoryPolicy.GHP_FORCES_OADS):
+        return Category.GHP
+    return Category.NON_GHP_OADS if oads else Category.NON_OADS
+
+
+def categorize(uri: str | ParsedUri, label: Label, patterns: GhpPatternSet = DEFAULT_PATTERNS,
+               policy: CategoryPolicy = CategoryPolicy.GHP_FORCES_OADS) -> Category:
     """Bucket an in-scope classified mention as GHP / non-GHP OADS / non-OADS."""
-    platform = detect_ghp(parse_uri(uri), patterns)
-    if platform is not None:
-        if policy is CategoryPolicy.GHP_FORCES_OADS or label is Label.OADS:
-            return Category.GHP
-    if label is Label.OADS:
-        return Category.NON_GHP_OADS
-    return Category.NON_OADS
+    return category_of(detect_ghp(parse_uri(uri), patterns), label is Label.OADS, policy)

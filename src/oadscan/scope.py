@@ -24,7 +24,6 @@ from .fileio import json_object, load_json, string_list
 
 __all__ = [
     "ScopeReason",
-    "ScopeVerdict",
     "ScopePolicy",
     "DEFAULT_POLICY",
     "ParsedUri",
@@ -46,22 +45,10 @@ class ScopeReason(Enum):
     DOI_ALLOWLISTED = "doi_allowlisted"
     ACCEPTED = "accepted"
 
-
-_IN_SCOPE_REASONS = frozenset({ScopeReason.ACCEPTED, ScopeReason.DOI_ALLOWLISTED})
-
-
-@dataclass(frozen=True)
-class ScopeVerdict:
-    in_scope: bool
-    reason: ScopeReason
-
-    @classmethod
-    def from_reason(cls, reason: ScopeReason) -> "ScopeVerdict":
-        """The one shared verdict for ``reason``."""
-        return _VERDICTS[reason]
-
-
-_VERDICTS = {r: ScopeVerdict(r in _IN_SCOPE_REASONS, r) for r in ScopeReason}
+    @property
+    def in_scope(self) -> bool:
+        """True when a mention with this reason counts toward the analytics."""
+        return self is ScopeReason.ACCEPTED or self is ScopeReason.DOI_ALLOWLISTED
 
 
 # Default ports per scheme; a host carrying its scheme's default port is
@@ -157,14 +144,12 @@ class ParsedUri:
     scheme's default port dropped and any other port kept as
     ``host:port``; ``host`` is ``hostname`` with its port split off.  Both
     are None when the URI has no host or does not parse, and a URI that
-    does not parse has an empty scheme and path.  ``port`` is the port as
-    written, default or not.
+    does not parse has an empty scheme and path.
     """
 
     uri: str
     scheme: str
     host: str | None
-    port: str | None
     path: str
     hostname: str | None
 
@@ -217,10 +202,10 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
         else:
             hostname = host
     except ValueError:
-        return ParsedUri(uri, "", None, None, "", None)
+        return ParsedUri(uri, "", None, "", None)
     if not host:
-        return ParsedUri(uri, scheme, None, port, path, None)
-    return ParsedUri(uri, scheme, host, port, path, hostname)
+        return ParsedUri(uri, scheme, None, path, None)
+    return ParsedUri(uri, scheme, host, path, hostname)
 
 
 def host_of(uri: str) -> str:
@@ -259,22 +244,23 @@ def is_private_or_local(host: str, policy: ScopePolicy = DEFAULT_POLICY) -> bool
     return any(addr in net or (mapped and mapped in net) for net in policy.networks)
 
 
-def is_in_scope(uri: str | ParsedUri, policy: ScopePolicy = DEFAULT_POLICY) -> ScopeVerdict:
-    """Apply the scope rules in fixed order and return the first verdict.
+def is_in_scope(uri: str | ParsedUri, policy: ScopePolicy = DEFAULT_POLICY) -> ScopeReason:
+    """Apply the scope rules in fixed order and return the first match's
+    reason; ``ACCEPTED`` when none matches.
 
     Never raises: anything unparseable is excluded under the scheme rule.
     """
     parsed = parse_uri(uri)
     if parsed.scheme not in policy.allowed_schemes or parsed.host is None:
-        return ScopeVerdict.from_reason(ScopeReason.SCHEME_EXCLUDED)
+        return ScopeReason.SCHEME_EXCLUDED
     if is_private_or_local(parsed.host, policy):
-        return ScopeVerdict.from_reason(ScopeReason.LOCAL_OR_PRIVATE_HOST)
+        return ScopeReason.LOCAL_OR_PRIVATE_HOST
     if parsed.in_domains(policy.publication_hosts):
-        return ScopeVerdict.from_reason(ScopeReason.PUBLICATION_LINK)
+        return ScopeReason.PUBLICATION_LINK
     if parsed.in_domains(policy.doi_hosts):
         # The DOI registrant prefix is the first non-empty path segment.
         prefix = next((s for s in parsed.path.split("/") if s), "")
         if prefix in policy.doi_allow_prefixes:
-            return ScopeVerdict.from_reason(ScopeReason.DOI_ALLOWLISTED)
-        return ScopeVerdict.from_reason(ScopeReason.DOI_EXCLUDED)
-    return ScopeVerdict.from_reason(ScopeReason.ACCEPTED)
+            return ScopeReason.DOI_ALLOWLISTED
+        return ScopeReason.DOI_EXCLUDED
+    return ScopeReason.ACCEPTED

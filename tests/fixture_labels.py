@@ -11,9 +11,11 @@ test_fixture_files checks it has not drifted.  Regenerate with:
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
+from typing import Iterable
 
-from oadscan.classifier import Label, LabeledExample, write_labeled_file
+from oadscan.classifier import Label, LabeledExample
 
 OADS_TEMPLATES = [
     "The dataset is available at {u}.",
@@ -130,6 +132,17 @@ def generate_examples(seed: int = 42, per_label: int = 100) -> list[LabeledExamp
     # Interleave deterministically so folds stay balanced.
     rng.shuffle(examples)
     return examples
+
+
+def write_labeled_file(path: str | Path, examples: Iterable[LabeledExample]) -> None:
+    """Write examples in the labeled-file format read by
+    ``read_labeled_file``, one label<TAB>uri<TAB>context line each.  Tabs
+    and line breaks inside a context are flattened to one space."""
+    lines = []
+    for ex in examples:
+        context = re.sub(r"[\t\n\r]+", " ", ex.context)
+        lines.append(f"{ex.label.value}\t{ex.uri}\t{context}\n")
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
 def main() -> None:

@@ -112,9 +112,9 @@ def test_scope_decision_table():
         assert len(rows) >= 30
         assert {r for _, r, _ in rows} == set(ScopeReason)
         for uri, reason, in_scope in rows:
-            verdict = is_in_scope(uri)
-            assert verdict.reason is reason, uri
-            assert verdict.in_scope is in_scope, uri
+            got = is_in_scope(uri)
+            assert got is reason, uri
+            assert got.in_scope is in_scope, uri
 
 
 def test_heuristic_rules(fixture_model, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 import oadscan.classifier as classifier_mod
 from conftest import make_mention
+from fixture_labels import write_labeled_file
 from oadscan.classifier import (
     Classification,
     FIXED_FEATURE_NAMES,
@@ -21,7 +22,6 @@ from oadscan.classifier import (
     read_labeled_file,
     score_text,
     train,
-    write_labeled_file,
 )
 from oadscan.scope import parse_uri
 
@@ -36,9 +36,10 @@ class TestClassification:
 
 
 class TestHeuristics:
-    def test_publisher_denylist(self):
-        c = classify_heuristic(parse_uri("https://link.springer.com/article/x"))
-        assert c is not None
+    def test_publisher_denylist(self, fixture_model):
+        uri = "https://link.springer.com/article/x"
+        assert classify_heuristic(parse_uri(uri)) is Provenance.HEURISTIC_PUBLISHER
+        c = classify_hybrid(make_mention(uri), fixture_model)
         assert c.label is Label.NON_OADS
         assert c.provenance is Provenance.HEURISTIC_PUBLISHER
         assert c.score == 0.0
@@ -50,8 +51,7 @@ class TestHeuristics:
             "https://example.org/paper.Pdf?download=1",
             "https://example.org/dir/paper.pdf#page=3",
         ):
-            c = classify_heuristic(parse_uri(uri))
-            assert c is not None and c.provenance is Provenance.HEURISTIC_PDF, uri
+            assert classify_heuristic(parse_uri(uri)) is Provenance.HEURISTIC_PDF, uri
 
     def test_pdf_in_query_only_does_not_match(self):
         assert classify_heuristic(parse_uri("https://example.org/view?file=a.pdf")) is None
@@ -60,8 +60,8 @@ class TestHeuristics:
         assert classify_heuristic(parse_uri("https://github.com/user/repo")) is None
 
     def test_denylist_matches_host_suffix_not_substring(self):
-        assert classify_heuristic(parse_uri("https://www.wiley.com/en-us/x")) is not None
-        assert classify_heuristic(parse_uri("https://journals.sagepub.com/doi/1")) is not None
+        for uri in ("https://www.wiley.com/en-us/x", "https://journals.sagepub.com/doi/1"):
+            assert classify_heuristic(parse_uri(uri)) is Provenance.HEURISTIC_PUBLISHER, uri
         # substring but not a label-boundary suffix
         assert classify_heuristic(parse_uri("https://notspringer.com/x")) is None
         assert classify_heuristic(parse_uri("https://springer.com.evil.org/x")) is None

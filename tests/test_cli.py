@@ -640,3 +640,58 @@ def test_pipeline_reads_the_manifest_once(tmp_path, monkeypatch):
     assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
                "--out-dir", tmp_path / "run") == EXIT_OK
     assert len(calls) == 1
+
+
+# --- inputs saved with a UTF-8 byte order mark --------------------------------
+
+BOM_INPUTS = {
+    # kind: (option, file name, text)
+    "denylist": ("--denylist", "denylist.json", json.dumps(["springer.com", "zenodo.org"])),
+    "policy": ("--policy", "policy.json", json.dumps({"publication_hosts": ["arxiv.org"]})),
+    "patterns": ("--patterns", "patterns.json",
+                 json.dumps({"github": [{"kind": "exact", "host": "github.com"}]})),
+    "config": ("--config", "config.json",
+               json.dumps({"category_policy": "classifier-decides", "top_n": 3})),
+}
+
+
+def bom_run(kind, d, prefix):
+    """Run the command that reads an input file of ``kind`` starting with
+    ``prefix``; returns its exit code and, when it succeeds, {file name:
+    bytes} of its outputs, with the run record's counts and figures."""
+    def write(name, text):
+        (d / name).write_text(prefix + text, encoding="utf-8")
+        return d / name
+
+    if kind == "labeled":
+        labeled = write("labeled.tsv", (DATA / "labeled_seed.tsv").read_text(encoding="utf-8"))
+        code = run("train", "--labeled", labeled, "--iterations", 20, "--out", d / "model.json")
+        if code != EXIT_OK:
+            return code, None
+        return code, {"model.json": (d / "model.json").read_bytes()}
+    out = d / "out"
+    argv = ["pipeline", "--model", MODEL, "--out-dir", out, "--docs-root", CORPUS]
+    manifest = (CORPUS / "manifest.tsv").read_text(encoding="utf-8")
+    if kind == "manifest":  # the id column comes first
+        argv += ["--manifest", write("manifest.tsv", manifest.split("\n", 1)[1])]
+    elif kind == "manifest-header":  # a '#' line comes first
+        argv += ["--manifest", write("manifest.tsv", manifest)]
+    else:
+        option, name, text = BOM_INPUTS[kind]
+        argv += ["--manifest", CORPUS / "manifest.tsv", option, write(name, text)]
+    code = run(*argv)
+    if code != EXIT_OK:
+        return code, None
+    meta = json.loads((out / "run_metadata.json").read_text())
+    outputs = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_metadata.json"}
+    return code, {**outputs, "run": json.dumps([meta["counts"], meta["figures"]])}
+
+
+@pytest.mark.parametrize("kind", ["manifest", "manifest-header", "labeled", *BOM_INPUTS])
+def test_input_with_byte_order_mark_reads_as_without(kind, tmp_path):
+    # Excel's "CSV UTF-8" and Notepad start a UTF-8 file with a BOM.
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain = bom_run(kind, tmp_path / "plain", "")
+    assert plain[0] == EXIT_OK
+    assert bom_run(kind, tmp_path / "bom", "\ufeff") == plain

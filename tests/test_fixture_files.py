@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-from fixture_labels import generate_examples
-from oadscan.classifier import read_labeled_file, write_labeled_file
+from fixture_labels import generate_examples, write_labeled_file
+from oadscan.classifier import read_labeled_file
 
 DATA = Path(__file__).parent / "data"
 

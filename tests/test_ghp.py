@@ -14,7 +14,9 @@ from oadscan.ghp import (
     HostRule,
     Platform,
     categorize,
+    category_of,
     detect_ghp,
+    label_decides,
 )
 from oadscan.scope import parse_uri
 
@@ -129,6 +131,14 @@ class TestCategorize:
         uri = "https://github.com/u/r"
         assert categorize(uri, Label.NON_OADS, policy=CategoryPolicy.CLASSIFIER_DECIDES) is Category.NON_OADS
         assert categorize(uri, Label.OADS, policy=CategoryPolicy.CLASSIFIER_DECIDES) is Category.GHP
+
+    @pytest.mark.parametrize("policy", list(CategoryPolicy))
+    @pytest.mark.parametrize("platform", [None, *Platform])
+    def test_label_read_only_where_label_decides(self, platform, policy):
+        # report passes oads=False to a mention it did not score, so the
+        # category must not depend on the label wherever label_decides is False.
+        categories = {category_of(platform, oads, policy) for oads in (False, True)}
+        assert (len(categories) == 2) is label_decides(platform, policy)
 
     def _random_mentions(self, rng, n):
         hosts = [

@@ -28,7 +28,7 @@ from oadscan.scope import (
     DEFAULT_POLICY,
     ParsedUri,
     ScopeReason,
-    ScopeVerdict,
+    is_in_scope,
     is_private_or_local,
     parse_uri,
     split_port,
@@ -296,8 +296,9 @@ class TestIsPrivateOrLocal:
 
 
 def test_verdict_per_reason_is_shared():
+    # is_in_scope builds no verdict object: it answers with the reason member.
     for reason in ScopeReason:
-        verdict = ScopeVerdict.from_reason(reason)
-        assert verdict is ScopeVerdict.from_reason(reason)
         in_scope = reason in (ScopeReason.ACCEPTED, ScopeReason.DOI_ALLOWLISTED)
-        assert verdict == ScopeVerdict(in_scope, reason)
+        assert reason.in_scope is in_scope
+    assert is_in_scope("https://example.org/x") is ScopeReason.ACCEPTED
+    assert is_in_scope("ftp://example.org/x") is ScopeReason.SCHEME_EXCLUDED

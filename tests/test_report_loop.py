@@ -1,10 +1,11 @@
 """The report loop against the eager order it replaces.
 
 ``report`` and ``pipeline`` run the rules and scope on every mention but
-score a mention only when its category depends on the learned label.  The
-oracle here keeps the eager order: every mention goes through
-``classify_hybrid``, then ``is_in_scope``, then ``categorize`` and
-``add_mention``.  Counts, reports and figures must be the same.
+score a mention only when its category depends on the learned label, and
+take the category from ``ghp.category_of``.  The oracle here keeps the
+eager order: every mention gets a label (the rule's, or else the model's),
+then a scope reason, then a category from the rule spelled out in this
+file, then ``add_mention``.  Counts, reports and figures must be the same.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from oadscan import cli, shards
 from oadscan.analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
 from oadscan.classifier import (
     DEFAULT_DENYLIST,
+    Label,
     Provenance,
     TrainedModel,
-    classify_hybrid,
+    classify_heuristic,
     load_denylist,
+    score_text,
 )
 from oadscan.corpus import (
     DocumentId,
@@ -33,8 +36,8 @@ from oadscan.corpus import (
     load_manifest,
     select_latest_versions,
 )
-from oadscan.extraction import MentionRecord, UriMention, read_mentions_file, write_mentions_file
-from oadscan.ghp import DEFAULT_PATTERNS, Category, CategoryPolicy, GhpPatternSet, categorize
+from oadscan.extraction import MentionRecord, read_mentions_file, write_mentions_file
+from oadscan.ghp import DEFAULT_PATTERNS, Category, CategoryPolicy, GhpPatternSet, detect_ghp
 from oadscan.scope import DEFAULT_POLICY, ScopeReason, is_in_scope, parse_uri
 from test_cli import CORPUS, MODEL, run, write_corpus
 
@@ -53,6 +56,21 @@ PATTERNS = {
 }
 
 
+IN_SCOPE = (ScopeReason.ACCEPTED, ScopeReason.DOI_ALLOWLISTED)
+
+
+def eager_category(uri: str, label: Label, patterns, policy: CategoryPolicy) -> Category:
+    """The category rule, written out here so that the oracle does not run
+    the ``category_of`` it checks."""
+    platform = detect_ghp(parse_uri(uri), patterns)
+    if platform is not None:
+        if policy is CategoryPolicy.GHP_FORCES_OADS or label is Label.OADS:
+            return Category.GHP
+    if label is Label.OADS:
+        return Category.NON_GHP_OADS
+    return Category.NON_OADS
+
+
 def eager_report(manifest: Path, mentions: Path, model: TrainedModel, denylist, patterns,
                  category_policy: CategoryPolicy) -> tuple[dict, CorpusAggregate]:
     """The report counts and aggregate, classifying every mention first."""
@@ -63,12 +81,18 @@ def eager_report(manifest: Path, mentions: Path, model: TrainedModel, denylist, 
         aggregate.add_publications(entry.month)
     records = read_mentions_file(mentions)
     for r in records:
-        c = classify_hybrid(UriMention(r.doc_id, r.uri, r.context, r.span), model, denylist)
-        counts[c.provenance] += 1
-        verdict = is_in_scope(r.uri, DEFAULT_POLICY)
-        counts[verdict.reason] += 1
-        if verdict.in_scope:
-            category = categorize(r.uri, c.label, patterns, category_policy)
+        rule = classify_heuristic(parse_uri(r.uri), denylist)
+        if rule is None:
+            counts[Provenance.LEARNED] += 1
+            score = score_text(model, r.context, parse_uri(r.uri))
+            label = Label.OADS if score >= model.threshold else Label.NON_OADS
+        else:
+            counts[rule] += 1
+            label = Label.NON_OADS
+        reason = is_in_scope(r.uri, DEFAULT_POLICY)
+        counts[reason] += 1
+        if reason in IN_SCOPE:
+            category = eager_category(r.uri, label, patterns, category_policy)
             counts[category] += 1
             aggregate.add_mention(r.month, category, parse_uri(r.uri).hostname)
     return {

@@ -15,7 +15,6 @@ from oadscan.scope import (
     DEFAULT_POLICY,
     ScopePolicy,
     ScopeReason,
-    ScopeVerdict,
     host_of,
     is_in_scope,
     is_private_or_local,
@@ -99,18 +98,18 @@ class TestParseUri:
             else:
                 assert host_of(uri) == parsed.hostname == host, uri
             for form in (uri, parsed):
-                assert is_in_scope(form).reason.value == reason, uri
+                assert is_in_scope(form).value == reason, uri
             got = detect_ghp(parsed)
             assert (got.value if got else "-") == platform, uri
             assert _host_features(_sparse_counts("", parsed)) == (host_feature, tld_feature), uri
-            verdict = classify_heuristic(parsed)
-            assert (verdict.provenance.value if verdict else "-") == provenance, uri
+            rule = classify_heuristic(parsed)
+            assert (rule.value if rule else "-") == provenance, uri
 
     def test_fields(self):
         parsed = parse_uri("HTTPS://User:pw@GitHub.COM:8443/A/b?q=1#f")
         assert parsed.uri == "HTTPS://User:pw@GitHub.COM:8443/A/b?q=1#f"
         assert parsed.scheme == "https"
-        assert (parsed.host, parsed.port, parsed.hostname) == ("github.com", "8443", "github.com:8443")
+        assert (parsed.host, parsed.hostname) == ("github.com", "github.com:8443")
         assert parsed.path == "/A/b"
 
     def test_in_domains_matches_label_suffixes_only(self):
@@ -228,17 +227,16 @@ class TestIsInScope:
         ],
     )
     def test_rule_examples(self, uri, reason):
-        verdict = is_in_scope(uri)
-        assert verdict.reason is reason
-        assert verdict.in_scope == (reason in (ScopeReason.ACCEPTED, ScopeReason.DOI_ALLOWLISTED))
+        assert is_in_scope(uri) is reason
+        assert reason.in_scope == (reason in (ScopeReason.ACCEPTED, ScopeReason.DOI_ALLOWLISTED))
 
     def test_decision_table(self):
         cases = load_scope_cases()
         assert len(cases) >= 30
         for uri, reason, in_scope in cases:
-            verdict = is_in_scope(uri)
-            assert verdict.reason is reason, uri
-            assert verdict.in_scope is in_scope, uri
+            got = is_in_scope(uri)
+            assert got is reason, uri
+            assert got.in_scope is in_scope, uri
 
     def test_decision_table_covers_every_reason(self):
         covered = {reason for _, reason, _ in load_scope_cases()}
@@ -246,19 +244,18 @@ class TestIsInScope:
 
     def test_unparseable_is_scheme_excluded(self):
         for uri in ("", ":", "http://", "%%%", "http://[badv6/x"):
-            verdict = is_in_scope(uri)
-            assert not verdict.in_scope
-            assert verdict.reason is ScopeReason.SCHEME_EXCLUDED
+            reason = is_in_scope(uri)
+            assert not reason.in_scope
+            assert reason is ScopeReason.SCHEME_EXCLUDED
 
     def test_totality_and_partition(self):
         uris = [uri for uri, _, _ in load_scope_cases()]
-        counts = Counter(is_in_scope(u).reason for u in uris)
+        counts = Counter(is_in_scope(u) for u in uris)
         assert sum(counts.values()) == len(uris)
 
     def test_verdict_invariant(self):
         for reason in ScopeReason:
-            verdict = ScopeVerdict.from_reason(reason)
-            assert verdict.in_scope == (
+            assert reason.in_scope is (
                 reason in (ScopeReason.ACCEPTED, ScopeReason.DOI_ALLOWLISTED)
             )
 
@@ -279,15 +276,14 @@ class TestIsInScope:
 
     def test_doi_allowlist_soundness(self):
         for uri, _, _ in load_scope_cases():
-            verdict = is_in_scope(uri)
-            if verdict.reason is ScopeReason.DOI_ALLOWLISTED:
+            if is_in_scope(uri) is ScopeReason.DOI_ALLOWLISTED:
                 path = uri.split("doi.org/", 1)[1]
                 assert any(path.startswith(p + "/") for p in DEFAULT_POLICY.doi_allow_prefixes)
 
     def test_subdomain_of_publication_host(self):
-        assert is_in_scope("https://export.arxiv.org/abs/1").reason is ScopeReason.PUBLICATION_LINK
+        assert is_in_scope("https://export.arxiv.org/abs/1") is ScopeReason.PUBLICATION_LINK
         # Similar names that are not subdomains stay in scope.
-        assert is_in_scope("https://notarxiv.org/abs/1").reason is ScopeReason.ACCEPTED
+        assert is_in_scope("https://notarxiv.org/abs/1") is ScopeReason.ACCEPTED
 
 
 class TestPolicyFile:
@@ -304,5 +300,5 @@ class TestPolicyFile:
         # untouched keys keep defaults
         assert policy.allowed_schemes == DEFAULT_POLICY.allowed_schemes
         assert policy.private_ranges == DEFAULT_POLICY.private_ranges
-        assert is_in_scope("https://www.biorxiv.org/content/x", policy).reason is ScopeReason.PUBLICATION_LINK
-        assert is_in_scope("https://doi.org/10.6084/m9", policy).reason is ScopeReason.DOI_EXCLUDED
+        assert is_in_scope("https://www.biorxiv.org/content/x", policy) is ScopeReason.PUBLICATION_LINK
+        assert is_in_scope("https://doi.org/10.6084/m9", policy) is ScopeReason.DOI_EXCLUDED

@@ -59,7 +59,18 @@ def test_one_urlsplit_call_site():
 # Exports kept for the tests alone, each with the reason it stays.
 TEST_FACING_EXPORTS = {
     ("extraction", "canonicalize_raw"): "the oracle of the mention span contract",
-    ("classifier", "write_labeled_file"): "regenerates the labeled fixture files",
+}
+
+# Names that only the benchmark's traced replay (perfbench/tracing.py)
+# still calls, each with what the commands use instead.  Once the replay
+# runs the report loop, the rule below fails for each: delete the name.
+REPLAY_ONLY = {
+    ("classifier", "classify_hybrid"): "report runs classify_heuristic, then score_text "
+                                       "only where the category reads the label",
+    ("ghp", "categorize"): "report takes the category from category_of",
+    ("scope", "host_of"): "report reads ParsedUri.hostname",
+    ("extraction", "write_mentions_file"): "the commands write format_mentions text "
+                                           "with write_mentions_text",
 }
 
 
@@ -104,3 +115,25 @@ def test_every_export_has_a_caller():
             if (m.stem, name) not in TEST_FACING_EXPORTS
             and not readers[name] - {(m, name)}]
     assert dead == []
+
+
+def test_replay_only_names_are_read_by_the_replay_alone():
+    tracing = ROOT / "perfbench" / "tracing.py"
+    replay_reads = {name for name, _ in _reads(ast.parse(tracing.read_text(encoding="utf-8")))}
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    exports = {(m.stem, name) for m in MODULES for name in _exports(trees[m])}
+    assert set(REPLAY_ONLY) <= exports
+    unread = [f"{m}.{name}" for m, name in REPLAY_ONLY if name not in replay_reads]
+    assert unread == [], "the replay no longer reads these: delete them"
+    names = {name for _, name in REPLAY_ONLY}
+    callers = [f"{path.name}:{owner} reads {name}" for path, tree in trees.items()
+               for name, owner in _reads(tree) if name in names and owner != name]
+    assert callers == []
+
+
+def test_cli_names_no_category_member():
+    # The category rule lives in ghp.category_of; a Category member named
+    # in cli.py would be a second copy of it.
+    named = [f"cli.py:{node.lineno}" for node in _nodes(SRC / "cli.py")
+             if isinstance(node, ast.Attribute) and _names(node.value) == {"Category"}]
+    assert named == []
