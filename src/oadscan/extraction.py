@@ -7,11 +7,13 @@ Three cooperating passes over a document:
    the original text);
 2. URI detection - a permissive scheme-or-www grammar; scheme filtering
    belongs to the scope stage, so anything URI-shaped is kept here;
-3. sentence segmentation - terminator-based splitting with detected URIs
+3. sentence context - terminator-based splitting with detected URIs
    masked first, so a dot inside a URI never ends a sentence.
 
-Each pass takes time linear in the document, however long a wrapped URI
-or however many URIs it holds.
+Python-level work goes to the tokens that hold a "://" or "www." literal
+and to the sentences around mentions; the rest of the text is crossed by
+regex and string searches.  Each pass stays linear in the document,
+however long a wrapped URI or however many URIs it holds.
 
 Spans index ``Document.text``, the document as read: decoded UTF-8 with
 universal newlines, so a CRLF or lone CR line end counts as one newline.
@@ -28,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .corpus import Document, DocumentId, parse_document_id, validate_month
 from .fileio import atomic_write_text
@@ -151,13 +153,36 @@ _DELIM_RE = re.compile(r"[\s<>]")
 # Matches up to and including the last delimiter in the searched range;
 # its end is where that range's last token starts.
 _THROUGH_LAST_DELIM_RE = re.compile(r".*[\s<>]", re.DOTALL)
-# Every URI_RE match contains one of these literals.
-_WWW_RE = re.compile(r"www\.", re.IGNORECASE)
+# Every URI_RE match contains "://" or "www." in any case.  Only "w" and "W"
+# fold to "w", so "www." is found from its dot, which the engine seeks as a
+# plain character; a case-insensitive pattern is tested at every character.
+_WWW_DOT_RE = re.compile(r"\.(?<=[wW]{3}\.)")
 # Where the two URI_RE branches can start: a scheme start with its run of
 # scheme characters and the "://" that may end the run, and a "www."
 # whose lookbehind holds and that has a body character after it.
 _SCHEME_RUN_RE = re.compile(r"\b[a-z][a-z0-9+.\-]*(://)?", re.IGNORECASE)
 _WWW_START_RE = re.compile(r"(?<![\w.@-])www\.[^\s<>]", re.IGNORECASE)
+
+
+def _find_www(text: str, pos: int) -> int:
+    """Where the first "www." (any case) at or after ``pos`` starts, or -1."""
+    m = _WWW_DOT_RE.search(text, pos + 3)
+    return m.start() - 3 if m else -1
+
+
+def _literal_tokens(text: str) -> Iterator[tuple[int, int]]:
+    """Yield ``(hit, end)``, in order, for each token holding a "://" or "www."
+    literal: where its first literal starts and the delimiter after it."""
+    sep, www = text.find("://"), _find_www(text, 0)
+    while sep != -1 or www != -1:
+        hit = min(sep, www) if sep != -1 and www != -1 else max(sep, www)
+        d = _DELIM_RE.search(text, hit)
+        end = d.start() if d else len(text)
+        yield hit, end
+        if sep != -1 and sep < end:
+            sep = text.find("://", end)
+        if www != -1 and www < end:
+            www = _find_www(text, end)
 
 
 def _token_match(text: str, start: int, end: int) -> re.Match | None:
@@ -207,18 +232,28 @@ def _repair(text: str) -> tuple[str, list[int]]:
     A newline is dropped when the text before it, back to the last kept
     newline (the "run"), ends in a URI match that has a path, and the
     next line plausibly continues it (see ``_TAIL_CLASS`` and
-    ``_PROSE_CONTINUATIONS``).  The pass is linear in the text: the URI
-    grammar runs only on the run's last token, and while joined lines add
-    to that token its match is carried forward instead of searched again.
+    ``_PROSE_CONTINUATIONS``).  Only a run whose last token holds a "://"
+    or "www." literal can end in a match, so the rule runs only where such
+    a token, or a join that carries one, ends a line; the rest is copied
+    in slices.  The grammar runs only on the run's last token, and while
+    joined lines add to it its match is carried, not searched again.
     """
-    lines = text.split("\n")
-    parts = [lines[0]]
+    n = len(text)
+    parts: list[str] = []
     cuts: list[int] = []
-    size = len(lines[0])  # of the repaired text so far
+    done = 0  # text[:done] is in ``parts``
+    # Newlines ending a literal's token that pass the rule's character tests
+    # (a join that carries the token on tests the next newline too).
+    ends = (e for _, e in _literal_tokens(text)
+            if text.startswith("\n", e) and text[e + 1:e + 2] in _TAIL_CLASS
+            and text[e - 1] not in _TRIM_CHARS and text[e - 1] not in _BRACKETS)
     # The URI match in the run's last token; while ``known`` is False that
     # token lies in ``prev`` and has not been searched yet.
     known = has_sep = has_path = False
-    for prev, line in zip(lines, lines[1:]):
+    nl = le = -1
+    while (nl := le if known else next((e for e in ends if e > nl), n)) < n:
+        le = text.find("\n", nl + 1) % (n + 1)  # n when there is no newline
+        prev, line = text[text.rfind("\n", 0, nl) + 1:nl], text[nl + 1:le]
         join = False
         # Joined lines are never empty, so an empty ``prev`` is an empty
         # run.  A weak final character (trimmable punctuation) means the
@@ -243,27 +278,26 @@ def _repair(text: str) -> tuple[str, list[int]]:
             join = has_path
         if not join:
             known = False
-            parts.append("\n")
-            size += 1
-        else:
-            cuts.append(size)
-            if _THROUGH_LAST_DELIM_RE.match(line):
-                known = False
-            elif not has_sep:
-                # The token goes on, and its match with it.  The match may
-                # now start further left, on a scheme this line completes,
-                # but its first "://" is the same, so only a first "://" in
-                # this line changes the path test.  ':' ends no joined line
-                # (it is trimmable), so a "://" across the break is ":/" + "/".
-                if prev.endswith(":/") and line[0] == "/":
-                    has_sep, after = True, 1
-                else:
-                    p = line.find("://")
-                    has_sep, after = p != -1, p + 3
-                if has_sep:
-                    has_path = "/" in line[after:]
-        parts.append(line)
-        size += len(line)
+            continue
+        parts.append(text[done:nl])
+        done = nl + 1
+        cuts.append(nl - len(cuts))
+        if _THROUGH_LAST_DELIM_RE.match(line):
+            known = False
+        elif not has_sep:
+            # The token goes on, and its match with it.  The match may
+            # now start further left, on a scheme this line completes,
+            # but its first "://" is the same, so only a first "://" in
+            # this line changes the path test.  ':' ends no joined line
+            # (it is trimmable), so a "://" across the break is ":/" + "/".
+            if prev.endswith(":/") and line[0] == "/":
+                has_sep, after = True, 1
+            else:
+                p = line.find("://")
+                has_sep, after = p != -1, p + 3
+            if has_sep:
+                has_path = "/" in line[after:]
+    parts.append(text[done:])
     return "".join(parts), cuts
 
 
@@ -280,40 +314,58 @@ def _scan_uris(text: str) -> Iterator[re.Match]:
     token holds at most one match, so the grammar runs once per such
     token and never over the text between them.
     """
-    n = len(text)
     pos = 0
-    sep = text.find("://")
-    m = _WWW_RE.search(text)
-    www = m.start() if m else -1
-    while sep != -1 or www != -1:
-        hit = min(sep, www) if sep != -1 and www != -1 else max(sep, www)
+    for hit, end in _literal_tokens(text):
         d = _THROUGH_LAST_DELIM_RE.match(text, pos, hit)
-        start = d.end() if d else pos
-        d = _DELIM_RE.search(text, hit)
-        pos = d.start() if d else n
-        m = _token_match(text, start, pos)
+        m = _token_match(text, d.end() if d else pos, end)
         if m is not None:
             yield m
-        if sep != -1 and sep < pos:
-            sep = text.find("://", pos)
-        if www != -1 and www < pos:
-            m = _WWW_RE.search(text, pos)
-            www = m.start() if m else -1
+        pos = end
 
 
-# A terminator run and the whitespace after it; a run with no whitespace
-# after it never ends a sentence.
-_TERMINATOR_RE = re.compile(r"([.!?]+[\"')\]\}]*)\s+")
+# A sentence boundary: a terminator run (an empty group marks its end) and
+# the whitespace after it, or a blank line.  Leading with a character class
+# lets the engine skip to candidates fast.
+_BOUNDARY_RE = re.compile(r"[.!?\n](?:(?<=[.!?])[.!?]*[\"')\]\}]*()\s+|(?<=\n)[ \t]*\n)")
 _SENTENCE_OPENERS = "\"'([“‘"
+# No boundary match holds a character of this class and a URI match starts
+# with a letter, so a scan from one, from a mention or from a cut sees what a
+# whole-text scan sees from there, and one that ends at one cuts none short.
+_SYNC_RE = re.compile(r"[^\s.!?\"')\]\}]")
+_WINDOW = 256  # how far before a mention its sentence's start is sought first
 
 
-def _protection_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    for m in _scan_uris(text):
-        trimmed = trim_trailing(m.group(0))
-        if trimmed:
-            spans.append((m.start(), m.start() + len(trimmed)))
-    return spans
+def _protection(spans: Iterable[tuple[int, int]]) -> Callable[[int], bool]:
+    """A test of whether a position lies inside one of the (overlapping) spans."""
+    spans = sorted(spans)
+    starts = [s for s, _ in spans]
+    # reach[i]: the furthest end among the first i + 1 spans.
+    reach = list(accumulate((e for _, e in spans), max))
+
+    def protected(pos: int) -> bool:
+        i = bisect_right(starts, pos)
+        return i > 0 and reach[i - 1] > pos
+    return protected
+
+
+def _cuts(text: str, protected: Callable[[int], bool], pos: int, endpos: int) -> Iterator[int]:
+    """Yield, in order, the sentence cuts (see ``segment_sentences``) of the
+    boundaries that start in ``text[pos:endpos]`` outside protected spans."""
+    n = len(text)
+    for m in _BOUNDARY_RE.finditer(text, pos, endpos):
+        start, end = m.span()
+        cut = m.end(1)
+        if cut == -1:  # a blank line
+            if not protected(start):
+                yield start
+            continue
+        if end < n:
+            nxt = text[end]
+            if ((nxt.isupper() or nxt.isdigit() or nxt in _SENTENCE_OPENERS)
+                    and not protected(start)):
+                yield cut
+        if end - cut > 1:  # blank lines in the whitespace after the run
+            yield from _cuts(text, protected, cut, end)
 
 
 def segment_sentences(
@@ -332,30 +384,9 @@ def segment_sentences(
     if n == 0:
         return []
     if protected_spans is None:
-        protected_spans = _protection_spans(text)
-    protected_spans = sorted(protected_spans)
-    starts = [s for s, _ in protected_spans]
-    # reach[i]: the furthest end among the first i + 1 spans, so
-    # overlapping spans are handled.
-    reach = list(accumulate((e for _, e in protected_spans), max))
-
-    def _protected(pos: int) -> bool:
-        i = bisect_right(starts, pos)
-        return i > 0 and reach[i - 1] > pos
-
-    cuts: set[int] = set()
-    for m in _TERMINATOR_RE.finditer(text):
-        k = m.end()
-        if k == n:
-            continue
-        nxt = text[k]
-        if nxt.isupper() or nxt.isdigit() or nxt in _SENTENCE_OPENERS:
-            if not _protected(m.start()):
-                cuts.add(m.end(1))
-    # Blank lines close a fragment even without a terminator.
-    for m in re.finditer(r"\n[ \t]*\n", text):
-        if not _protected(m.start()):
-            cuts.add(m.start())
+        protected_spans = [(m.start(), m.start() + len(trim_trailing(m.group(0))))
+                           for m in _scan_uris(text)]
+    cuts = set(_cuts(text, _protection(protected_spans), 0, n))
 
     sentences: list[tuple[str, tuple[int, int]]] = []
     prev = 0
@@ -369,6 +400,42 @@ def segment_sentences(
             sentences.append((sentence, (prev, c)))
         prev = c
     return sentences
+
+
+def _mention_sentences(text: str, starts: Iterable[int], protected: Callable[[int], bool]
+                       ) -> Iterator[tuple[str, tuple[int, int]]]:
+    """Yield, for each ascending mention start, the ``segment_sentences``
+    sentence holding it, up to its own cut: the whitespace after it changes
+    neither its text nor which mentions it holds.  One cursor walks the
+    cuts, jumping over mention-free stretches longer than ``_WINDOW``; after
+    a jump, a window before the mention widens back until it holds a cut."""
+    n = len(text)
+    s = e = 0
+    cursor = None  # the cuts from ``known`` on; the next one is ``ahead``
+    for r in starts:
+        if r >= e:
+            behind = e  # the previous sentence's end, or 0
+            if cursor is None or e < r - _WINDOW:
+                known = max(e, r - _WINDOW)
+                if known > e:
+                    m = _SYNC_RE.search(text, known, r)
+                    known = m.start() if m else r
+                cursor = _cuts(text, protected, known, n)
+                ahead = next(cursor, n)
+            while ahead < r:
+                behind, ahead = ahead, next(cursor, n)
+            # The last cut before r is ``behind``, or lies in [behind, known).
+            s, lo, width = behind, known, _WINDOW
+            while s == behind < lo:
+                hi, lo = lo, max(behind, lo - width)
+                if lo > behind:  # start where a scan may (see _SYNC_RE)
+                    m = _SYNC_RE.search(text, lo, hi)
+                    lo = m.start() if m else hi
+                s = max([behind, *_cuts(text, protected, lo, hi)])
+                width *= 2
+            e = ahead
+            sentence = text[s:e].strip()
+        yield sentence, (s, e)
 
 
 def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]:
@@ -385,7 +452,7 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
     def source(i: int) -> int:
         return i + bisect_right(cuts, i)
 
-    candidates: list[tuple[int, int, int, str, bool]] = []
+    candidates: list[tuple[int, int, str, bool]] = []
     protected: list[tuple[int, int]] = []
     for m in _scan_uris(repaired):
         trimmed = trim_trailing(m.group(0))
@@ -398,20 +465,13 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
         raw_start = source(m.start())
         raw_end = source(m.end() - 1) + 1
         trim_end = source(m.start() + len(trimmed) - 1) + 1
-        candidates.append((raw_start, raw_end, trim_end, uri, implicit))
+        candidates.append((raw_start, raw_end, uri, implicit))
         protected.append((raw_start, trim_end))
 
-    if not candidates:
-        return []
-    sentences = segment_sentences(text, protected_spans=protected)
-
+    sentences = _mention_sentences(text, (c[0] for c in candidates), _protection(protected))
     mentions: list[UriMention] = []
     seen: set[str] = set()
-    si = 0
-    for raw_start, raw_end, _trim_end, uri, implicit in candidates:
-        while si < len(sentences) and sentences[si][1][1] <= raw_start:
-            si += 1
-        sentence_text, (s, e) = sentences[si]
+    for (raw_start, raw_end, uri, implicit), (sentence_text, (s, e)) in zip(candidates, sentences):
         if not (s <= raw_start and raw_end <= e):
             raise ValueError(
                 f"{doc.id}: mention {uri!r} at {raw_start}..{raw_end} crosses "

@@ -4,7 +4,7 @@
 extraction passes.  The differential tests here hold the package to its
 output byte for byte: mentions, spans and contexts, the repaired text,
 the sentences, and the raw URI matches.  The scaling tests check that
-doubling the three adversarial input shapes at most about doubles the
+doubling each adversarial input shape at most about doubles the
 extraction time.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import re
 import statistics
 import time
 from pathlib import Path
@@ -56,6 +57,25 @@ def shape_c(n: int) -> str:
     but no URI, the last one ending a line that repair examines."""
     return ("See " + "a." * n + "www.b for it. " + "a." * n + "a_x://y.org/p and 1://"
             + "a." * n + "www.b.\nSee " + "a." * n + "www.b/c\nd more text.\n") * 8
+
+
+PROSE = ("The samples were collected at three field sites in 2019. "
+         "Each site was visited twice!  Results are listed below (see Table 2). ")
+
+
+def shape_d(n: int) -> str:
+    """n paragraphs of wrapped prose, with one URI in every paragraph of
+    about 2 KB."""
+    paragraph = "\n".join([PROSE] * 7 + ["All code is at https://github.com/lab/tool{}/tree/"
+                                         "main for reuse."] + [PROSE] * 7)
+    return "\n\n".join(paragraph.format(k) for k in range(n)) + "\n"
+
+
+def shape_e(n: int) -> str:
+    """n sentences, each a URI after a long run that holds no character a
+    sentence scan can start from."""
+    runs = [". " * 400, ")" * 800, " \t" * 400]
+    return "".join(f"The run{runs[k % 3]}ends at https://x.org/r/{k}. " for k in range(n))
 
 
 def _outcome(extract, text: str, dedup: bool):
@@ -126,6 +146,50 @@ def test_segmentation_with_overlapping_spans_matches_reference(text, raw_spans):
     assert extraction.segment_sentences(text, spans) == ref.segment_sentences(text, spans)
 
 
+# Pieces of documents longer than the window that extraction searches
+# before a mention for its sentence's start: long prose, runs that hold no
+# character a sentence scan can start from, a blank line or a terminator
+# right before a URI, and many URIs in one sentence.
+LONG_PIECES = st.one_of(
+    st.integers(50, 400).map(lambda k: PROSE * k),
+    st.integers(50, 400).map(lambda k: PROSE.replace(". ", ".\n") * k),
+    st.tuples(st.sampled_from([". ", ")", '"', " ", "\n", "\t", ".\n", "! "]),
+              st.integers(100, 1500)).map(lambda t: t[0] * t[1]),
+    st.sampled_from(["\n\nhttps://x.org/a/b", ".\nhttps://x.org/a", ". Https://x.org/a.",
+                     "\n \nwww.x.org/p", "!) www.x.org/p/q", ". (http://y.io/z)"]),
+    st.integers(2, 60).map(lambda k: "See " + " and ".join(
+        f"https://h{i}.org/d/{i}" for i in range(k)) + ". "),
+)
+
+
+@given(st.lists(st.one_of(LONG_PIECES, PIECES), min_size=1, max_size=30).map("".join)
+       .filter(lambda text: len(text) > 2 * extraction._WINDOW))
+@settings(max_examples=60, deadline=None)
+def test_long_documents_match_reference(text):
+    for dedup in (False, True):
+        assert _outcome(extraction.extract_uri_mentions, text, dedup) == _outcome(
+            ref.extract_uri_mentions, text, dedup
+        )
+
+
+@given(st.text(alphabet="wWkKsSiI\u212a\u017f\u0130\u0131.:/ ", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_dot_led_www_search_finds_what_a_case_insensitive_search_finds(text):
+    www = re.compile(r"www\.", re.IGNORECASE)
+    for pos in range(len(text) + 1):
+        expected = www.search(text, pos)
+        assert extraction._find_www(text, pos) == (expected.start() if expected else -1)
+
+
+@pytest.mark.parametrize("boundary", ["\n\n", "\n \t\n", ". ", "?)  ", ".\n\n"])
+def test_search_window_may_begin_inside_a_boundary(boundary):
+    """The window before a mention starts at a character that no boundary
+    holds, so a window edge inside a blank line or a terminator run does
+    not hide that boundary."""
+    for filler in range(extraction._WINDOW - 8, extraction._WINDOW + 2):
+        assert_same_as_reference("Intro words" + boundary + "X" * filler + " https://a.org/p")
+
+
 def _doubling_ratios(small: str, large: str, rounds: int = 9) -> list[float]:
     """t(large) / t(small) of in-process extraction, once per round.
 
@@ -157,8 +221,9 @@ def _doubling_ratios(small: str, large: str, rounds: int = 9) -> list[float]:
     return ratios
 
 
-@pytest.mark.parametrize("shape, n", [(shape_a, 1000), (shape_b, 1000), (shape_c, 1000)],
-                         ids=["a", "b", "c"])
+@pytest.mark.parametrize("shape, n", [(shape_a, 1000), (shape_b, 1000), (shape_c, 1000),
+                                     (shape_d, 200), (shape_e, 500)],
+                         ids=["a", "b", "c", "d", "e"])
 def test_doubling_the_input_at_most_doubles_extraction_time(shape, n):
     ratio = statistics.median(_doubling_ratios(shape(n), shape(2 * n)))
     assert ratio <= 2.5, f"t(2N)/t(N) = {ratio:.2f} at N = {n}"
