@@ -28,20 +28,6 @@ except ImportError:  # Windows
     resource = None
 
 from . import __version__
-from .analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
-from .classifier import (
-    DEFAULT_DENYLIST,
-    LabeledFileError,
-    Provenance,
-    TrainedModel,
-    TrainingConfig,
-    classify_heuristic,
-    evaluate,
-    load_denylist,
-    read_labeled_file,
-    score_text,
-    train,
-)
 from .corpus import (
     DocumentReadError,
     ManifestEntry,
@@ -60,10 +46,8 @@ from .extraction import (
     write_mentions_text,
 )
 from .fileio import atomic_write_text
-from .ghp import (Category, CategoryPolicy, DEFAULT_PATTERNS, GhpPatternSet, category_of,
-                  detect_ghp, label_decides)
-from .scope import DEFAULT_POLICY, ScopePolicy, ScopeReason, is_in_scope, parse_uri
 from . import shards
+# analytics, classifier, ghp and scope load where report and train code runs, not for extract.
 
 log = logging.getLogger("oadscan")
 
@@ -154,16 +138,19 @@ class _ReportSetup(NamedTuple):
 def _load_report_setup(settings: dict) -> _ReportSetup:
     """Check and load the report's inputs, so that an error in any of them
     stops the run before it reads or writes anything else."""
+    from . import analytics, classifier, ghp, scope
+
     def load(name, loader, default):
         path = settings[name]
         return default if path is None else loader(_require_file(path, f"{name} file"))
 
     return _ReportSetup(
-        TrainedModel.load(_require_file(settings["model"], "model file")),
-        load("policy", ScopePolicy.from_file, DEFAULT_POLICY),
-        load("denylist", load_denylist, DEFAULT_DENYLIST),
-        load("patterns", GhpPatternSet.from_file, DEFAULT_PATTERNS),
-        AggregateConfig(CategoryPolicy(settings["category_policy"]), settings["bin_width"]))
+        classifier.TrainedModel.load(_require_file(settings["model"], "model file")),
+        load("policy", scope.ScopePolicy.from_file, scope.DEFAULT_POLICY),
+        load("denylist", classifier.load_denylist, classifier.DEFAULT_DENYLIST),
+        load("patterns", ghp.GhpPatternSet.from_file, ghp.DEFAULT_PATTERNS),
+        analytics.AggregateConfig(ghp.CategoryPolicy(settings["category_policy"]),
+                                  settings["bin_width"]))
 
 
 def _seconds(ns: int) -> float:
@@ -329,6 +316,7 @@ def cmd_extract(settings: dict) -> int:
 
 
 def cmd_train(settings: dict) -> int:
+    from .classifier import TrainingConfig, evaluate, read_labeled_file, train
     _require(settings, "labeled", "out")
     labeled_path = _require_file(settings["labeled"], "labeled file")
     examples = read_labeled_file(labeled_path)
@@ -344,6 +332,7 @@ def cmd_train(settings: dict) -> int:
 
 
 def cmd_evaluate(settings: dict) -> int:
+    from .classifier import LabeledFileError, TrainedModel, evaluate, read_labeled_file
     _require(settings, "model", "labeled")
     model = TrainedModel.load(_require_file(settings["model"], "model file"))
     examples = read_labeled_file(_require_file(settings["labeled"], "labeled file"))
@@ -364,6 +353,10 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
     scores an in-scope mention no rule decided whose category reads the
     label; any other mention passes Non-OADS, which is a rule's label.
     """
+    from .analytics import CorpusAggregate
+    from .classifier import Provenance, classify_heuristic, score_text
+    from .ghp import category_of, detect_ghp, label_decides
+    from .scope import is_in_scope, parse_uri
     t0 = time.perf_counter_ns()
     counts: Counter = Counter()
     aggregate = CorpusAggregate(setup.config)
@@ -419,12 +412,13 @@ def _write_report(
     report sorts its rows by a total order, so shard order cannot reach
     the output.
     """
+    from . import analytics, classifier, ghp, scope
     t0 = time.perf_counter_ns()
     aggregate = total.aggregate
     for entry in corpus.entries:
         aggregate.add_publications(entry.month)
     t1 = time.perf_counter_ns()
-    report_paths = write_reports(out_dir, aggregate, settings["top_n"])
+    report_paths = analytics.write_reports(out_dir, aggregate, settings["top_n"])
     t2 = time.perf_counter_ns()
     totals, months = aggregate.totals(), len(aggregate.monthly_list())
     log.info("report: %d mentions, %d in scope, %d months, reports in %s",
@@ -436,11 +430,11 @@ def _write_report(
         "in_scope": totals.uri_total,
         "scored": total.counts["scored"],  # the mentions the learned model scored
         **{key: {member.value: total.counts[member] for member in enum}
-           for key, enum in (("provenance", Provenance), ("scope_reasons", ScopeReason),
-                             ("categories", Category))},
+           for key, enum in (("provenance", classifier.Provenance),
+                             ("scope_reasons", scope.ScopeReason), ("categories", ghp.Category))},
         "months": months,
         "reports": sorted(Path(p).name for p in report_paths.values()),
-    }, paper_figures(aggregate), {
+    }, analytics.paper_figures(aggregate), {
         "classify_s": _seconds(total.ns["classify"] + t1 - t0),
         "write_reports_s": _seconds(t2 - t1),
     }
@@ -509,7 +503,10 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """Every command with its help line, and the options of the command argv
+    names (every command's when argv is None), so a command imports no module
+    for another's defaults.  No top-level option takes a value."""
     parser = _Parser(
         prog="oadscan",
         description="Mine scholarly article text for URIs pointing at open-access data and software.",
@@ -518,11 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"oadscan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
     def add_command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="JSON config file with option defaults")
         p.set_defaults(func=func)
+        if named not in (None, name):
+            return None
+        p.add_argument("--config", help="JSON config file with option defaults")
         return p
 
     def add_corpus_options(p):
@@ -539,6 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="count each URI at most once per document")
 
     def add_report_options(p):
+        from .analytics import AggregateConfig
+        from .ghp import CategoryPolicy
         p.add_argument("--model", help="model file")
         p.add_argument("--out-dir", help="directory for CSV reports")
         p.add_argument("--policy", help="scope policy JSON file")
@@ -552,39 +554,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top-n", type=positive_int, default=15,
                        help="rows in the top-hostnames table (default %(default)s)")
 
-    p = add_command("extract", cmd_extract, "extract URI mentions from a corpus")
-    add_extraction_options(p)
-    p.add_argument("--out", help="mentions file to write")
+    if p := add_command("extract", cmd_extract, "extract URI mentions from a corpus"):
+        add_extraction_options(p)
+        p.add_argument("--out", help="mentions file to write")
 
-    p = add_command("train", cmd_train, "train the learned classifier")
-    p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
-    p.add_argument("--out", help="model file to write")
-    p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
-    p.add_argument("--iterations", type=int, default=TrainingConfig.iterations)
-    p.add_argument("--l2", type=float, default=TrainingConfig.l2, help="L2 penalty strength")
-    p.add_argument("--threshold", type=float, default=TrainingConfig.threshold,
-                   help="OADS decision threshold")
-    p.add_argument("--seed", type=int, default=TrainingConfig.seed,
-                   help="recorded in the model file")
+    if p := add_command("train", cmd_train, "train the learned classifier"):
+        from .classifier import TrainingConfig
+        p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
+        p.add_argument("--out", help="model file to write")
+        p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
+        p.add_argument("--iterations", type=int, default=TrainingConfig.iterations)
+        p.add_argument("--l2", type=float, default=TrainingConfig.l2, help="L2 penalty strength")
+        p.add_argument("--threshold", type=float, default=TrainingConfig.threshold,
+                       help="OADS decision threshold")
+        p.add_argument("--seed", type=int, default=TrainingConfig.seed,
+                       help="recorded in the model file")
 
-    p = add_command("evaluate", cmd_evaluate, "evaluate a model on labeled examples")
-    p.add_argument("--model", help="model file")
-    p.add_argument("--labeled", help="labeled-example file")
+    if p := add_command("evaluate", cmd_evaluate, "evaluate a model on labeled examples"):
+        p.add_argument("--model", help="model file")
+        p.add_argument("--labeled", help="labeled-example file")
 
-    p = add_command("report", cmd_report, "classify a mentions file and write CSV reports")
-    add_corpus_options(p)
-    p.add_argument("--mentions", help="mentions file from the extract stage")
-    add_report_options(p)
+    if p := add_command("report", cmd_report, "classify a mentions file and write CSV reports"):
+        add_corpus_options(p)
+        p.add_argument("--mentions", help="mentions file from the extract stage")
+        add_report_options(p)
 
-    p = add_command("pipeline", cmd_pipeline, "fused extract + report run")
-    add_extraction_options(p)
-    p.add_argument("--mentions", help="where to write the intermediate mentions file")
-    add_report_options(p)
+    if p := add_command("pipeline", cmd_pipeline, "fused extract + report run"):
+        add_extraction_options(p)
+        p.add_argument("--mentions", help="where to write the intermediate mentions file")
+        add_report_options(p)
 
     return parser
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> argparse.Namespace:
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse the command line with config-file and environment values in front.
 
     The first parse names the command and so its options.  Each option's
@@ -594,7 +597,6 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> 
     value it reads, so flag > environment > config > default, and every
     value passes the option's own type and choice checks.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     config = {}
     if args.config is not None:
@@ -623,8 +625,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> 
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_args(build_parser(), argv)
+        args = _parse_args(build_parser(argv), argv)
         return args.func(vars(args))
     except UsageError as exc:
         log.error("%s", exc)

@@ -26,23 +26,36 @@ MAX_WORKERS = 2
 MIN_SHARD_BYTES = 256 * 1024
 
 
-# The cgroup v2 CPU quota at the top of the mounted hierarchy, which in a
-# container is the container's own cgroup: "max <period>" when there is
-# no limit, "<quota> <period>" when the cgroup may use quota microseconds
-# of CPU time per period.  Absent on the host's root cgroup and on v1.
+# The cgroup v2 CPU quota at the top of the mounted hierarchy, and in each
+# cgroup below it: "max <period>" when there is no limit, "<quota> <period>"
+# when the cgroup may use quota microseconds of CPU time per period.
+# Absent on the host's root cgroup and on v1.
 CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+# Its "0::<path>" line names this process's cgroup v2, below that top.
+PROC_CGROUP = Path("/proc/self/cgroup")
 
 
 def _quota_cpus() -> int | None:
-    """The CPUs' worth of time the cgroup quota allows, rounded up; None
-    when there is no quota or its file is missing or malformed."""
+    """The smallest quota of this process's cgroup and its ancestors, in
+    CPUs rounded up; None when no level sets one.  A level whose file is
+    missing or malformed, or reads "max", sets none.  A path that is
+    unknown or leaves the hierarchy ("..") reads the top alone."""
     try:
-        quota, period = (int(v) for v in CPU_MAX.read_text().split())
-    except (OSError, ValueError):
-        return None
-    if quota <= 0 or period <= 0:
-        return None
-    return -(-quota // period)
+        path = next(line[3:] for line in PROC_CGROUP.read_text().splitlines()
+                    if line.startswith("0::"))
+    except (OSError, StopIteration):
+        path = ""
+    parts = [] if ".." in path.split("/") else [p for p in path.split("/") if p]
+    limits = []
+    for i in range(len(parts) + 1):
+        try:
+            quota, period = (int(v) for v in
+                             CPU_MAX.parent.joinpath(*parts[:i], CPU_MAX.name).read_text().split())
+        except (OSError, ValueError):
+            continue
+        if quota > 0 and period > 0:
+            limits.append(-(-quota // period))
+    return min(limits, default=None)
 
 
 def _usable_cpus() -> int:
@@ -59,8 +72,11 @@ def _usable_cpus() -> int:
 
 def shard_count(input_bytes: int) -> int:
     """How many shards to cut an input of this size into: one per usable
-    CPU, at most MAX_WORKERS, and none smaller than MIN_SHARD_BYTES."""
-    return max(1, min(_usable_cpus(), MAX_WORKERS, input_bytes // MIN_SHARD_BYTES))
+    CPU, at most MAX_WORKERS, and none smaller than MIN_SHARD_BYTES; an
+    input too small for two shards skips the CPU lookup."""
+    if input_bytes < 2 * MIN_SHARD_BYTES:
+        return 1
+    return min(_usable_cpus(), MAX_WORKERS, input_bytes // MIN_SHARD_BYTES)
 
 
 def contiguous(items: Sequence[S], n: int) -> list[Sequence[S]]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oadscan import cli, shards
+from oadscan import classifier, cli, shards
 from oadscan.analytics import AggregateConfig, CorpusAggregate, paper_figures, write_reports
 from oadscan.classifier import (
     DEFAULT_DENYLIST,
@@ -225,13 +225,13 @@ def test_model_scores_only_where_the_category_depends_on_it(tmp_path, monkeypatc
         MentionRecord(DocumentId("d", 1), "2019-01", uri, (0, len(uri)), f"Code at {uri}.")
         for uri in SCORING_CASES])
     scored = []
-    score_text = cli.score_text
 
     def recording_score_text(model, context, parsed):
         scored.append(parsed.uri)
         return score_text(model, context, parsed)
 
-    monkeypatch.setattr(cli, "score_text", recording_score_text)
+    # The report loop imports score_text from classifier each time it runs.
+    monkeypatch.setattr(classifier, "score_text", recording_score_text)
     argv = ["--manifest", manifest, "--mentions", mentions, "--category-policy", category_policy]
     # One shard: the recorder sees this process's calls only.
     counts = run_sharded(1, "report", tmp_path / "one", *argv)["counts"]

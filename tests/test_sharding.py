@@ -249,6 +249,52 @@ def test_usable_cpus_honours_the_cgroup_quota(tmp_path, monkeypatch, cpu_max, ma
     assert shards._usable_cpus() == expected
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="one CPU where the commands cannot fork")
+@pytest.mark.parametrize("proc_cgroup, quotas, expected", [
+    # quotas: cgroup path below the top -> its cpu.max; the mask is 4 CPUs
+    ("0::/a/b\n", {"a/b": "100000 100000\n"}, 1),   # the process's own cgroup
+    ("0::/a/b\n", {"a": "150000 100000\n"}, 2),     # an ancestor's quota
+    ("0::/a/b\n", {"": "100000 100000\n"}, 1),      # the top's quota
+    ("0::/a/b\n", {"": "300000 100000\n", "a": "200000 100000\n",
+                   "a/b": "max 100000\n"}, 2),      # the smallest level wins
+    ("0::/a/b\n", {"a": "junk\n", "a/b": "0 100000\n"}, 4),  # malformed: no limit
+    ("0::/a/b\n", {}, 4),                           # no cpu.max at any level
+    ("0::/a\n", {"a/b": "100000 100000\n"}, 4),     # a child's quota does not count
+    ("0::/\n", {"a": "100000 100000\n"}, 4),
+    ("1:cpu:/b\n0::/a\n", {"a": "100000 100000\n"}, 1),  # hybrid: the v2 line
+    ("1:cpu:/a\n", {"a": "100000 100000\n"}, 4),  # v1 only: the top alone
+    (None, {"a": "100000 100000\n"}, 4),            # no cgroup file: the top alone
+    ("0::/../a\n", {"a": "100000 100000\n"}, 4),   # above the top: the top alone
+])
+def test_usable_cpus_honours_every_level_of_a_nested_cgroup(tmp_path, monkeypatch, proc_cgroup,
+                                                            quotas, expected):
+    # A fake hierarchy stands in for the mounted one; no real quota is set.
+    top = tmp_path / "cgroup"
+    (top / "a" / "b").mkdir(parents=True)
+    for path, text in quotas.items():
+        (top / path / "cpu.max").write_text(text)
+    fake_proc = tmp_path / "self-cgroup"
+    if proc_cgroup is not None:
+        fake_proc.write_text(proc_cgroup)
+    monkeypatch.setattr(shards, "CPU_MAX", top / "cpu.max")
+    monkeypatch.setattr(shards, "PROC_CGROUP", fake_proc)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert shards._usable_cpus() == expected
+
+
+@pytest.mark.real_shard_count
+def test_small_input_skips_the_cpu_lookup(monkeypatch):
+    def lookup():
+        raise AssertionError("an input below two shards looked up the CPUs")
+
+    monkeypatch.setattr(shards, "_usable_cpus", lookup)
+    assert shards.shard_count(0) == 1
+    assert shards.shard_count(2 * MIN_SHARD_BYTES - 1) == 1
+
+
 @pytest.mark.real_shard_count
 def test_input_size_sets_the_shards(tmp_path, monkeypatch):
     # The golden corpus is far below two minimum shards, so one process
