@@ -150,15 +150,13 @@ def _sparse_counts(context: str, parsed: ParsedUri) -> Counter[str]:
         head, sep, tail = uri.partition("://")
         if sep:
             masked = masked.replace(tail, _URI_PLACEHOLDER)
-    counts: Counter[str] = Counter(_TOKEN_RE.findall(masked.lower()))
-
-    host = parsed.host
-    if host is not None:
-        counts["host:" + host] += 1
-        label = host.rsplit(".", 1)[-1]
-        if label and label != host:
-            counts["tld:" + label] += 1
-    return counts
+    features = _TOKEN_RE.findall(masked.lower())
+    suffixes = parsed.suffixes
+    if suffixes:
+        features.append("host:" + suffixes[0])
+        if len(suffixes) > 1 and suffixes[-1]:
+            features.append("tld:" + suffixes[-1])
+    return Counter(features)
 
 
 def _fixed_features(parsed: ParsedUri) -> tuple[float, ...]:
@@ -176,7 +174,7 @@ def _terms(
     the in-vocabulary tokens of ``counts`` in sorted order, then the
     nonzero fixed slots.  Training and scoring both sum in this order, so
     a score is bit-identical however it is reached."""
-    terms = [(vocabulary[t], counts[t]) for t in sorted([t for t in counts if t in vocabulary])]
+    terms = [(vocabulary[t], counts[t]) for t in sorted(vocabulary.keys() & counts.keys())]
     for idx, value in enumerate(_fixed_features(parsed), start=len(vocabulary)):
         if value:
             terms.append((idx, value))

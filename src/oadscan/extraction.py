@@ -27,10 +27,12 @@ import json
 import re
 import sys
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
+from json.decoder import scanstring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .corpus import Document, DocumentId, parse_document_id, validate_month
 from .fileio import atomic_write_text
@@ -499,8 +501,7 @@ class MentionsFileError(ValueError):
     """A mentions-file record could not be parsed."""
 
 
-@dataclass(frozen=True)
-class MentionRecord:
+class MentionRecord(NamedTuple):
     """A mention as persisted between pipeline stages (month attached)."""
 
     doc_id: DocumentId
@@ -540,6 +541,19 @@ def _line_breaks(data: bytes) -> int:
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
+def _json_string(field: str) -> str:
+    """A context field's string; one JSON string alone is decoded by the C scanner."""
+    if field[:1] == '"':
+        with suppress(ValueError):
+            value, stop = scanstring(field, 1)
+            if stop == len(field):
+                return value
+    value = json.loads(field)
+    if not isinstance(value, str):
+        raise ValueError("context is not a JSON string")
+    return value
+
+
 def read_mentions_file(path: str | Path, start: int = 0,
                        end: int | None = None) -> list[MentionRecord]:
     """The records of the lines that begin in bytes [start, end) of a
@@ -551,8 +565,8 @@ def read_mentions_file(path: str | Path, start: int = 0,
     the path and its line number in the whole file, whatever the range.
     """
     records: list[MentionRecord] = []
-    # A document's mentions are consecutive lines; they share one DocumentId.
-    last_raw_id, doc_id = None, None
+    # A document's consecutive lines share one id and month, parsed on change.
+    last_raw_id, doc_id, last_month = None, None, None
     stop = sys.maxsize if end is None else end
     lineno = 0  # lines read from start
     try:
@@ -574,16 +588,11 @@ def read_mentions_file(path: str | Path, start: int = 0,
                     raw_id, month, uri, span_start, span_end, context = fields
                     if raw_id != last_raw_id:
                         doc_id, last_raw_id = parse_document_id(raw_id), raw_id
-                    record = MentionRecord(
-                        doc_id,
-                        validate_month(month),
-                        uri,
-                        (int(span_start), int(span_end)),
-                        json.loads(context),
-                    )
-                    if not isinstance(record.context, str):
-                        raise ValueError("context is not a JSON string")
-                    records.append(record)
+                    if month != last_month:
+                        last_month = validate_month(month)
+                    span = (int(span_start), int(span_end))
+                    records.append(MentionRecord(doc_id, last_month, uri, span,
+                                                 _json_string(context)))
     except ValueError as exc:
         reason = (f"invalid UTF-8 at byte offset {exc.start} of the line ({exc.reason})"
                   if isinstance(exc, UnicodeDecodeError) else exc)

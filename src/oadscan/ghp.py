@@ -5,7 +5,8 @@ or first label) in the fixed order GitHub, GitLab, SourceForge,
 Bitbucket.  Matching is on whole host labels only, never raw substrings,
 so ``mygithub.example.com`` is not GitHub while ``gitlab.cern.ch`` is a
 GitLab instance.  A rule set is compiled once into one lookup table per
-rule kind, so a host costs a lookup per dotted suffix, not a test per rule.
+rule kind, so a host costs a lookup per suffix that ``parse_uri`` lists,
+not a test per rule.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class HostRule:
 
 
 # A compiled rule table: the rule's host (an exact host, a dotted suffix
-# with its leading dot, or a first label) -> (the position of its
+# without its leading dot, or a first label) -> (the position of its
 # platform in the rule set, the platform).
 _RuleTable = dict[str, tuple[int, Platform]]
 
@@ -72,7 +73,8 @@ class GhpPatternSet:
         tables: dict[str, _RuleTable] = {kind: {} for kind in _RULE_KINDS}
         for order, (platform, rules) in enumerate(self.rules):
             for rule in rules:
-                tables[rule.kind].setdefault(rule.host, (order, platform))
+                host = rule.host[1:] if rule.kind == "suffix" else rule.host
+                tables[rule.kind].setdefault(host, (order, platform))
         return tables
 
     @classmethod
@@ -127,14 +129,12 @@ def detect_ghp(parsed: ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) ->
     # Hits compare by platform position; one position is one platform.
     if hit is not None and (best is None or hit < best):
         best = hit
-    # A suffix rule matches when it equals the host from one of its dots on.
-    suffixes = tables["suffix"]
-    dot = host.find(".")
-    while dot != -1:
-        hit = suffixes.get(host[dot:])
+    # A suffix rule matches when it equals the host from after one of its dots.
+    suffix_rules = tables["suffix"]
+    for suffix in parsed.suffixes[1:]:
+        hit = suffix_rules.get(suffix)
         if hit is not None and (best is None or hit < best):
             best = hit
-        dot = host.find(".", dot + 1)
     return None if best is None else best[1]
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .fileio import json_object, load_json, string_list
@@ -135,8 +136,7 @@ def split_port(host: str) -> tuple[str, str | None]:
     return head, tail or None
 
 
-@dataclass(frozen=True)
-class ParsedUri:
+class ParsedUri(NamedTuple):
     """A URI split once, with every field the scope, GHP, classifier and
     report rules read.
 
@@ -144,7 +144,8 @@ class ParsedUri:
     scheme's default port dropped and any other port kept as
     ``host:port``; ``host`` is ``hostname`` with its port split off.  Both
     are None when the URI has no host or does not parse, and a URI that
-    does not parse has an empty scheme and path.
+    does not parse has an empty scheme and path.  ``suffixes`` is the host,
+    then the host from after each dot (``a.b.org``, ``b.org``, ``org``).
     """
 
     uri: str
@@ -152,19 +153,12 @@ class ParsedUri:
     host: str | None
     path: str
     hostname: str | None
+    suffixes: tuple[str, ...]
 
     def in_domains(self, domains: frozenset[str]) -> bool:
         """True when the host is one of ``domains`` or a subdomain of one
         (matched on label boundaries)."""
-        host = self.host
-        if host is None:
-            return False
-        while host not in domains:
-            dot = host.find(".")
-            if dot == -1:
-                return False
-            host = host[dot + 1 :]
-        return True
+        return not domains.isdisjoint(self.suffixes)
 
 
 # A plain URI: scheme://authority[/path][?query or #fragment], with no
@@ -172,6 +166,9 @@ class ParsedUri:
 # splits such a URI (when it is also ASCII and printable) at the first
 # "/", "?" and "#" after the authority, as this pattern's groups do.
 _PLAIN_URI = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#@\[\] ]*)(/[^?# ]*)?(?:[?#][^ ]*)?")
+
+# The text after each dot, to the end of the host.
+_AFTER_DOTS = re.compile(r"\.(?=(.*))", re.DOTALL).findall
 
 
 def _split(uri: str) -> tuple[str, str, str]:
@@ -202,10 +199,10 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
         else:
             hostname = host
     except ValueError:
-        return ParsedUri(uri, "", None, "", None)
+        return ParsedUri(uri, "", None, "", None, ())
     if not host:
-        return ParsedUri(uri, scheme, None, path, None)
-    return ParsedUri(uri, scheme, host, path, hostname)
+        return ParsedUri(uri, scheme, None, path, None, ())
+    return ParsedUri(uri, scheme, host, path, hostname, (host, *_AFTER_DOTS(host)))
 
 
 def host_of(uri: str) -> str:

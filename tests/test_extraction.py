@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +308,14 @@ class TestMentionsFile:
         assert count == 1
         assert read_mentions_file(path) == records
 
+    def test_record_immutable_and_picklable(self):
+        record = self.make_records()[0]
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+
     def test_context_json_escaped(self, tmp_path):
         record = MentionRecord(
             DocumentId("a", 1), "2019-01", "https://x.org/a", (4, 19),
@@ -342,6 +351,24 @@ class TestMentionsFile:
         path.write_text("av1\t2019-01\thttps://x.org/a\t0\t15\t\"c\"\n"
                         "av0\t2019-01\thttps://x.org/b\t0\t15\t\"c\"\n", encoding="utf-8")
         with pytest.raises(MentionsFileError, match=":2:"):
+            read_mentions_file(path)
+
+    def test_consecutive_mentions_share_one_month(self, tmp_path):
+        months = ["2019-01", "2019-01", "2019-02", "2019-01"]
+        records = [MentionRecord(DocumentId("a", 1), m, f"https://x.org/{n}", (0, 15), "c")
+                   for n, m in enumerate(months)]
+        path = tmp_path / "mentions.tsv"
+        write_mentions_file(path, records)
+        read = read_mentions_file(path)
+        assert read == records
+        assert read[0].month is read[1].month
+        assert read[3].month is not read[1].month
+
+    def test_bad_month_on_a_later_line_of_one_document_rejected(self, tmp_path):
+        path = tmp_path / "mentions.tsv"
+        path.write_text("".join(f"av1\t{'2019-13' if n == 3 else '2019-01'}\thttps://x.org/{n}"
+                                f"\t0\t15\t\"c\"\n" for n in range(1, 5)), encoding="utf-8")
+        with pytest.raises(MentionsFileError, match=r":3: invalid month '2019-13'"):
             read_mentions_file(path)
 
     def test_malformed_context_rejected_with_its_line(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -111,6 +112,26 @@ class TestParseUri:
         assert parsed.scheme == "https"
         assert (parsed.host, parsed.hostname) == ("github.com", "github.com:8443")
         assert parsed.path == "/A/b"
+
+    @pytest.mark.parametrize("uri, suffixes", [
+        ("https://a.b.org/x", ("a.b.org", "b.org", "org")),
+        ("https://GitHub.COM:8443/x", ("github.com", "com")),
+        ("https://a..b./x", ("a..b.", ".b.", "b.", "")),
+        ("http://[::1]:80/x", ("[::1]",)),
+        ("https://localhost/", ("localhost",)),
+        ("mailto:x@doi.org", ()),
+        ("http://example.org:abc/", ()),
+    ])
+    def test_suffixes(self, uri, suffixes):
+        assert parse_uri(uri).suffixes == suffixes
+
+    def test_immutable_and_picklable(self):
+        parsed = parse_uri("https://a.b.org/x")
+        for field in parsed._fields:
+            with pytest.raises(AttributeError):
+                setattr(parsed, field, None)
+        copy = pickle.loads(pickle.dumps(parsed))
+        assert copy == parsed and type(copy) is type(parsed)
 
     def test_in_domains_matches_label_suffixes_only(self):
         domains = frozenset({"springer.com", "doi.org"})

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,48 @@ def test_file_error_in_a_later_shard_beats_window_error_in_an_earlier_one(tmp_pa
             # the window error is in the first shard, the file error later
             assert window_at < ranges[0][1]
         assert report_error(mentions, n) == str(serial.value)
+
+
+def test_bad_month_later_in_one_document_named_at_every_shard_count(tmp_path, report_error):
+    # Every line is document d1; a month is checked only where it changes,
+    # so line 30's bad month follows 29 good lines with one month.
+    lines = [f"d1v1\t{'2019-13' if n == 30 else '2019-01'}\thttps://x.org/{n}\t0\t15\t"
+             f"\"context {n}\"\n" for n in range(1, 40)]
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MentionsFileError) as serial:
+        read_mentions_file(mentions)
+    assert str(serial.value) == (f"{mentions}:30: invalid month '2019-13': "
+                                 "expected YYYY-MM with MM in 01..12")
+    # at two shards the bad line is in the second one
+    assert mentions.read_bytes().index(b"2019-13") > line_ranges(mentions, 2)[1][0]
+    for n in (1, 2):
+        assert report_error(mentions, n) == str(serial.value)
+
+
+def test_shard_stage_seconds_are_cpu_time(tmp_path, monkeypatch, force_shards):
+    # A fake CPU clock that moves one second per reading makes every span
+    # timed in CPU time exactly 1 s, whatever the wall clock does.
+    ticks = itertools.count(0, 10**9)
+    monkeypatch.setattr(time, "process_time_ns", lambda: next(ticks))
+    manifest = small_corpus(tmp_path)
+    for n in (1, 2):
+        force_shards(n)
+        out = tmp_path / f"p{n}"
+        assert run("pipeline", "--manifest", manifest, "--model", MODEL,
+                   "--out-dir", out) == EXIT_OK
+        timings = json.loads((out / "run_metadata.json").read_text())["timings"]
+        workers = timings["workers"]
+        assert workers == n
+        assert timings["extract_s"] == 5.0  # one span per document
+        assert timings["classify_s"] == workers + 1  # one per shard, one in the parent
+        assert timings["read_documents_s"] < 1 and timings["write_mentions_s"] < 1
+        assert run("report", "--manifest", manifest, "--model", MODEL, "--mentions",
+                   out / "mentions.tsv", "--out-dir", tmp_path / f"r{n}") == EXIT_OK
+        timings = json.loads((tmp_path / f"r{n}" / "run_metadata.json").read_text())["timings"]
+        assert timings["read_mentions_s"] == timings["workers"]
+        assert timings["classify_s"] == timings["workers"] + 1
+        assert timings["write_reports_s"] < 1
 
 
 def test_window_error_is_the_first_in_file_order(tmp_path, report_error):
