@@ -151,11 +151,10 @@ def _sparse_counts(context: str, parsed: ParsedUri) -> Counter[str]:
         if sep:
             masked = masked.replace(tail, _URI_PLACEHOLDER)
     features = _TOKEN_RE.findall(masked.lower())
-    suffixes = parsed.suffixes
-    if suffixes:
-        features.append("host:" + suffixes[0])
-        if len(suffixes) > 1 and suffixes[-1]:
-            features.append("tld:" + suffixes[-1])
+    if parsed.host is not None:
+        features.append("host:" + parsed.host)
+        if (tld := parsed.tld) is not None:
+            features.append("tld:" + tld)
     return Counter(features)
 
 

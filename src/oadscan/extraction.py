@@ -27,10 +27,8 @@ import json
 import re
 import sys
 from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
-from json.decoder import scanstring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -541,19 +539,6 @@ def _line_breaks(data: bytes) -> int:
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
-def _json_string(field: str) -> str:
-    """A context field's string; one JSON string alone is decoded by the C scanner."""
-    if field[:1] == '"':
-        with suppress(ValueError):
-            value, stop = scanstring(field, 1)
-            if stop == len(field):
-                return value
-    value = json.loads(field)
-    if not isinstance(value, str):
-        raise ValueError("context is not a JSON string")
-    return value
-
-
 def read_mentions_file(path: str | Path, start: int = 0,
                        end: int | None = None) -> list[MentionRecord]:
     """The records of the lines that begin in bytes [start, end) of a
@@ -591,8 +576,10 @@ def read_mentions_file(path: str | Path, start: int = 0,
                     if month != last_month:
                         last_month = validate_month(month)
                     span = (int(span_start), int(span_end))
-                    records.append(MentionRecord(doc_id, last_month, uri, span,
-                                                 _json_string(context)))
+                    context = json.loads(context)
+                    if not isinstance(context, str):
+                        raise ValueError("context is not a JSON string")
+                    records.append(MentionRecord(doc_id, last_month, uri, span, context))
     except ValueError as exc:
         reason = (f"invalid UTF-8 at byte offset {exc.start} of the line ({exc.reason})"
                   if isinstance(exc, UnicodeDecodeError) else exc)

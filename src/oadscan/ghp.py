@@ -131,7 +131,7 @@ def detect_ghp(parsed: ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) ->
         best = hit
     # A suffix rule matches when it equals the host from after one of its dots.
     suffix_rules = tables["suffix"]
-    for suffix in parsed.suffixes[1:]:
+    for suffix in parsed.after_dots:
         hit = suffix_rules.get(suffix)
         if hit is not None and (best is None or hit < best):
             best = hit

@@ -145,7 +145,10 @@ class ParsedUri(NamedTuple):
     ``host:port``; ``host`` is ``hostname`` with its port split off.  Both
     are None when the URI has no host or does not parse, and a URI that
     does not parse has an empty scheme and path.  ``suffixes`` is the host,
-    then the host from after each dot (``a.b.org``, ``b.org``, ``org``).
+    then the host from after each dot (``a.b.org``, ``b.org``, ``org``)
+    up to 253 characters long, the longest DNS name: a host with many dots
+    costs linear time and memory, and a longer domain or rule matches only
+    a host equal to it.
     """
 
     uri: str
@@ -156,9 +159,20 @@ class ParsedUri(NamedTuple):
     suffixes: tuple[str, ...]
 
     def in_domains(self, domains: frozenset[str]) -> bool:
-        """True when the host is one of ``domains`` or a subdomain of one
-        (matched on label boundaries)."""
+        """True when the host is one of ``domains`` or a subdomain of one (on
+        label boundaries; a domain over 253 characters only as the host)."""
         return not domains.isdisjoint(self.suffixes)
+
+    @property
+    def after_dots(self) -> tuple[str, ...]:
+        """The listed suffixes from after the host's dots, without the host."""
+        return self.suffixes[1:]
+
+    @property
+    def tld(self) -> str | None:
+        """The host's last label; None without a dot or after a final dot."""
+        _, dot, label = (self.host or "").rpartition(".")
+        return label if dot and label else None
 
 
 # A plain URI: scheme://authority[/path][?query or #fragment], with no
@@ -169,6 +183,9 @@ _PLAIN_URI = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#@\[\] ]*)(/[^?# ]*)?
 
 # The text after each dot, to the end of the host.
 _AFTER_DOTS = re.compile(r"\.(?=(.*))", re.DOTALL).findall
+# The longest suffix listed, that of a DNS name; each starts after a dot
+# in the host's last 254 characters.
+_MAX_SUFFIX = 253
 
 
 def _split(uri: str) -> tuple[str, str, str]:
@@ -202,7 +219,8 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
         return ParsedUri(uri, "", None, "", None, ())
     if not host:
         return ParsedUri(uri, scheme, None, path, None, ())
-    return ParsedUri(uri, scheme, host, path, hostname, (host, *_AFTER_DOTS(host)))
+    suffixes = (host, *_AFTER_DOTS(host[-_MAX_SUFFIX - 1 :]))
+    return ParsedUri(uri, scheme, host, path, hostname, suffixes)
 
 
 def host_of(uri: str) -> str:

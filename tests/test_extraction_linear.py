@@ -59,6 +59,11 @@ def shape_c(n: int) -> str:
             + "a." * n + "www.b.\nSee " + "a." * n + "www.b/c\nd more text.\n") * 8
 
 
+def shape_f(n: int) -> str:
+    """One URI whose host has n dots."""
+    return "The archive is at http://" + "a." * n + "b for reuse.\n"
+
+
 PROSE = ("The samples were collected at three field sites in 2019. "
          "Each site was visited twice!  Results are listed below (see Table 2). ")
 
@@ -222,8 +227,8 @@ def _doubling_ratios(small: str, large: str, rounds: int = 9) -> list[float]:
 
 
 @pytest.mark.parametrize("shape, n", [(shape_a, 1000), (shape_b, 1000), (shape_c, 1000),
-                                     (shape_d, 200), (shape_e, 500)],
-                         ids=["a", "b", "c", "d", "e"])
+                                     (shape_d, 200), (shape_e, 500), (shape_f, 4000)],
+                         ids=["a", "b", "c", "d", "e", "f"])
 def test_doubling_the_input_at_most_doubles_extraction_time(shape, n):
     ratio = statistics.median(_doubling_ratios(shape(n), shape(2 * n)))
     assert ratio <= 2.5, f"t(2N)/t(N) = {ratio:.2f} at N = {n}"

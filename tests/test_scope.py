@@ -125,6 +125,22 @@ class TestParseUri:
     def test_suffixes(self, uri, suffixes):
         assert parse_uri(uri).suffixes == suffixes
 
+    def test_suffixes_stop_at_the_longest_dns_name(self):
+        host = "a." * 50000 + "b"
+        parsed = parse_uri(f"http://{host}/x")
+        assert parsed.suffixes[0] == host
+        assert [len(s) for s in parsed.after_dots] == list(range(253, 0, -2))
+        # A longer domain matches only a host equal to it.
+        assert parsed.in_domains(frozenset({host}))
+        assert not parsed.in_domains(frozenset({host[2:]}))
+
+    @pytest.mark.parametrize("uri, tld", [
+        ("https://a.b.org/x", "org"), ("https://org/x", None), ("https://a.b./x", None),
+        ("https://.b:8080/x", "b"), ("http://[::1]/x", None), ("mailto:x@doi.org", None),
+    ])
+    def test_tld(self, uri, tld):
+        assert parse_uri(uri).tld == tld
+
     def test_immutable_and_picklable(self):
         parsed = parse_uri("https://a.b.org/x")
         for field in parsed._fields:
