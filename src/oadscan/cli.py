@@ -216,11 +216,23 @@ def _add(parts: Sequence[_Part]) -> _Part:
 
 def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
                    entries: Sequence[ManifestEntry]) -> _Part:
-    """Read and extract a shard's documents; for ``pipeline`` (``setup``
-    given), also run the report loop on their mentions."""
-    part = _Part([], [], Counter(), Counter(), None)
+    """Read and extract a shard's documents in batches that end once their
+    text reaches ``shards.CHUNK_BYTES``; format each batch's mentions and,
+    for ``pipeline`` (``setup`` given), run the report loop on them."""
+    part, report = _Part([], [], Counter(), Counter(), None), None
     records: list[MentionRecord] = []
-    for entry in entries:
+    batched = 0  # input bytes of the documents in earlier batches
+    for entry in (*entries, None):  # None ends the last batch
+        if entry is None or part.counts["input_bytes"] - batched >= shards.CHUNK_BYTES:
+            t0 = time.perf_counter_ns()
+            part.lines.append(format_mentions(records))
+            part.ns["write_mentions"] += time.perf_counter_ns() - t0
+            part.counts["mentions"] += len(records)
+            if setup:
+                report = _report_records(setup, records, report)
+            if entry is None:
+                break
+            records, batched = [], part.counts["input_bytes"]
         t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
@@ -233,11 +245,7 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
                        for m in extract_uri_mentions(doc, dedup=dedup))
         part.ns["extract"] += time.process_time_ns() - t0
         part.counts["input_bytes"] += len(doc.text.encode("utf-8"))
-    t0 = time.perf_counter_ns()
-    part.lines.append(format_mentions(records))
-    part.ns["write_mentions"] += time.perf_counter_ns() - t0
-    part.counts["mentions"] = len(records)
-    return _add([part, _report_records(setup, records)]) if setup else part
+    return _add([part, report]) if setup else part
 
 
 def _document_bytes(docs_root: Path, entries: Sequence[ManifestEntry]) -> int:
@@ -346,8 +354,9 @@ def cmd_evaluate(settings: dict) -> int:
 # --- report ----------------------------------------------------------------
 
 
-def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
-    """Classify, scope and categorize mentions into a partial aggregate.
+def _report_records(setup: _ReportSetup, records: list[MentionRecord],
+                    part: _Part | None = None) -> _Part:
+    """Classify, scope and categorize mentions into part (a new one when None).
 
     Rules and scope run on every mention, as each is counted.  The model
     scores an in-scope mention no rule decided whose category reads the
@@ -358,8 +367,8 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
     from .ghp import category_of, detect_ghp, label_decides
     from .scope import is_in_scope, parse_uri
     t0 = time.process_time_ns()
-    counts: Counter = Counter()
-    aggregate = CorpusAggregate(setup.config)
+    part = part or _Part([], [], Counter(), Counter(), CorpusAggregate(setup.config))
+    counts, aggregate = part.counts, part.aggregate
     category_policy = setup.config.category_policy
     for r in records:
         parsed = parse_uri(r.uri)
@@ -377,30 +386,37 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord]) -> _Part:
         category = category_of(platform, oads, category_policy)
         counts[category] += 1
         aggregate.add_mention(r.month, category, parsed.hostname)
-    return _Part([], [], counts, Counter(classify=time.process_time_ns() - t0), aggregate)
+    part.ns["classify"] += time.process_time_ns() - t0
+    return part
 
 
 def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
                   byte_range: tuple[int, int]) -> _Part | MentionsFileError:
-    """Read the mention lines in a byte range of the mentions file, then
-    run the report loop on them.
+    """Run the report loop on the mention lines in a byte range of the
+    mentions file, one line-aligned chunk of about ``shards.CHUNK_BYTES``
+    (or one longer line) at a time, so memory does not grow with the range.
 
     A malformed line raises.  A month outside the window is returned
     instead, and raised by the parent once every shard is done: the serial
     run reads the whole file before it checks a month, so a malformed line
-    in any shard comes first.
+    in any shard comes first.  The chunks after such a month are still
+    read, for a malformed line, but not looped over.
     """
-    t0 = time.process_time_ns()
-    records = read_mentions_file(path, *byte_range)
-    for r in records:
-        if not window.contains(r.month):
-            return MentionsFileError(f"mention month {r.month} outside corpus window "
-                                     f"{window.start}..{window.end} (doc {r.doc_id})")
-    read_ns = time.process_time_ns() - t0
-    part = _report_records(setup, records)
-    part.counts["mentions"] = len(records)
-    part.ns["read_mentions"] = read_ns
-    return part
+    part, error = None, None
+    start, end = byte_range
+    for chunk in shards.line_ranges(path, -(-(end - start) // shards.CHUNK_BYTES), start, end):
+        t0 = time.process_time_ns()
+        records = read_mentions_file(path, *chunk)
+        error = error or next(
+            (MentionsFileError(f"mention month {r.month} outside corpus window "
+                               f"{window.start}..{window.end} (doc {r.doc_id})")
+             for r in records if not window.contains(r.month)), None)
+        read_ns = time.process_time_ns() - t0
+        if error is None:
+            part = _report_records(setup, records, part)
+            part.counts["mentions"] += len(records)
+            part.ns["read_mentions"] += read_ns
+    return error or part
 
 
 def _write_report(

@@ -534,9 +534,8 @@ def write_mentions_file(path: str | Path, records: Iterable[MentionRecord]) -> i
     return len(records)
 
 
-def _line_breaks(data: bytes) -> int:
-    """Line ends in data as text mode reads them: LF, CRLF or a lone CR."""
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+# How much of a mentions file the error path reads at once to number a line.
+_COUNT_BLOCK = 1 << 20
 
 
 def read_mentions_file(path: str | Path, start: int = 0,
@@ -583,8 +582,13 @@ def read_mentions_file(path: str | Path, start: int = 0,
     except ValueError as exc:
         reason = (f"invalid UTF-8 at byte offset {exc.start} of the line ({exc.reason})"
                   if isinstance(exc, UnicodeDecodeError) else exc)
-        if start:
-            with open(path, "rb") as fh:
-                lineno += _line_breaks(fh.read(start))
+        with open(path, "rb") as fh:  # the line ends before start, a block at a time
+            last = b""
+            for at in range(0, start, _COUNT_BLOCK):
+                data = fh.read(min(_COUNT_BLOCK, start - at))
+                # LF, CRLF or a lone CR; a CRLF that a block's end splits is one
+                lineno += (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+                           - (last == b"\r" and data[:1] == b"\n"))
+                last = data[-1:]
         raise MentionsFileError(f"{path}:{lineno}: {reason}") from None
     return records

@@ -24,6 +24,8 @@ MAX_WORKERS = 2
 # and report and pipeline get through 3-5 MB/s of input per CPU, so a
 # smaller shard would not repay its worker.
 MIN_SHARD_BYTES = 256 * 1024
+# The input a report or pipeline shard runs its loop on at once: mentions-file bytes, document text.
+CHUNK_BYTES = 1 << 20
 
 
 # The cgroup v2 CPU quota at the top of the mounted hierarchy, and in each
@@ -86,22 +88,25 @@ def contiguous(items: Sequence[S], n: int) -> list[Sequence[S]]:
     return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
 
 
-def line_ranges(path: str | Path, n: int) -> list[tuple[int, int]]:
-    """At most n contiguous byte ranges (start, end) that cover the file.
+def line_ranges(path: str | Path, n: int, start: int = 0,
+                end: int | None = None) -> list[tuple[int, int]]:
+    """At most n contiguous byte ranges (start, end) that cover bytes
+    [start, end) of the file (to its end when ``end`` is None).
 
-    Every cut falls just after a newline byte, and no range is empty, so
-    there are never more ranges than lines.  An empty file gives (0, 0).
+    ``start`` is 0 or just after a newline byte.  Every cut falls just
+    after a newline byte, and no range is empty, so there are never more
+    ranges than lines.  An empty span gives (start, start).
     """
-    size = os.path.getsize(path)
-    cuts = [0]
+    end = os.path.getsize(path) if end is None else end
+    cuts = [start]
     with open(path, "rb") as fh:
         for k in range(1, n):
-            fh.seek(max(size * k // n, cuts[-1]))
+            fh.seek(max(start + (end - start) * k // n, cuts[-1]))
             fh.readline()
-            if fh.tell() >= size:
+            if fh.tell() >= end:
                 break
             cuts.append(fh.tell())
-    cuts.append(size)
+    cuts.append(end)
     return list(zip(cuts, cuts[1:]))
 
 

@@ -18,6 +18,9 @@ def pytest_addoption(parser):
     parser.addoption("--shards", type=int, default=None, metavar="N",
                      help="cut every command's input into N shards, whatever its size "
                      "(default: the commands' own choice)")
+    parser.addoption("--chunk-bytes", type=int, default=None, metavar="N",
+                     help="make report read its mentions file, and pipeline run its report "
+                     "loop, in chunks of about N bytes (default: shards.CHUNK_BYTES)")
 
 
 @pytest.fixture
@@ -26,6 +29,15 @@ def force_shards(monkeypatch):
     (fewer when there are fewer documents or lines)."""
     def force(n: int) -> None:
         monkeypatch.setattr(shards, "shard_count", lambda input_bytes: n)
+    return force
+
+
+@pytest.fixture
+def force_chunk_bytes(monkeypatch):
+    """Call with N to make report read its mentions file, and pipeline run
+    its report loop, in chunks of about N bytes."""
+    def force(n: int) -> None:
+        monkeypatch.setattr(shards, "CHUNK_BYTES", n)
     return force
 
 
@@ -39,6 +51,13 @@ def _shards_option(request, force_shards):
     n = request.config.getoption("--shards")
     if n is not None and request.node.get_closest_marker("real_shard_count") is None:
         force_shards(n)
+
+
+@pytest.fixture(autouse=True)
+def _chunk_bytes_option(request, force_chunk_bytes):
+    n = request.config.getoption("--chunk-bytes")
+    if n is not None:
+        force_chunk_bytes(n)
 
 
 @pytest.fixture(scope="session")

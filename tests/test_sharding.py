@@ -9,16 +9,23 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oadscan import cli, shards
+from oadscan import cli, extraction, shards
+from oadscan.analytics import AggregateConfig
+from oadscan.classifier import DEFAULT_DENYLIST, TrainedModel
 from oadscan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from oadscan.corpus import MonthWindow
 from oadscan.extraction import MentionsFileError, read_mentions_file
+from oadscan.ghp import DEFAULT_PATTERNS
+from oadscan.scope import DEFAULT_POLICY
 from oadscan.shards import MAX_WORKERS, MIN_SHARD_BYTES, contiguous, line_ranges, run_shards
 from test_cli import CORPUS, MODEL, write_corpus
+from test_report_loop import CONTEXTS, HOSTS, PATHS, POLICIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -106,14 +113,17 @@ def mention_line(n, month="2019-01", end="\n"):
 @pytest.fixture
 def report_error(tmp_path, caplog, force_shards):
     """Run report on a mentions file in n shards; the one error it logs."""
+    runs = itertools.count()
+
     def report(mentions: Path, n: int) -> str:
         caplog.clear()
         force_shards(n)
-        manifest = write_corpus(tmp_path / f"c{n}", [("d0", 1, "2019-01", "text")])
+        k = next(runs)
+        manifest = write_corpus(tmp_path / f"c{k}", [("d0", 1, "2019-01", "text")])
         code = run("report", "--manifest", manifest / "manifest.tsv", "--model", MODEL,
-                   "--mentions", mentions, "--out-dir", tmp_path / f"r{n}")
+                   "--mentions", mentions, "--out-dir", tmp_path / f"r{k}")
         assert code == EXIT_DATA
-        assert not (tmp_path / f"r{n}").exists()
+        assert not (tmp_path / f"r{k}").exists()
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1
         return errors[0]
@@ -121,9 +131,11 @@ def report_error(tmp_path, caplog, force_shards):
 
 
 def test_file_error_in_a_later_shard_beats_window_error_in_an_earlier_one(tmp_path,
-                                                                          report_error):
+                                                                          report_error,
+                                                                          force_chunk_bytes):
     # Line 3 has a month outside the window and line 40 is malformed.  CRLF
-    # and lone-CR line ends before both check the line numbering.
+    # and lone-CR line ends before both check the line numbering.  Each
+    # shard count runs with one chunk per shard and with 64-byte chunks.
     lines = ["# header\r\n", mention_line(1, end="\r"), mention_line(2, month="1999-01")]
     lines += [mention_line(n, end="\r\n" if n % 3 else "\n") for n in range(3, 39)]
     lines.append("d40v1\t2019-01\tonly four fields\n")
@@ -134,7 +146,8 @@ def test_file_error_in_a_later_shard_beats_window_error_in_an_earlier_one(tmp_pa
         read_mentions_file(mentions)
     assert str(serial.value) == f"{mentions}:40: expected 6 fields"
     window_at = mentions.read_bytes().index(b"1999-01")
-    for n in (1, 2, 3):
+    for n, chunk_bytes in itertools.product((1, 2, 3), (1 << 30, 64)):
+        force_chunk_bytes(chunk_bytes)
         ranges = line_ranges(mentions, n)
         assert len(ranges) == n
         if n > 1:
@@ -160,9 +173,12 @@ def test_bad_month_later_in_one_document_named_at_every_shard_count(tmp_path, re
         assert report_error(mentions, n) == str(serial.value)
 
 
-def test_shard_stage_seconds_are_cpu_time(tmp_path, monkeypatch, force_shards):
+def test_shard_stage_seconds_are_cpu_time(tmp_path, monkeypatch, force_shards,
+                                          force_chunk_bytes):
     # A fake CPU clock that moves one second per reading makes every span
-    # timed in CPU time exactly 1 s, whatever the wall clock does.
+    # timed in CPU time exactly 1 s, whatever the wall clock does.  One
+    # chunk per shard gives each shard one read span and one loop span.
+    force_chunk_bytes(1 << 30)
     ticks = itertools.count(0, 10**9)
     monkeypatch.setattr(time, "process_time_ns", lambda: next(ticks))
     manifest = small_corpus(tmp_path)
@@ -474,3 +490,143 @@ def test_byte_ranges_read_as_the_whole_file(tmp_path_factory, lines, bad_at):
                 for f in (line.split("\t", 5) for line in reference)
                 if f[0] and not f[0].startswith("#")
             ]
+
+
+# --- chunked shards ------------------------------------------------------------
+
+
+def chunk_ranges(path: Path, start: int, end: int, chunk_bytes: int) -> list[tuple[int, int]]:
+    """The chunks a report shard reads its byte range in."""
+    return line_ranges(path, -(-(end - start) // chunk_bytes), start, end)
+
+
+def serial_shards(job, items):
+    """``run_shards`` without the pool, so a test's patches reach every shard."""
+    return [job(item) for item in items]
+
+
+def chunked_report(manifest: Path, mentions: Path, out: Path, policy: str, n_shards: int,
+                   chunk_bytes: int) -> list:
+    """The run record's counts and figures and the four CSVs of report on
+    n_shards shards that read in chunks of about chunk_bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shards, "shard_count", lambda input_bytes: n_shards)
+        mp.setattr(shards, "CHUNK_BYTES", chunk_bytes)
+        mp.setattr(shards, "run_shards", serial_shards)
+        assert run("report", "--manifest", manifest, "--model", MODEL, "--mentions", mentions,
+                   "--out-dir", out, "--category-policy", policy) == EXIT_OK
+    return [metadata(out / "run_metadata.json"), *((out / name).read_bytes() for name in CSVS)]
+
+
+@given(
+    lines=st.lists(st.tuples(st.sampled_from(["mention", "mention", "comment", "blank"]),
+                             st.sampled_from(HOSTS), st.sampled_from(PATHS),
+                             st.sampled_from(CONTEXTS),
+                             st.sampled_from(["2019-01", "2019-02", "2020-06"]), LINE_ENDS),
+                   max_size=30),
+    policy=st.sampled_from(POLICIES),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, policy, data):
+    tmp = tmp_path_factory.mktemp("chunks")
+    text = []
+    for n, (kind, host, path, context, month, end) in enumerate(lines):
+        uri = f"https://{host}{path}"
+        if kind == "mention":
+            text.append(f"d{n % 4}v1\t{month}\t{uri}\t0\t{len(uri)}\t"
+                        f"{json.dumps(context.format(uri))}{end}")
+        else:
+            text.append(("# " + host if kind == "comment" else "") + end)
+    mentions = tmp / "mentions.tsv"
+    mentions.write_bytes("".join(text).encode("utf-8"))
+    manifest = write_corpus(tmp, [(f"d{i}", 1, "2019-01", "text") for i in range(4)])
+    manifest = manifest / "manifest.tsv"
+    size, raw = mentions.stat().st_size, mentions.read_bytes()
+    whole = chunked_report(manifest, mentions, tmp / "whole", policy, 1, size + 1)
+    chunk_sizes = (1, data.draw(st.integers(1, max(1, size)), label="chunk_bytes"), size + 1)
+    for n, chunk_bytes in itertools.product((1, 2, 3), chunk_sizes):
+        for start, end in line_ranges(mentions, n):
+            chunks = chunk_ranges(mentions, start, end, chunk_bytes)
+            assert chunks[0][0] == start and chunks[-1][1] == end
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert all(a < b for a, b in chunks) or chunks == [(start, start)]
+            assert all(raw[b - 1:b] == b"\n" for _, b in chunks[:-1])
+        out = tmp / f"r{n}-{chunk_bytes}"
+        assert chunked_report(manifest, mentions, out, policy, n, chunk_bytes) == whole, \
+            (n, chunk_bytes)
+
+
+def test_file_error_in_a_later_chunk_beats_window_error_in_an_earlier_one(tmp_path,
+                                                                          report_error,
+                                                                          force_chunk_bytes):
+    # One shard: line 2's month is outside the window, in the first chunk,
+    # and line 30 is malformed, in a later chunk.  CRLF and lone-CR line
+    # ends before it check its number in the whole file.
+    lines = [mention_line(n, month="1999-01" if n == 2 else "2019-01",
+                          end=("\r\n", "\n", "\r")[n % 3]) for n in range(1, 40)]
+    lines[29] = "d30v1\t2019-01\tonly four fields\n"
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_bytes("".join(lines).encode("utf-8"))
+    with pytest.raises(MentionsFileError) as serial:
+        read_mentions_file(mentions)
+    assert str(serial.value) == f"{mentions}:30: expected 6 fields"
+    force_chunk_bytes(256)
+    raw = mentions.read_bytes()
+    chunks = chunk_ranges(mentions, 0, len(raw), 256)
+    window_chunk, = (i for i, (a, b) in enumerate(chunks) if a <= raw.index(b"1999-01") < b)
+    file_chunk, = (i for i, (a, b) in enumerate(chunks) if a <= raw.index(b"only four") < b)
+    assert window_chunk == 0 < file_chunk
+    assert report_error(mentions, 1) == str(serial.value)
+
+
+def test_error_line_number_counts_a_crlf_across_blocks_once(tmp_path, monkeypatch):
+    # A bad line read from a byte range is numbered by counting the line
+    # ends before the range, a block at a time.  At these block sizes a
+    # CRLF in that prefix is split by a block's end.
+    lines = [mention_line(n, end="\r\n" if n % 2 else "\r") for n in range(1, 12)]
+    lines += [mention_line(12), "d13v1\t2019-01\tonly four fields\n"]
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_bytes("".join(lines).encode("utf-8"))
+    raw = mentions.read_bytes()
+    with pytest.raises(MentionsFileError) as serial:
+        read_mentions_file(mentions)
+    assert str(serial.value) == f"{mentions}:13: expected 6 fields"
+    start = raw.index(b"d13v1")  # just after line 12's LF
+    for block in (1, 2, 5, 23, 65):
+        assert any(raw[k - 1:k + 1] == b"\r\n" for k in range(block, start, block)), block
+        monkeypatch.setattr(extraction, "_COUNT_BLOCK", block)
+        with pytest.raises(MentionsFileError) as ranged:
+            read_mentions_file(mentions, start)
+        assert str(ranged.value) == str(serial.value), block
+
+
+def test_report_shard_memory_does_not_grow_with_its_range(tmp_path, force_chunk_bytes):
+    # A shard over 4N lines that reuse N lines' hosts and months peaks at
+    # about the memory of one over N lines: one chunk's records at a time.
+    setup = cli._ReportSetup(TrainedModel.load(MODEL), DEFAULT_POLICY, DEFAULT_DENYLIST,
+                             DEFAULT_PATTERNS, AggregateConfig())
+    hosts = [h for h in HOSTS if h not in ("localhost", "10.0.0.7")]
+
+    def mentions(n: int) -> Path:
+        path = tmp_path / f"m{n}.tsv"
+        path.write_text("".join(
+            f"d{i // 10}v1\t2019-0{1 + i % 9}\thttps://{hosts[i % len(hosts)]}/record/{i}\t0\t30\t"
+            f"\"The data and code for this study are at record {i}.\"\n" for i in range(n)),
+            encoding="utf-8")
+        return path
+
+    def peak(path: Path) -> int:
+        tracemalloc.start()
+        try:
+            part = cli._report_shard(setup, MonthWindow(), path, (0, path.stat().st_size))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert part.counts["mentions"] == int(path.stem[1:])
+
+    force_chunk_bytes(32 * 1024)
+    # A first run of several chunks: in a long test session, the first such
+    # run peaked about 40 KB higher than the runs after it.
+    peak(mentions(600))
+    assert peak(mentions(8000)) <= 1.2 * peak(mentions(2000))
