@@ -13,15 +13,14 @@ __version__ = "0.1.0"
 
 __all__ = ["__version__", "Category", "CategoryPolicy", "Classification", "Document",
            "DocumentId", "Label", "LabeledExample", "MonthWindow", "Platform", "ScopePolicy",
-           "ScopeReason", "TrainedModel", "UriMention"]
+           "ScopeReason", "TrainedModel"]
 
 _SUBMODULES = {"analytics", "classifier", "cli", "corpus", "extraction", "fileio", "ghp",
                "scope", "shards"}
 _HOMES = {"Category": "ghp", "CategoryPolicy": "ghp", "Classification": "classifier",
           "Document": "corpus", "DocumentId": "corpus", "Label": "classifier",
           "LabeledExample": "classifier", "MonthWindow": "corpus", "Platform": "ghp",
-          "ScopePolicy": "scope", "ScopeReason": "scope", "TrainedModel": "classifier",
-          "UriMention": "extraction"}
+          "ScopePolicy": "scope", "ScopeReason": "scope", "TrainedModel": "classifier"}
 
 
 # Submodules and re-exported names load on first use, so a command loads only what it runs.

@@ -21,7 +21,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .extraction import UriMention
 from .fileio import atomic_write_text, json_object, load_json, string_list
 from .scope import ParsedUri, parse_uri
 
@@ -344,12 +343,13 @@ def score_text(model: TrainedModel, context: str, parsed: ParsedUri) -> float:
 
 
 def classify_hybrid(
-    mention: UriMention, model: TrainedModel, denylist: frozenset[str] = DEFAULT_DENYLIST
+    mention, model: TrainedModel, denylist: frozenset[str] = DEFAULT_DENYLIST
 ) -> Classification:
     """Heuristic verdict when a rule matches, learned verdict otherwise;
     the learned verdict is OADS at a score >= the model's threshold.
 
-    The mention's URI is parsed once and both layers read that parse.
+    Only the mention's ``uri`` and ``context`` are read.  Its URI is parsed
+    once and both layers read that parse.
     """
     parsed = parse_uri(mention.uri)
     rule = classify_heuristic(parsed, denylist)

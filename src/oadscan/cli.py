@@ -39,7 +39,6 @@ from .corpus import (
 )
 from .extraction import (
     MentionRecord,
-    MentionsFileError,
     extract_uri_mentions,
     format_mentions,
     read_mentions_file,
@@ -219,7 +218,11 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
     """Read and extract a shard's documents in batches that end once their
     text reaches ``shards.CHUNK_BYTES``; format each batch's mentions and,
     for ``pipeline`` (``setup`` given), run the report loop on them."""
-    part, report = _Part([], [], Counter(), Counter(), None), None
+    aggregate = None
+    if setup:
+        from .analytics import CorpusAggregate  # extract does not load analytics
+        aggregate = CorpusAggregate(setup.config)
+    part = _Part([], [], Counter(), Counter(), aggregate)
     records: list[MentionRecord] = []
     batched = 0  # input bytes of the documents in earlier batches
     for entry in (*entries, None):  # None ends the last batch
@@ -229,7 +232,7 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
             part.ns["write_mentions"] += time.perf_counter_ns() - t0
             part.counts["mentions"] += len(records)
             if setup:
-                report = _report_records(setup, records, report)
+                _report_records(setup, records, part)
             if entry is None:
                 break
             records, batched = [], part.counts["input_bytes"]
@@ -241,11 +244,10 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
             continue
         part.ns["read_documents"] += time.perf_counter_ns() - t0
         t0 = time.process_time_ns()
-        records.extend(MentionRecord(m.doc_id, doc.month, m.uri, m.span, m.context)
-                       for m in extract_uri_mentions(doc, dedup=dedup))
+        records.extend(extract_uri_mentions(doc, dedup=dedup))
         part.ns["extract"] += time.process_time_ns() - t0
         part.counts["input_bytes"] += len(doc.text.encode("utf-8"))
-    return _add([part, report]) if setup else part
+    return part
 
 
 def _document_bytes(docs_root: Path, entries: Sequence[ManifestEntry]) -> int:
@@ -326,15 +328,16 @@ def cmd_extract(settings: dict) -> int:
 def cmd_train(settings: dict) -> int:
     from .classifier import TrainingConfig, evaluate, read_labeled_file, train
     _require(settings, "labeled", "out")
+    out_path = _require_output_path(settings["out"], "model file")
     labeled_path = _require_file(settings["labeled"], "labeled file")
     examples = read_labeled_file(labeled_path)
     # train's options are named after the TrainingConfig fields they set.
     config = TrainingConfig(**{f.name: settings[f.name] for f in fields(TrainingConfig)})
     model = train(examples, config)
-    model.save(settings["out"])
+    model.save(out_path)
     metrics = evaluate(model, examples)
     log.info("train: %d examples, vocabulary %d, model written to %s",
-             len(examples), len(model.vocabulary), settings["out"])
+             len(examples), len(model.vocabulary), out_path)
     print(json.dumps({"training_set": metrics.to_dict()}, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -354,20 +357,17 @@ def cmd_evaluate(settings: dict) -> int:
 # --- report ----------------------------------------------------------------
 
 
-def _report_records(setup: _ReportSetup, records: list[MentionRecord],
-                    part: _Part | None = None) -> _Part:
-    """Classify, scope and categorize mentions into part (a new one when None).
+def _report_records(setup: _ReportSetup, records: list[MentionRecord], part: _Part) -> None:
+    """Classify, scope and categorize mentions into part's counts and aggregate.
 
     Rules and scope run on every mention, as each is counted.  The model
     scores an in-scope mention no rule decided whose category reads the
     label; any other mention passes Non-OADS, which is a rule's label.
     """
-    from .analytics import CorpusAggregate
     from .classifier import Provenance, classify_heuristic, score_text
     from .ghp import category_of, detect_ghp, label_decides
     from .scope import is_in_scope, parse_uri
     t0 = time.process_time_ns()
-    part = part or _Part([], [], Counter(), Counter(), CorpusAggregate(setup.config))
     counts, aggregate = part.counts, part.aggregate
     category_policy = setup.config.category_policy
     for r in records:
@@ -387,36 +387,28 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord],
         counts[category] += 1
         aggregate.add_mention(r.month, category, parsed.hostname)
     part.ns["classify"] += time.process_time_ns() - t0
-    return part
 
 
 def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
-                  byte_range: tuple[int, int]) -> _Part | MentionsFileError:
+                  byte_range: tuple[int, int]) -> _Part:
     """Run the report loop on the mention lines in a byte range of the
     mentions file, one line-aligned chunk of about ``shards.CHUNK_BYTES``
     (or one longer line) at a time, so memory does not grow with the range.
 
-    A malformed line raises.  A month outside the window is returned
-    instead, and raised by the parent once every shard is done: the serial
-    run reads the whole file before it checks a month, so a malformed line
-    in any shard comes first.  The chunks after such a month are still
-    read, for a malformed line, but not looped over.
+    The first bad line raises, a month outside the window among them.
+    Chunks are read in order, and ``shards.run_shards`` raises the earliest
+    shard's error, so the command reports the first bad line of the file.
     """
-    part, error = None, None
+    from .analytics import CorpusAggregate
+    part = _Part([], [], Counter(), Counter(), CorpusAggregate(setup.config))
     start, end = byte_range
     for chunk in shards.line_ranges(path, -(-(end - start) // shards.CHUNK_BYTES), start, end):
         t0 = time.process_time_ns()
-        records = read_mentions_file(path, *chunk)
-        error = error or next(
-            (MentionsFileError(f"mention month {r.month} outside corpus window "
-                               f"{window.start}..{window.end} (doc {r.doc_id})")
-             for r in records if not window.contains(r.month)), None)
-        read_ns = time.process_time_ns() - t0
-        if error is None:
-            part = _report_records(setup, records, part)
-            part.counts["mentions"] += len(records)
-            part.ns["read_mentions"] += read_ns
-    return error or part
+        records = read_mentions_file(path, *chunk, window)
+        part.ns["read_mentions"] += time.process_time_ns() - t0
+        _report_records(setup, records, part)
+        part.counts["mentions"] += len(records)
+    return part
 
 
 def _write_report(
@@ -474,12 +466,8 @@ def cmd_report(settings: dict) -> int:
     # Each shard reads its own line-aligned byte range of the mentions file.
     ranges = shards.line_ranges(mentions_path,
                                 shards.shard_count(os.path.getsize(mentions_path)))
-    parts = shards.run_shards(partial(_report_shard, setup, corpus.window, mentions_path),
-                              ranges)
-    for part in parts:
-        if isinstance(part, MentionsFileError):
-            raise part
-    total = _add(parts)
+    total = _add(shards.run_shards(partial(_report_shard, setup, corpus.window, mentions_path),
+                                   ranges))
     counts, figures, timings = _write_report(settings, corpus, total, out_dir)
     echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
     _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures,

@@ -14,11 +14,6 @@ Python-level work goes to the tokens that hold a "://" or "www." literal
 and to the sentences around mentions; the rest of the text is crossed by
 regex and string searches.  Each pass stays linear in the document,
 however long a wrapped URI or however many URIs it holds.
-
-Spans index ``Document.text``, the document as read: decoded UTF-8 with
-universal newlines, so a CRLF or lone CR line end counts as one newline.
-They count Unicode code points and cover the raw match before trimming,
-so ``canonicalize_raw(text[start:end])`` reproduces the mention's URI.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .corpus import Document, DocumentId, parse_document_id, validate_month
+from .corpus import Document, DocumentId, MonthWindow, parse_document_id, validate_month
 from .fileio import atomic_write_text
 from .scope import parse_uri
 
@@ -52,22 +47,33 @@ __all__ = [
 ]
 
 
+class MentionRecord(NamedTuple):
+    """One URI occurrence, from extraction through the mentions file to the
+    report: its document and month, the cleaned URI and its context sentence.
+
+    ``span`` indexes ``Document.text``, the document as read: decoded UTF-8
+    with universal newlines, so a CRLF or lone CR line end counts as one
+    newline.  It counts Unicode code points and covers the raw match before
+    linewrap repair and trimming, so ``canonicalize_raw(text[start:end])``
+    reproduces ``uri``; a bare ``www.`` host gains ``http://`` there only.
+    """
+
+    doc_id: DocumentId
+    month: str
+    uri: str
+    span: tuple[int, int]
+    context: str
+
+
 @dataclass(frozen=True)
 class UriMention:
-    """One URI occurrence: the cleaned URI plus its context sentence.
-
-    ``span`` covers the raw regex match in the document text; the raw
-    substring may still contain the newline that linewrap repair removed
-    and the trailing punctuation that trimming removed.
-    ``implicit_scheme`` is True when the match was a bare ``www.`` host
-    and ``http://`` was supplied.
-    """
+    """A mention as ``classifier.classify_hybrid`` reads it; the benchmark's
+    traced replay builds one per ``MentionRecord``."""
 
     doc_id: DocumentId
     uri: str
     context: str
     span: tuple[int, int]
-    implicit_scheme: bool = False
 
 
 # Permissive by design: any scheme followed by ://, or a bare www. host.
@@ -438,7 +444,7 @@ def _mention_sentences(text: str, starts: Iterable[int], protected: Callable[[in
         yield sentence, (s, e)
 
 
-def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]:
+def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[MentionRecord]:
     """Find every URI occurrence in a document, in document order.
 
     With ``dedup`` set, only the first occurrence of each URI in the
@@ -452,26 +458,25 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
     def source(i: int) -> int:
         return i + bisect_right(cuts, i)
 
-    candidates: list[tuple[int, int, str, bool]] = []
+    candidates: list[tuple[int, int, str]] = []
     protected: list[tuple[int, int]] = []
     for m in _scan_uris(repaired):
         trimmed = trim_trailing(m.group(0))
         if not trimmed:
             continue
-        implicit = m.lastgroup == "www"
-        uri = _valid_candidate(trimmed, implicit)
+        uri = _valid_candidate(trimmed, m.lastgroup == "www")
         if uri is None:
             continue
         raw_start = source(m.start())
         raw_end = source(m.end() - 1) + 1
         trim_end = source(m.start() + len(trimmed) - 1) + 1
-        candidates.append((raw_start, raw_end, uri, implicit))
+        candidates.append((raw_start, raw_end, uri))
         protected.append((raw_start, trim_end))
 
     sentences = _mention_sentences(text, (c[0] for c in candidates), _protection(protected))
-    mentions: list[UriMention] = []
+    mentions: list[MentionRecord] = []
     seen: set[str] = set()
-    for (raw_start, raw_end, uri, implicit), (sentence_text, (s, e)) in zip(candidates, sentences):
+    for (raw_start, raw_end, uri), (sentence_text, (s, e)) in zip(candidates, sentences):
         if not (s <= raw_start and raw_end <= e):
             raise ValueError(
                 f"{doc.id}: mention {uri!r} at {raw_start}..{raw_end} crosses "
@@ -482,7 +487,7 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
                 continue
             seen.add(uri)
         mentions.append(
-            UriMention(doc.id, uri, sentence_text, (raw_start, raw_end), implicit)
+            MentionRecord(doc.id, doc.month, uri, (raw_start, raw_end), sentence_text)
         )
     return mentions
 
@@ -497,16 +502,6 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
 
 class MentionsFileError(ValueError):
     """A mentions-file record could not be parsed."""
-
-
-class MentionRecord(NamedTuple):
-    """A mention as persisted between pipeline stages (month attached)."""
-
-    doc_id: DocumentId
-    month: str
-    uri: str
-    span: tuple[int, int]
-    context: str
 
 
 _MENTIONS_HEADER = "# doc_id\tmonth\turi\tspan_start\tspan_end\tcontext"
@@ -538,15 +533,16 @@ def write_mentions_file(path: str | Path, records: Iterable[MentionRecord]) -> i
 _COUNT_BLOCK = 1 << 20
 
 
-def read_mentions_file(path: str | Path, start: int = 0,
-                       end: int | None = None) -> list[MentionRecord]:
+def read_mentions_file(path: str | Path, start: int = 0, end: int | None = None,
+                       window: MonthWindow | None = None) -> list[MentionRecord]:
     """The records of the lines that begin in bytes [start, end) of a
     mentions file (to its end when ``end`` is None).
 
     ``start`` is 0 or just after a newline byte.  Line ends are read as
     text mode reads them (LF, CRLF or a lone CR), and each line is decoded
-    as UTF-8 on its own.  A bad line raises ``MentionsFileError`` naming
-    the path and its line number in the whole file, whatever the range.
+    as UTF-8 on its own.  With a ``window``, a month outside it makes a
+    line bad.  The first bad line raises ``MentionsFileError`` naming the
+    path and its line number in the whole file, whatever the range.
     """
     records: list[MentionRecord] = []
     # A document's consecutive lines share one id and month, parsed on change.
@@ -574,6 +570,9 @@ def read_mentions_file(path: str | Path, start: int = 0,
                         doc_id, last_raw_id = parse_document_id(raw_id), raw_id
                     if month != last_month:
                         last_month = validate_month(month)
+                        if window is not None and not window.contains(month):
+                            raise ValueError(f"mention month {month} outside corpus window "
+                                             f"{window.start}..{window.end}")
                     span = (int(span_start), int(span_end))
                     context = json.loads(context)
                     if not isinstance(context, str):

@@ -54,6 +54,12 @@ class HostRule:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == "suffix" and not self.host.startswith("."):
             raise ValueError(f"suffix rule must start with '.': {self.host!r}")
+        # detect_ghp could never match these: it compares a first-label rule
+        # with the host up to its first dot, and parse_uri gives no empty host.
+        if self.kind == "first-label" and "." in self.host:
+            raise ValueError(f"first-label rule must not hold '.': {self.host!r}")
+        if self.kind == "exact" and not self.host:
+            raise ValueError(f"exact rule must name a host: {self.host!r}")
 
 
 # A compiled rule table: the rule's host (an exact host, a dotted suffix

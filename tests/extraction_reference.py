@@ -23,7 +23,7 @@ import re
 from oadscan.corpus import Document
 from oadscan.extraction import (
     URI_RE,
-    UriMention,
+    MentionRecord,
     _BODY_PREFIX_RE,
     _BRACKETS,
     _PROSE_CONTINUATIONS,
@@ -169,7 +169,7 @@ def segment_sentences(
     return [(text[s:e].strip(), (s, e)) for s, e in merged]
 
 
-def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]:
+def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[MentionRecord]:
     """Find every URI occurrence in a document, in document order."""
     text = doc.text
     if not text:
@@ -196,10 +196,10 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
         return []
     sentences = segment_sentences(text, protected_spans=protected)
 
-    mentions: list[UriMention] = []
+    mentions: list[MentionRecord] = []
     seen: set[str] = set()
     si = 0
-    for raw_start, raw_end, _trim_end, uri, implicit in candidates:
+    for raw_start, raw_end, _trim_end, uri, _implicit in candidates:
         while si < len(sentences) and sentences[si][1][1] <= raw_start:
             si += 1
         sentence_text, (s, e) = sentences[si]
@@ -213,6 +213,6 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[UriMention]
                 continue
             seen.add(uri)
         mentions.append(
-            UriMention(doc.id, uri, sentence_text, (raw_start, raw_end), implicit)
+            MentionRecord(doc.id, doc.month, uri, (raw_start, raw_end), sentence_text)
         )
     return mentions

@@ -163,6 +163,16 @@ class TestTrain:
         labeled.write_text("OADS\thttps://a.b/c\tThe dataset.\n", encoding="utf-8")
         assert run("train", "--labeled", labeled, "--out", tmp_path / "m.json") == EXIT_DATA
 
+    def test_missing_out_directory_is_usage_error_before_reading(self, tmp_path, monkeypatch,
+                                                                 caplog):
+        from oadscan import classifier
+        reads = []
+        monkeypatch.setattr(classifier, "read_labeled_file", lambda *a: reads.append(a))
+        out = tmp_path / "missing" / "model.json"
+        assert run("train", "--labeled", DATA / "labeled_200.tsv", "--out", out) == EXIT_USAGE
+        assert reads == []
+        assert f"model file {out}: directory {out.parent} does not exist" in caplog.text
+
 
 class TestEvaluate:
     def test_prints_metrics(self, capsys):
@@ -294,6 +304,12 @@ class TestFilterFiles:
                                        '{"github": [{"kind": "exact", "host": 7}]}',
                                        "kind and host must be strings"),
         "patterns list": ("--patterns", "[]", "patterns must be a JSON object"),
+        "patterns first-label rule with a dot": (
+            "--patterns", '{"gitlab": [{"kind": "first-label", "host": "gitlab.example"}]}',
+            "first-label rule must not hold '.': 'gitlab.example'"),
+        "patterns exact rule without a host": ("--patterns",
+                                               '{"github": [{"kind": "exact", "host": ""}]}',
+                                               "exact rule must name a host: ''"),
         "policy value of the wrong type": ("--policy", '{"allowed_schemes": 5}',
                                            "allowed_schemes must be a list of strings"),
         "policy list": ("--policy", '["http"]', "policy must be a JSON object"),

@@ -145,9 +145,10 @@ class TestExtractUriMentions:
         assert [m.uri for m in mentions] == ["https://example.org/tool"]
 
     def test_www_host_gets_implicit_scheme(self):
-        mentions = extract_uri_mentions(doc("Data at www.cosmos.esa.int/web/planck here."))
-        assert mentions[0].uri == "http://www.cosmos.esa.int/web/planck"
-        assert mentions[0].implicit_scheme
+        text = "Data at www.cosmos.esa.int/web/planck here."
+        m, = extract_uri_mentions(doc(text))
+        assert m.uri == "http://www.cosmos.esa.int/web/planck"
+        assert text[m.span[0]:m.span[1]] == "www.cosmos.esa.int/web/planck"
 
     def test_duplicates_kept_by_default(self):
         text = "See https://x.org/a and https://x.org/a again."
@@ -295,11 +296,7 @@ class TestExtractionProperties:
 class TestMentionsFile:
     def make_records(self):
         text = "The dataset is available at http://ibm.biz/multishapeinsertion."
-        d = doc(text, base="fx1", month="2019-03")
-        return [
-            MentionRecord(d.id, d.month, m.uri, m.span, m.context)
-            for m in extract_uri_mentions(d)
-        ]
+        return extract_uri_mentions(doc(text, base="fx1", month="2019-03"))
 
     def test_roundtrip(self, tmp_path):
         records = self.make_records()

@@ -130,32 +130,6 @@ def report_error(tmp_path, caplog, force_shards):
     return report
 
 
-def test_file_error_in_a_later_shard_beats_window_error_in_an_earlier_one(tmp_path,
-                                                                          report_error,
-                                                                          force_chunk_bytes):
-    # Line 3 has a month outside the window and line 40 is malformed.  CRLF
-    # and lone-CR line ends before both check the line numbering.  Each
-    # shard count runs with one chunk per shard and with 64-byte chunks.
-    lines = ["# header\r\n", mention_line(1, end="\r"), mention_line(2, month="1999-01")]
-    lines += [mention_line(n, end="\r\n" if n % 3 else "\n") for n in range(3, 39)]
-    lines.append("d40v1\t2019-01\tonly four fields\n")
-    lines += [mention_line(n) for n in range(41, 45)]
-    mentions = tmp_path / "mentions.tsv"
-    mentions.write_bytes("".join(lines).encode("utf-8"))
-    with pytest.raises(MentionsFileError) as serial:
-        read_mentions_file(mentions)
-    assert str(serial.value) == f"{mentions}:40: expected 6 fields"
-    window_at = mentions.read_bytes().index(b"1999-01")
-    for n, chunk_bytes in itertools.product((1, 2, 3), (1 << 30, 64)):
-        force_chunk_bytes(chunk_bytes)
-        ranges = line_ranges(mentions, n)
-        assert len(ranges) == n
-        if n > 1:
-            # the window error is in the first shard, the file error later
-            assert window_at < ranges[0][1]
-        assert report_error(mentions, n) == str(serial.value)
-
-
 def test_bad_month_later_in_one_document_named_at_every_shard_count(tmp_path, report_error):
     # Every line is document d1; a month is checked only where it changes,
     # so line 30's bad month follows 29 good lines with one month.
@@ -202,14 +176,17 @@ def test_shard_stage_seconds_are_cpu_time(tmp_path, monkeypatch, force_shards,
 
 
 def test_window_error_is_the_first_in_file_order(tmp_path, report_error):
+    # Lines 5 and 30 have months outside the window and line 35 is
+    # malformed; at 2 and 3 shards, later shards fail too.
     lines = [mention_line(n, month={5: "1999-05", 30: "1998-01"}.get(n, "2019-01"))
              for n in range(1, 40)]
+    lines[34] = "d35v1\t2019-01\tonly four fields\n"
     mentions = tmp_path / "mentions.tsv"
     mentions.write_text("".join(lines), encoding="utf-8")
     for n in (1, 2, 3):
         message = report_error(mentions, n)
-        assert message == ("mention month 1999-05 outside corpus window 2007-04..2021-12 "
-                           "(doc d5v1)")
+        assert message == (f"{mentions}:5: mention month 1999-05 outside corpus window "
+                           "2007-04..2021-12")
 
 
 def test_invalid_utf8_mentions_line_named_at_every_shard_count(tmp_path, report_error):
@@ -506,16 +483,30 @@ def serial_shards(job, items):
 
 
 def chunked_report(manifest: Path, mentions: Path, out: Path, policy: str, n_shards: int,
-                   chunk_bytes: int) -> list:
+                   chunk_bytes: int) -> list | str:
     """The run record's counts and figures and the four CSVs of report on
-    n_shards shards that read in chunks of about chunk_bytes."""
+    n_shards shards that read in chunks of about chunk_bytes; or, when the
+    mentions file is bad, the one error it logs."""
+    errors = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shards, "shard_count", lambda input_bytes: n_shards)
         mp.setattr(shards, "CHUNK_BYTES", chunk_bytes)
         mp.setattr(shards, "run_shards", serial_shards)
-        assert run("report", "--manifest", manifest, "--model", MODEL, "--mentions", mentions,
-                   "--out-dir", out, "--category-policy", policy) == EXIT_OK
+        mp.setattr(cli.log, "error", lambda message, *args: errors.append(message % args))
+        code = run("report", "--manifest", manifest, "--model", MODEL, "--mentions", mentions,
+                   "--out-dir", out, "--category-policy", policy)
+    if code == EXIT_DATA:
+        assert len(errors) == 1 and not out.exists()
+        return errors[0]
+    assert code == EXIT_OK and errors == []
     return [metadata(out / "run_metadata.json"), *((out / name).read_bytes() for name in CSVS)]
+
+
+# Lines that make a mentions file bad: malformed, an invalid month, and
+# months on either side of the default window.
+BAD_LINES = ["d{}v1\t2019-01\tonly four fields", "d{}v1\t2019-13\thttps://x.org/a\t0\t15\t\"c\"",
+             "d{}v1\t1999-05\thttps://x.org/a\t0\t15\t\"c\"",
+             "d{}v1\t2022-01\thttps://x.org/a\t0\t15\t\"c\""]
 
 
 @given(
@@ -524,11 +515,15 @@ def chunked_report(manifest: Path, mentions: Path, out: Path, policy: str, n_sha
                              st.sampled_from(CONTEXTS),
                              st.sampled_from(["2019-01", "2019-02", "2020-06"]), LINE_ENDS),
                    max_size=30),
+    bad=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(BAD_LINES), LINE_ENDS),
+                 max_size=3),
     policy=st.sampled_from(POLICIES),
     data=st.data(),
 )
 @settings(max_examples=25, deadline=None)
-def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, policy, data):
+def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, bad, policy, data):
+    # With a bad line, every shard count and chunk size logs the error of a
+    # whole-file read: the first bad line in file order, whatever its kind.
     tmp = tmp_path_factory.mktemp("chunks")
     text = []
     for n, (kind, host, path, context, month, end) in enumerate(lines):
@@ -538,12 +533,19 @@ def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, po
                         f"{json.dumps(context.format(uri))}{end}")
         else:
             text.append(("# " + host if kind == "comment" else "") + end)
+    for at, line, end in sorted(bad, reverse=True):
+        text.insert(at, line.format(at % 4) + end)
     mentions = tmp / "mentions.tsv"
     mentions.write_bytes("".join(text).encode("utf-8"))
     manifest = write_corpus(tmp, [(f"d{i}", 1, "2019-01", "text") for i in range(4)])
     manifest = manifest / "manifest.tsv"
     size, raw = mentions.stat().st_size, mentions.read_bytes()
     whole = chunked_report(manifest, mentions, tmp / "whole", policy, 1, size + 1)
+    try:
+        read_mentions_file(mentions, window=MonthWindow())
+        assert not isinstance(whole, str)
+    except MentionsFileError as exc:
+        assert whole == str(exc)
     chunk_sizes = (1, data.draw(st.integers(1, max(1, size)), label="chunk_bytes"), size + 1)
     for n, chunk_bytes in itertools.product((1, 2, 3), chunk_sizes):
         for start, end in line_ranges(mentions, n):
@@ -555,29 +557,6 @@ def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, po
         out = tmp / f"r{n}-{chunk_bytes}"
         assert chunked_report(manifest, mentions, out, policy, n, chunk_bytes) == whole, \
             (n, chunk_bytes)
-
-
-def test_file_error_in_a_later_chunk_beats_window_error_in_an_earlier_one(tmp_path,
-                                                                          report_error,
-                                                                          force_chunk_bytes):
-    # One shard: line 2's month is outside the window, in the first chunk,
-    # and line 30 is malformed, in a later chunk.  CRLF and lone-CR line
-    # ends before it check its number in the whole file.
-    lines = [mention_line(n, month="1999-01" if n == 2 else "2019-01",
-                          end=("\r\n", "\n", "\r")[n % 3]) for n in range(1, 40)]
-    lines[29] = "d30v1\t2019-01\tonly four fields\n"
-    mentions = tmp_path / "mentions.tsv"
-    mentions.write_bytes("".join(lines).encode("utf-8"))
-    with pytest.raises(MentionsFileError) as serial:
-        read_mentions_file(mentions)
-    assert str(serial.value) == f"{mentions}:30: expected 6 fields"
-    force_chunk_bytes(256)
-    raw = mentions.read_bytes()
-    chunks = chunk_ranges(mentions, 0, len(raw), 256)
-    window_chunk, = (i for i, (a, b) in enumerate(chunks) if a <= raw.index(b"1999-01") < b)
-    file_chunk, = (i for i, (a, b) in enumerate(chunks) if a <= raw.index(b"only four") < b)
-    assert window_chunk == 0 < file_chunk
-    assert report_error(mentions, 1) == str(serial.value)
 
 
 def test_error_line_number_counts_a_crlf_across_blocks_once(tmp_path, monkeypatch):

@@ -71,6 +71,7 @@ REPLAY_ONLY = {
     ("scope", "host_of"): "report reads ParsedUri.hostname",
     ("extraction", "write_mentions_file"): "the commands write format_mentions text "
                                            "with write_mentions_text",
+    ("extraction", "UriMention"): "extraction yields MentionRecord",
 }
 
 
@@ -137,3 +138,12 @@ def test_cli_names_no_category_member():
     named = [f"cli.py:{node.lineno}" for node in _nodes(SRC / "cli.py")
              if isinstance(node, ast.Attribute) and _names(node.value) == {"Category"}]
     assert named == []
+
+
+def test_only_extraction_builds_mention_records():
+    # Extraction yields MentionRecords and the mentions file reads them
+    # back; a MentionRecord built anywhere else would be a copy of one.
+    built = [f"{p.name}:{node.lineno}" for p in MODULES if p.name != "extraction.py"
+             for node in _nodes(p)
+             if isinstance(node, ast.Call) and _names(node.func) == {"MentionRecord"}]
+    assert built == []
