@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Sequence
 
 from .fileio import atomic_write_text, json_object, load_json, string_list
 from .scope import ParsedUri, parse_uri
@@ -139,9 +139,12 @@ _FEATURIZER_BLOCK = {
 }
 
 
-def _sparse_counts(context: str, parsed: ParsedUri) -> Counter[str]:
+def _sparse_counts(
+    context: str, parsed: ParsedUri, vocabulary: Container[str] | None = None
+) -> dict[str, int]:
     """The sparse features: context tokens with the URI masked, plus the
-    URI's ``host:`` and ``tld:`` features, with raw counts."""
+    URI's ``host:`` and ``tld:`` features, with raw counts; given a
+    vocabulary, only the features in it."""
     uri = parsed.uri
     masked = context
     if uri:
@@ -154,28 +157,37 @@ def _sparse_counts(context: str, parsed: ParsedUri) -> Counter[str]:
         features.append("host:" + parsed.host)
         if (tld := parsed.tld) is not None:
             features.append("tld:" + tld)
-    return Counter(features)
+    counts: dict[str, int] = {}
+    get = counts.get
+    for feature in features:
+        if vocabulary is None or feature in vocabulary:
+            counts[feature] = get(feature, 0) + 1
+    return counts
 
 
-def _fixed_features(parsed: ParsedUri) -> tuple[float, ...]:
-    """One slot per ``FIXED_FEATURE_NAMES`` entry: the path keywords, then https."""
+def _fixed_slots(parsed: ParsedUri) -> list[int]:
+    """The ``FIXED_FEATURE_NAMES`` slots that are 1.0 for this URI, in
+    order: the path keywords its path holds, then https; the rest are 0.0."""
     path = parsed.path.lower()
-    fixed = [1.0 if kw in path else 0.0 for kw in PATH_KEYWORDS]
-    fixed.append(1.0 if parsed.uri.lower().startswith("https://") else 0.0)
-    return tuple(fixed)
+    slots = []
+    for k, keyword in enumerate(PATH_KEYWORDS):
+        if keyword in path:
+            slots.append(k)
+    if parsed.uri.lower().startswith("https://"):
+        slots.append(len(PATH_KEYWORDS))
+    return slots
 
 
 def _terms(
-    vocabulary: dict[str, int], counts: Counter[str], parsed: ParsedUri
+    vocabulary: dict[str, int], counts: dict[str, int], parsed: ParsedUri
 ) -> list[tuple[int, float]]:
     """The model's nonzero terms for one mention as (weight index, value):
-    the in-vocabulary tokens of ``counts`` in sorted order, then the
-    nonzero fixed slots.  Training and scoring both sum in this order, so
-    a score is bit-identical however it is reached."""
-    terms = [(vocabulary[t], counts[t]) for t in sorted(vocabulary.keys() & counts.keys())]
-    for idx, value in enumerate(_fixed_features(parsed), start=len(vocabulary)):
-        if value:
-            terms.append((idx, value))
+    the features of ``counts``, all in the vocabulary, in sorted order,
+    then the fixed slots that are 1.0.  Training sums in this order, and
+    ``score_text`` sums in it too, so a score is bit-identical however it
+    is reached."""
+    terms = [(vocabulary[t], count) for t, count in sorted(counts.items())]
+    terms += [(len(vocabulary) + k, 1.0) for k in _fixed_slots(parsed)]
     return terms
 
 
@@ -216,6 +228,13 @@ class TrainedModel:
     bias: float
     threshold: float
     training: TrainingConfig = field(default_factory=TrainingConfig)
+
+    @cached_property
+    def _weight_table(self) -> tuple[dict[str, float], list[float]]:
+        """Each vocabulary feature's weight, and the fixed slots' weights;
+        built on the first score, so the model must not change after it."""
+        return ({feature: self.weights[i] for feature, i in self.vocabulary.items()},
+                self.weights[len(self.vocabulary):])
 
     def to_json(self) -> str:
         payload = {
@@ -335,10 +354,13 @@ def train(
 
 def score_text(model: TrainedModel, context: str, parsed: ParsedUri) -> float:
     """OADS probability for a (context, URI) pair under the model."""
-    weights = model.weights
+    table, fixed = model._weight_table
+    counts = _sparse_counts(context, parsed, table)
     z = model.bias
-    for idx, value in _terms(model.vocabulary, _sparse_counts(context, parsed), parsed):
-        z += weights[idx] * value
+    for feature in sorted(counts):  # the order of _terms
+        z += table[feature] * counts[feature]
+    for k in _fixed_slots(parsed):
+        z += fixed[k]  # times the slot's 1.0
     return _sigmoid(z)
 
 

@@ -535,31 +535,33 @@ _COUNT_BLOCK = 1 << 20
 
 def read_mentions_file(path: str | Path, start: int = 0, end: int | None = None,
                        window: MonthWindow | None = None) -> list[MentionRecord]:
-    """The records of the lines that begin in bytes [start, end) of a
-    mentions file (to its end when ``end`` is None).
+    """The records of the lines in bytes [start, end) of a mentions file
+    (to its end when ``end`` is None).
 
-    ``start`` is 0 or just after a newline byte.  Line ends are read as
-    text mode reads them (LF, CRLF or a lone CR), and each line is decoded
-    as UTF-8 on its own.  With a ``window``, a month outside it makes a
-    line bad.  The first bad line raises ``MentionsFileError`` naming the
-    path and its line number in the whole file, whatever the range.
+    ``start`` and ``end`` are line starts, as ``shards.line_ranges`` cuts
+    them: 0, the file's size, or just after a line end.  Line ends are read
+    as text mode reads them (LF, CRLF or a lone CR), and each line is
+    decoded as UTF-8 on its own.  With a ``window``, a month outside it
+    makes a line bad.  The first bad line raises ``MentionsFileError``
+    naming the path and its line number in the whole file, whatever the
+    range.
     """
     records: list[MentionRecord] = []
     # A document's consecutive lines share one id and month, parsed on change.
     last_raw_id, doc_id, last_month = None, None, None
-    stop = sys.maxsize if end is None else end
+    left = sys.maxsize if end is None else end - start  # bytes still to read
     lineno = 0  # lines read from start
     try:
         with open(path, "rb") as fh:
             fh.seek(start)
-            pos = start
-            for raw in fh:  # split at LF only
-                if pos >= stop:
-                    break
-                pos += len(raw)
-                for chunk in raw.replace(b"\r\n", b"\n").split(b"\r") if b"\r" in raw else (raw,):
+            readline = fh.readline
+            # split at LF only, and never past end, so a run of lines that
+            # end in lone CRs is read no further than the range
+            while left > 0 and (raw := readline(left)):
+                left -= len(raw)
+                for chunk in raw.splitlines(True) if b"\r" in raw else (raw,):
                     lineno += 1
-                    line = chunk.decode("utf-8").rstrip("\n")
+                    line = chunk.decode("utf-8").rstrip("\r\n")
                     if not line or line.startswith("#"):
                         continue
                     fields = line.split("\t", 5)

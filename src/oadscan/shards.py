@@ -1,4 +1,4 @@
-"""Run one command's independent pieces on a pool of forked workers.
+"""Run one command's independent pieces in forked child processes.
 
 A command cuts its input into contiguous shards (runs of manifest
 entries, or line-aligned byte ranges of a mentions file), runs one job
@@ -8,9 +8,11 @@ depend on the number of shards.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import re
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
 
 __all__ = ["shard_count", "contiguous", "line_ranges", "run_shards"]
 
@@ -20,9 +22,10 @@ R = TypeVar("R")
 # The most workers a command starts.  Two is the largest count measured
 # to pay (report 1.53x, pipeline 1.40x on a 2-CPU host); more is untested.
 MAX_WORKERS = 2
-# The least input a worker is given.  Starting the pool costs about 40 ms,
-# and report and pipeline get through 3-5 MB/s of input per CPU, so a
-# smaller shard would not repay its worker.
+# The least input a worker is given.  Forking two children and reaping
+# them costs about 12 ms in a report process on a 2-CPU host, the imports
+# only a forked run needs included, and report and pipeline get through
+# 3-5 MB/s of input per CPU, so a smaller shard would not repay its child.
 MIN_SHARD_BYTES = 256 * 1024
 # The input a report or pipeline shard runs its loop on at once: mentions-file bytes, document text.
 CHUNK_BYTES = 1 << 20
@@ -93,60 +96,136 @@ def line_ranges(path: str | Path, n: int, start: int = 0,
     """At most n contiguous byte ranges (start, end) that cover bytes
     [start, end) of the file (to its end when ``end`` is None).
 
-    ``start`` is 0 or just after a newline byte.  Every cut falls just
-    after a newline byte, and no range is empty, so there are never more
-    ranges than lines.  An empty span gives (start, start).
+    ``start`` is 0 or just after a line end.  Every cut falls just after
+    a line end: an LF, or a CR that no LF follows, never between a CR and
+    its LF.  No range is empty, so there are never more ranges than lines.
+    An empty span gives (start, start).
     """
     end = os.path.getsize(path) if end is None else end
     cuts = [start]
     with open(path, "rb") as fh:
         for k in range(1, n):
-            fh.seek(max(start + (end - start) * k // n, cuts[-1]))
-            fh.readline()
-            if fh.tell() >= end:
+            cut = _after_line_end(fh, max(start + (end - start) * k // n, cuts[-1]))
+            if cut >= end:
                 break
-            cuts.append(fh.tell())
+            cuts.append(cut)
     cuts.append(end)
     return list(zip(cuts, cuts[1:]))
 
 
-# A worker's job.  The pool's initializer sets it in each worker process,
-# which inherits the job through fork instead of receiving it pickled.
-_job: Callable | None = None
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
-def _start_worker(job: Callable) -> None:
-    global _job
-    _job = job
+def _after_line_end(fh: BinaryIO, pos: int) -> int:
+    """The offset just after the first line end (LF, CRLF or a lone CR) at
+    or after ``pos``, or the file's size; read 64 KiB at a time, so a file
+    without LFs is not read whole."""
+    fh.seek(pos)
+    while block := fh.read(1 << 16):
+        if m := _LINE_END.search(block):
+            # a CR that ends the block may be the first half of a CRLF
+            return pos + m.end() + (m.end() == len(block) and m[0] == b"\r"
+                                    and fh.read(1) == b"\n")
+        pos += len(block)
+    return pos
 
 
-def _run_job(shard):
-    return _job(shard)
+def _child(job: Callable[[S], R], shard: S, k: int, inherited: list[int],
+           write_fd: int, mask: set[int]) -> NoReturn:
+    """In a forked child: restore the signal mask, close the pipe read ends
+    it inherited, run shard k, pickle (ok, result or exception) to its
+    pipe, and leave without returning into the parent's code."""
+    import pickle
+    import signal
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = (True, job(shard))
+        except BaseException as exc:  # the parent raises it
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            what = "result" if reply[0] else f"{type(reply[1]).__name__} exception"
+            data = pickle.dumps((False, ChildProcessError(
+                f"shard {k}: its {what} cannot be pickled: {exc}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)  # no atexit handlers, and no flush of the parent's buffers
+
+
+def _reply(k: int, data: bytes, status: int) -> object:
+    """Shard k's result from the bytes its child wrote and its wait
+    status; the shard's exception is raised."""
+    import pickle
+    if status or not data:
+        raise ChildProcessError(f"a worker process died before shard {k} replied "
+                                f"(exit code {os.waitstatus_to_exitcode(status)})")
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as exc:
+        raise ChildProcessError(f"shard {k}: its reply cannot be unpickled: {exc!r}") from None
+    if not ok:
+        raise value
+    return value
 
 
 def run_shards(job: Callable[[S], R], shards: Sequence[S]) -> list[R]:
     """``job(shard)`` for every shard, in shard order.
 
-    A single shard runs in this process.  Two or more run on a pool of
-    one forked worker each.  Fork, not spawn, so that each worker starts
-    with the job and everything it holds (model, settings) already in
-    memory: only the shards and the results are pickled.  From Python 3.11
-    the pool forks all its workers before it starts its own thread.  It
-    is shut down before this returns, so its workers are reaped and
-    their peak RSS counts in ``RUSAGE_CHILDREN``.  A job's exception is
-    raised here; a worker that dies (killed, out of memory) raises
-    ``ChildProcessError``.
+    A single shard runs in this process.  Two or more run in one forked
+    child each, which starts with the job and everything it holds (model,
+    settings) already in memory, and pickles only its result (or
+    exception) back through a pipe of its own.  This process runs no
+    shard: a job that ends its process cannot end the command, and the
+    idle parent adds little to the peak RSS.  The pipes are read and the
+    children reaped in shard order, so their peak RSS counts in
+    ``RUSAGE_CHILDREN``.  The earliest shard's exception is raised; a
+    child that dies without replying (killed, out of memory,
+    ``os._exit``) raises ``ChildProcessError``.  Whatever is raised here,
+    every child still running is killed and reaped first.
     """
     if len(shards) == 1:
         return [job(shards[0])]
-    # only a run of two or more shards imports these
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    # Imported only where shards fork, and before the first fork, so that
+    # the children inherit them.
+    import pickle  # noqa: F401 - the helpers' own import finds it loaded
+    import signal
+    pids: list[int] = []  # the children not yet reaped
+    fds: list[int] = []  # the read ends of their pipes not yet closed
     try:
-        with ProcessPoolExecutor(len(shards), mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker, initargs=(job,)) as pool:
-            return list(pool.map(_run_job, shards))
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"a worker process died: {exc}") from None
+        for k, shard in enumerate(shards):
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            # Signals wait until the child is inside _child's try, and until
+            # the parent has recorded the child, so that a Ctrl-C can neither
+            # send the child into this function's cleanup nor leave it unkilled.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(job, shard, k, fds, write_fd, mask)
+                pids.append(pid)
+            finally:  # in the parent only: the child never returns
+                os.close(write_fd)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results = []
+        for k, pid in enumerate(pids[:]):
+            with open(fds.pop(0), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            results.append(_reply(k, data, status))
+        return results
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

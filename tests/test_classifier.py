@@ -14,7 +14,7 @@ from oadscan.classifier import (
     Provenance,
     TrainedModel,
     TrainingError,
-    _fixed_features,
+    _fixed_slots,
     _sparse_counts,
     classify_heuristic,
     classify_hybrid,
@@ -80,21 +80,17 @@ class TestFeaturize:
     def test_empty_context_gives_only_uri_features(self):
         parsed = parse_uri("https://a.b/c")
         assert dict(_sparse_counts("", parsed)) == {"host:a.b": 1.0, "tld:b": 1.0}
-        assert _fixed_features(parsed) == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # scheme:https flag
+        assert _fixed_slots(parsed) == [FIXED_FEATURE_NAMES.index("scheme:https")]
 
     def test_path_keyword_flags(self):
-        fixed = _fixed_features(parse_uri("https://x.org/datasets/download/v1"))
-        names = FIXED_FEATURE_NAMES
-        flags = dict(zip(names, fixed))
-        assert flags["path_kw:data"] == 1.0
-        assert flags["path_kw:dataset"] == 1.0
-        assert flags["path_kw:download"] == 1.0
-        assert flags["path_kw:code"] == 0.0
+        slots = _fixed_slots(parse_uri("https://x.org/datasets/download/v1"))
+        assert [FIXED_FEATURE_NAMES[k] for k in slots] == [
+            "path_kw:data", "path_kw:dataset", "path_kw:download", "scheme:https"]
 
     def test_deterministic(self):
         context, parsed = "Some context with https://x.org/a inside.", parse_uri("https://x.org/a")
         assert _sparse_counts(context, parsed) == _sparse_counts(context, parsed)
-        assert _fixed_features(parsed) == _fixed_features(parsed)
+        assert _fixed_slots(parsed) == _fixed_slots(parsed)
 
     def test_token_count_scales(self):
         assert _sparse_counts("data data data", parse_uri(""))["data"] == 3.0

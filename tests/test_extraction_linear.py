@@ -17,6 +17,7 @@ import re
 import statistics
 import time
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from oadscan import extraction
 from oadscan.corpus import Document, DocumentId, load_manifest, read_document
 
 FIXTURE_CORPUS = Path(__file__).parent / "data" / "fixture_corpus"
+T = TypeVar("T")
 
 
 def doc(text: str) -> Document:
@@ -195,30 +197,30 @@ def test_search_window_may_begin_inside_a_boundary(boundary):
         assert_same_as_reference("Intro words" + boundary + "X" * filler + " https://a.org/p")
 
 
-def _doubling_ratios(small: str, large: str, rounds: int = 9) -> list[float]:
-    """t(large) / t(small) of in-process extraction, once per round.
+def doubling_ratios(run: Callable[[T], object], small: T, large: T,
+                    rounds: int = 9) -> list[float]:
+    """t(run(large)) / t(run(small)), once per round.
 
-    Each round times the two texts back to back, so a slow phase of the
+    Each round times the two inputs back to back, so a slow phase of the
     machine tends to hit both sides of its ratio.  Each timing repeats the
-    extraction until the batch runs for at least 20 ms, far above clock
-    jitter, and the clock is the process's CPU time, which other
-    processes' load leaves out.  The collector is paused so that its
-    passes over the test process's heap are not counted.
+    call until the batch runs for at least 20 ms, far above clock jitter,
+    and the clock is the process's CPU time, which other processes' load
+    leaves out.  The collector is paused so that its passes over the test
+    process's heap are not counted.
     """
-    documents = [doc(small), doc(large)]
     gc.collect()
     gc.disable()
     try:
         t0 = time.process_time()
-        extraction.extract_uri_mentions(documents[0])
+        run(small)
         reps = max(1, math.ceil(0.02 / max(time.process_time() - t0, 1e-6)))
         ratios = []
         for _ in range(rounds):
             seconds = []
-            for document in documents:
+            for value in (small, large):
                 t0 = time.process_time()
                 for _ in range(reps):
-                    extraction.extract_uri_mentions(document)
+                    run(value)
                 seconds.append(time.process_time() - t0)
             ratios.append(seconds[1] / seconds[0])
     finally:
@@ -230,5 +232,6 @@ def _doubling_ratios(small: str, large: str, rounds: int = 9) -> list[float]:
                                      (shape_d, 200), (shape_e, 500), (shape_f, 4000)],
                          ids=["a", "b", "c", "d", "e", "f"])
 def test_doubling_the_input_at_most_doubles_extraction_time(shape, n):
-    ratio = statistics.median(_doubling_ratios(shape(n), shape(2 * n)))
+    ratio = statistics.median(doubling_ratios(extraction.extract_uri_mentions,
+                                              doc(shape(n)), doc(shape(2 * n))))
     assert ratio <= 2.5, f"t(2N)/t(N) = {ratio:.2f} at N = {n}"

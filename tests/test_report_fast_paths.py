@@ -1,6 +1,7 @@
 """Differential tests: the report layers' fast paths against direct references.
 
-``score_text`` sums only the in-vocabulary terms, ``detect_ghp`` looks a
+``score_text`` counts only the in-vocabulary features and looks their
+weights up in the model's weight table, ``detect_ghp`` looks a
 parse's host suffixes up in compiled rule tables, ``in_domains`` checks
 those suffixes against a set, and ``is_private_or_local`` parses only
 hosts shaped like an IP literal.  Each reference below is the direct form
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import ipaddress
 import random
+import statistics
 from dataclasses import dataclass
 
 import pytest
@@ -19,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from oadscan.classifier import (
     FIXED_FEATURE_NAMES,
+    PATH_KEYWORDS,
     TrainedModel,
-    _fixed_features,
     _sigmoid,
     _sparse_counts,
     score_text,
@@ -35,6 +37,7 @@ from oadscan.scope import (
     parse_uri,
     split_port,
 )
+from test_extraction_linear import doubling_ratios
 from test_ghp import load_ghp_cases
 
 # --- references ------------------------------------------------------------
@@ -54,8 +57,10 @@ def featurize(context: str, uri: str | ParsedUri) -> Features:
     Deterministic: tokens are reported in sorted order with raw counts.
     """
     parsed = parse_uri(uri)
-    return Features(tuple(sorted(_sparse_counts(context, parsed).items())),
-                    _fixed_features(parsed))
+    path = parsed.path.lower()
+    fixed = [1.0 if kw in path else 0.0 for kw in PATH_KEYWORDS]
+    fixed.append(1.0 if parsed.uri.lower().startswith("https://") else 0.0)
+    return Features(tuple(sorted(_sparse_counts(context, parsed).items())), tuple(fixed))
 
 
 def _indexed(features: Features, vocabulary: dict[str, int], n_vocab: int) -> list[tuple[int, float]]:
@@ -143,9 +148,11 @@ def on_bare_host(fn, host):
 
 HOST_LABELS = ["github", "gitlab", "zenodo", "data", "code", "www", "io", "com", "org", "uk",
                "ac", "sourceforge", "net", "x"]
+# The Kelvin sign K (U+212A) lowercases to k, and İ (U+0130) to i and a
+# combining dot, so "\u212ait" counts as the token kit and "\u0130ndex" as i, ndex.
 WORDS = ["the", "data", "code", "is", "at", "available", "software", "dataset", "download",
          "see", "our", "repository", "url", "https", "www", "github", "com", "and", "in",
-         "1", "2", "a_b", "x"]
+         "1", "2", "a_b", "x", "kit", "i", "ndex", "\u212ait", "\u0130ndex", "DATA\u0130"]
 PATHS = ["", "/", "/code", "/data/set", "/Dataset/1", "/software/x.tar", "/download?x=1",
          "/u/r", "/a/b/c"]
 
@@ -186,10 +193,13 @@ def uris(draw):
 
 @st.composite
 def contexts(draw, uri):
-    words = draw(st.lists(st.sampled_from(WORDS + [uri, uri.partition("://")[2], "GitHub.COM"]),
-                          max_size=25))
+    pool = WORDS + [uri, uri.partition("://")[2], "GitHub.COM"]
+    words = draw(st.lists(st.sampled_from(pool), max_size=25))
+    # one word many times, at a random place
+    repeated = [draw(st.sampled_from(pool))] * draw(st.sampled_from([0, 2, 50, 1000]))
+    at = draw(st.integers(0, len(words)))
     punct = draw(st.sampled_from(["", ".", " (", ")."]))
-    return " ".join(words) + punct
+    return " ".join(words[:at] + repeated + words[at:]) + punct
 
 
 class TestScoreText:
@@ -214,6 +224,21 @@ class TestScoreText:
         for model in SHUFFLED:
             assert score_text(model, context, parse_uri(uri)) == reference_score(
                 model, context, uri)
+
+    def test_doubling_the_context_at_most_doubles_scoring_time(self):
+        # Half the tokens are vocabulary words, half distinct words outside
+        # it, so a scorer that walks the context once per distinct token is
+        # quadratic here.
+        words = [w for w in WORDS if w.isascii()]
+
+        def context(n: int) -> str:
+            return " ".join(words[i % len(words)] if i % 2 else f"w{i}" for i in range(n))
+
+        model, parsed = SHUFFLED[0], parse_uri("https://github.com/u/r")
+        n = 5000
+        ratio = statistics.median(doubling_ratios(lambda text: score_text(model, text, parsed),
+                                                  context(n), context(2 * n)))
+        assert ratio <= 2.5, f"t(2N)/t(N) = {ratio:.2f} at N = {n}"
 
 
 # --- GHP -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -356,20 +357,36 @@ def test_input_size_sets_the_shards(tmp_path, monkeypatch):
 
 
 def test_one_document_starts_no_pool(tmp_path):
-    # A single shard runs in the command's own process, as before sharding.
-    manifest = write_corpus(tmp_path, [("a", 1, "2019-01", "See https://x.org/a.")])
+    # A single shard runs in the command's own process, as before sharding;
+    # two shards fork one child each, without multiprocessing's pool.
+    manifest = write_corpus(tmp_path, [("a", 1, "2019-01",
+                                        "See https://x.org/a. Data at https://zenodo.org/b.")])
     out = tmp_path / "m.tsv"
+    pool_modules = "any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures'))"
     code = ("import sys; from oadscan import shards; from oadscan.cli import main; "
             "shards.shard_count = lambda input_bytes: 4; "
             f"main(['extract', '--manifest', {str(manifest / 'manifest.tsv')!r}, "
             f"'--out', {str(out)!r}]); "
-            "print('multiprocessing' in sys.modules)")
+            f"print({pool_modules}); "
+            "shards.shard_count = lambda input_bytes: 2; "
+            f"main(['report', '--manifest', {str(manifest / 'manifest.tsv')!r}, "
+            f"'--model', {str(MODEL)!r}, '--mentions', {str(out)!r}, "
+            f"'--out-dir', {str(tmp_path / 'r')!r}]); "
+            f"print({pool_modules})")
     env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
     env["PYTHONPATH"] = str(SRC)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
-    assert len(read_mentions_file(out)) == 1
+    assert result.stdout.split() == ["False", "False"]
+    assert len(read_mentions_file(out)) == 2
+    meta = json.loads((tmp_path / "r" / "run_metadata.json").read_text())
+    assert meta["timings"]["workers"] == 2 and meta["counts"]["mentions"] == 2
+
+
+def assert_no_children():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _exit_in_second_shard(shard):
@@ -382,6 +399,71 @@ def test_dead_worker_is_an_error_not_a_hang():
     assert run_shards(_exit_in_second_shard, [0, 2]) == [0, 2]
     with pytest.raises(ChildProcessError, match="a worker process died"):
         run_shards(_exit_in_second_shard, [0, 1, 2])
+    assert_no_children()
+
+
+def _fail_from_shard_one(shard):
+    if shard == 1:
+        time.sleep(0.3)  # shard 2 fails first
+    if shard:
+        raise ValueError(f"shard {shard} failed")
+    return shard
+
+
+def test_earliest_shard_error_wins():
+    with pytest.raises(ValueError, match="^shard 1 failed$"):
+        run_shards(_fail_from_shard_one, [0, 1, 2])
+    assert_no_children()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: pickle calls it with args alone."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+def _unpicklable_reply(kind):
+    if kind == "result":
+        return lambda: kind
+    if kind == "exception":
+        raise ValueError(lambda: kind)
+    if kind == "unpickle":
+        raise _TwoArgError("cannot be rebuilt", 1)
+    return kind
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("result", "shard 2: its result cannot be pickled"),
+    ("exception", "shard 2: its ValueError exception cannot be pickled"),
+    ("unpickle", "shard 2: its reply cannot be unpickled"),
+])
+def test_unpicklable_reply_names_its_shard(kind, message):
+    with pytest.raises(ChildProcessError, match=f"^{message}"):
+        run_shards(_unpicklable_reply, ["ok", "ok", kind])
+    assert_no_children()
+
+
+def _sleep(shard):
+    time.sleep(60)
+
+
+def test_interrupted_parent_leaves_no_child():
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # while the parent waits on shard 0
+        with pytest.raises(KeyboardInterrupt):
+            run_shards(_sleep, [0, 1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - t0 < 30
+    assert_no_children()
 
 
 @pytest.mark.parametrize("command", ["report", "pipeline"])
@@ -399,6 +481,7 @@ def test_dead_worker_fails_the_command_and_writes_nothing(command, tmp_path, mon
     assert run(command, *argv) == EXIT_USAGE
     assert not (out / "mentions.tsv").exists() and not (out / "monthly.csv").exists()
     assert "a worker process died" in caplog.text
+    assert_no_children()
 
 
 # --- the shard cuts ----------------------------------------------------------
@@ -421,6 +504,12 @@ def text_mode_lines(path: Path) -> list[str]:
 
 
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def after_line_end(data: bytes, cut: int) -> bool:
+    """cut falls just after an LF, or just after a CR that no LF follows."""
+    before, after = data[cut - 1:cut], data[cut:cut + 1]
+    return before == b"\n" or (before == b"\r" and after != b"\n")
 
 
 @given(
@@ -451,7 +540,7 @@ def test_byte_ranges_read_as_the_whole_file(tmp_path_factory, lines, bad_at):
         assert all(start < end for start, end in ranges) or ranges == [(0, 0)]
         assert len(ranges) <= max(1, min(n, len(reference)))
         data = path.read_bytes()
-        assert all(data[end - 1:end] == b"\n" for _, end in ranges[:-1])
+        assert all(after_line_end(data, end) for _, end in ranges[:-1])
         if "bad line" in reference:
             lineno = reference.index("bad line") + 1
             for start, end in ranges:
@@ -553,7 +642,7 @@ def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, ba
             assert chunks[0][0] == start and chunks[-1][1] == end
             assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
             assert all(a < b for a, b in chunks) or chunks == [(start, start)]
-            assert all(raw[b - 1:b] == b"\n" for _, b in chunks[:-1])
+            assert all(after_line_end(raw, b) for _, b in chunks[:-1])
         out = tmp / f"r{n}-{chunk_bytes}"
         assert chunked_report(manifest, mentions, out, policy, n, chunk_bytes) == whole, \
             (n, chunk_bytes)
@@ -580,20 +669,54 @@ def test_error_line_number_counts_a_crlf_across_blocks_once(tmp_path, monkeypatc
         assert str(ranged.value) == str(serial.value), block
 
 
+def cr_only_twin(path: Path) -> Path:
+    """A copy of a mentions file with every LF made a lone CR."""
+    twin = path.with_name(path.stem + "-cr" + path.suffix)
+    twin.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    return twin
+
+
+@pytest.mark.parametrize("bad_at", [None, 45], ids=["good", "bad"])
+def test_cr_only_twin_reports_the_same(tmp_path, bad_at):
+    # The twin is cut into shards and chunks at its CRs, as the LF file is
+    # at its LFs, and gives the same CSVs and counts, or the same error.
+    lines = [f"d{i % 3}v1\t2019-0{1 + i % 2}\thttps://{HOSTS[i % len(HOSTS)]}"
+             f"{PATHS[i % len(PATHS)]}\t0\t9\t"
+             f"{json.dumps(CONTEXTS[i % len(CONTEXTS)].format(i))}\n" for i in range(80)]
+    if bad_at is not None:
+        lines.insert(bad_at - 1, BAD_LINES[1].format(1) + "\n")
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text("".join(lines), encoding="utf-8")
+    twin = cr_only_twin(mentions)
+    manifest = write_corpus(tmp_path, [(f"d{i}", 1, "2019-01", "text") for i in range(3)])
+    manifest = manifest / "manifest.tsv"
+    assert len(line_ranges(twin, 2)) == 2
+    assert len(chunk_ranges(twin, 0, twin.stat().st_size, 256)) > 2
+    for n in (1, 2):
+        report = chunked_report(manifest, mentions, tmp_path / f"lf{n}", "ghp-forces-oads", n, 256)
+        if bad_at is not None:
+            assert report == f"{mentions}:{bad_at}: invalid month '2019-13': " \
+                             "expected YYYY-MM with MM in 01..12"
+            report = report.replace(str(mentions), str(twin))
+        assert chunked_report(manifest, twin, tmp_path / f"cr{n}", "ghp-forces-oads", n,
+                              256) == report, n
+
+
 def test_report_shard_memory_does_not_grow_with_its_range(tmp_path, force_chunk_bytes):
     # A shard over 4N lines that reuse N lines' hosts and months peaks at
-    # about the memory of one over N lines: one chunk's records at a time.
+    # about the memory of one over N lines: one chunk's records at a time,
+    # also when the lines end in lone CRs.
     setup = cli._ReportSetup(TrainedModel.load(MODEL), DEFAULT_POLICY, DEFAULT_DENYLIST,
                              DEFAULT_PATTERNS, AggregateConfig())
     hosts = [h for h in HOSTS if h not in ("localhost", "10.0.0.7")]
 
-    def mentions(n: int) -> Path:
+    def mentions(n: int, end: str = "\n") -> Path:
         path = tmp_path / f"m{n}.tsv"
         path.write_text("".join(
             f"d{i // 10}v1\t2019-0{1 + i % 9}\thttps://{hosts[i % len(hosts)]}/record/{i}\t0\t30\t"
             f"\"The data and code for this study are at record {i}.\"\n" for i in range(n)),
             encoding="utf-8")
-        return path
+        return path if end == "\n" else cr_only_twin(path)
 
     def peak(path: Path) -> int:
         tracemalloc.start()
@@ -602,10 +725,11 @@ def test_report_shard_memory_does_not_grow_with_its_range(tmp_path, force_chunk_
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            assert part.counts["mentions"] == int(path.stem[1:])
+            assert part.counts["mentions"] == int(path.stem[1:].removesuffix("-cr"))
 
     force_chunk_bytes(32 * 1024)
     # A first run of several chunks: in a long test session, the first such
     # run peaked about 40 KB higher than the runs after it.
     peak(mentions(600))
-    assert peak(mentions(8000)) <= 1.2 * peak(mentions(2000))
+    for end in ("\n", "\r"):
+        assert peak(mentions(8000, end)) <= 1.2 * peak(mentions(2000, end)), repr(end)
