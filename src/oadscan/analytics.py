@@ -197,11 +197,11 @@ def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
     number of distinct hostnames and the dispersion metrics.  Shares are
     in percentage points; an undefined share is None."""
     stats = aggregate.hostname_stats()
-    top = top_hostnames(stats, 1)
+    top = max(stats.counts.values(), default=None)
     dispersion = dispersion_metrics(stats)
     figures: dict[str, float | int | None] = {
         "ghp_share_of_oads": ghp_share_of_oads(aggregate.totals()),
-        "top_hostname_share": 100.0 * top[0][1] / stats.total if top else None,
+        "top_hostname_share": None if top is None else 100.0 * top / stats.total,
         "distinct_hostnames": len(stats.counts),
     }
     for f in fields(DispersionMetrics):
@@ -241,12 +241,8 @@ def write_monthly_csv(path: str | Path, monthly: Sequence[MonthlyStats]) -> None
     atomic_write_text(path, _csv_text(header, rows))
 
 
-def write_hostnames_csv(path: str | Path, stats: HostnameStats) -> None:
-    ranked = sorted(stats.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    rows = [
-        [host, str(count), _fmt(100.0 * count / stats.total, 4)]
-        for host, count in ranked
-    ]
+def write_hostnames_csv(path: str | Path, ranked: Sequence[tuple[str, int]], total: int) -> None:
+    rows = [[host, str(count), _fmt(100.0 * count / total, 4)] for host, count in ranked]
     atomic_write_text(path, _csv_text(["hostname", "count", "share"], rows))
 
 
@@ -255,8 +251,8 @@ def write_histogram_csv(path: str | Path, bins: Sequence[tuple[int, int, int]]) 
     atomic_write_text(path, _csv_text(["bin_start", "bin_end", "hostname_count"], rows))
 
 
-def write_top_hostnames_csv(path: str | Path, stats: HostnameStats, n: int) -> None:
-    rows = [[host, str(count)] for host, count in top_hostnames(stats, n)]
+def write_top_hostnames_csv(path: str | Path, top: Sequence[tuple[str, int]]) -> None:
+    rows = [[host, str(count)] for host, count in top]
     atomic_write_text(path, _csv_text(["hostname", "count"], rows))
 
 
@@ -265,10 +261,13 @@ def write_reports(
     aggregate: CorpusAggregate,
     top_n: int = 15,
 ) -> dict[str, str]:
-    """Write the four CSV reports; returns report name -> path."""
+    """Write the four CSV reports, ranking the hostnames once; returns report name -> path."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = aggregate.hostname_stats()
+    ranked = top_hostnames(stats, len(stats.counts) + 1)  # every hostname
     paths = {
         "monthly": out_dir / "monthly.csv",
         "hostnames": out_dir / "hostnames.csv",
@@ -276,9 +275,9 @@ def write_reports(
         "top_hostnames": out_dir / "top_hostnames.csv",
     }
     write_monthly_csv(paths["monthly"], aggregate.monthly_list())
-    write_hostnames_csv(paths["hostnames"], stats)
+    write_hostnames_csv(paths["hostnames"], ranked, stats.total)
     write_histogram_csv(
         paths["histogram"], frequency_histogram(stats, aggregate.config.histogram_bin_width)
     )
-    write_top_hostnames_csv(paths["top_hostnames"], stats, top_n)
+    write_top_hostnames_csv(paths["top_hostnames"], ranked[:top_n])
     return {name: str(p) for name, p in paths.items()}

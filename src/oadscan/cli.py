@@ -14,13 +14,14 @@ import json
 import contextlib
 import logging
 import os
+import signal
 import sys
 import time
 from collections import Counter
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 try:
     import resource
@@ -71,6 +72,11 @@ class UsageError(Exception):
     """Bad flags, unreadable config, or missing input paths."""
 
 
+def _terminate(signum: int, frame) -> NoReturn:
+    signal.signal(signum, signal.SIG_IGN)  # a second SIGTERM must not cut the cleanup short
+    raise SystemExit(128 + signum)  # the status a shell gives a command SIGTERM ends
+
+
 def _require(settings: dict, *names: str) -> None:
     for name in names:
         if settings[name] is None:
@@ -114,11 +120,14 @@ class _Corpus(NamedTuple):
 
 
 def _load_corpus(settings: dict) -> _Corpus:
-    """Read the manifest once per command; extract and report share it."""
+    """Read the manifest once per command; extract and report share it.
+    Documents are read under --docs-root as given, else the manifest's directory."""
     try:
         window = MonthWindow(settings["window_start"], settings["window_end"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if "docs_root" in settings:
+        settings["docs_root"] = settings["docs_root"] or Path(settings["manifest"]).parent
     manifest = load_manifest(_require_file(settings["manifest"], "manifest"))
     entries, window_skipped = filter_window(select_latest_versions(manifest), window)
     return _Corpus(window, len(manifest), entries, window_skipped)
@@ -168,13 +177,17 @@ def _peak_rss_mb() -> float | None:
     return round(maxrss / (2**20 if sys.platform == "darwin" else 2**10), 3)
 
 
-def _write_metadata(path: Path, command: str, config_echo: dict, counts: dict,
-                    timings: dict, **more) -> None:
+def _write_metadata(path: Path, settings: dict, counts: dict, timings: dict, **more) -> None:
+    """Write a run record whose ``config`` echoes the command's options, paths
+    as the command resolved them and the window as [start, end]."""
+    config = {k: str(v) if isinstance(v, Path) else v for k, v in settings.items()
+              if k not in ("command", "func", "config", "window_start", "window_end")}
+    config["window"] = [settings["window_start"], settings["window_end"]]
     payload = {
         "tool": "oadscan",
         "version": __version__,
-        "command": command,
-        "config": config_echo,
+        "command": settings["command"],
+        "config": config,
         "counts": counts,
         "timings": {**timings, "peak_rss_mb": _peak_rss_mb()},
         **more,
@@ -215,27 +228,15 @@ def _add(parts: Sequence[_Part]) -> _Part:
 
 def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
                    entries: Sequence[ManifestEntry]) -> _Part:
-    """Read and extract a shard's documents in batches that end once their
-    text reaches ``shards.CHUNK_BYTES``; format each batch's mentions and,
-    for ``pipeline`` (``setup`` given), run the report loop on them."""
+    """Read and extract a shard's documents one at a time; format each
+    document's mentions and, for ``pipeline`` (``setup`` given), run the
+    report loop on them, so the shard holds one document's records."""
     aggregate = None
     if setup:
         from .analytics import CorpusAggregate  # extract does not load analytics
         aggregate = CorpusAggregate(setup.config)
     part = _Part([], [], Counter(), Counter(), aggregate)
-    records: list[MentionRecord] = []
-    batched = 0  # input bytes of the documents in earlier batches
-    for entry in (*entries, None):  # None ends the last batch
-        if entry is None or part.counts["input_bytes"] - batched >= shards.CHUNK_BYTES:
-            t0 = time.perf_counter_ns()
-            part.lines.append(format_mentions(records))
-            part.ns["write_mentions"] += time.perf_counter_ns() - t0
-            part.counts["mentions"] += len(records)
-            if setup:
-                _report_records(setup, records, part)
-            if entry is None:
-                break
-            records, batched = [], part.counts["input_bytes"]
+    for entry in entries:
         t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
@@ -244,9 +245,15 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
             continue
         part.ns["read_documents"] += time.perf_counter_ns() - t0
         t0 = time.process_time_ns()
-        records.extend(extract_uri_mentions(doc, dedup=dedup))
+        records = extract_uri_mentions(doc, dedup=dedup)
         part.ns["extract"] += time.process_time_ns() - t0
         part.counts["input_bytes"] += len(doc.text.encode("utf-8"))
+        t0 = time.perf_counter_ns()
+        part.lines.append(format_mentions(records))
+        part.ns["write_mentions"] += time.perf_counter_ns() - t0
+        part.counts["mentions"] += len(records)
+        if setup:
+            _report_records(setup, records, part)
     return part
 
 
@@ -269,7 +276,7 @@ def _run_extraction(
     (seconds summed over the shards).  No mentions file is written when a
     shard fails.
     """
-    docs_root = Path(settings["docs_root"] or Path(settings["manifest"]).parent)
+    docs_root = Path(settings["docs_root"])
     if corpus.window_skipped:
         log.warning("%d document(s) outside corpus window %s..%s skipped",
                     corpus.window_skipped, corpus.window.start, corpus.window.end)
@@ -307,18 +314,10 @@ def _run_extraction(
 
 def cmd_extract(settings: dict) -> int:
     _require(settings, "manifest", "out")
-    out_path = _require_output_path(settings["out"], "mentions file")
+    settings["out"] = out_path = _require_output_path(settings["out"], "mentions file")
     corpus = _load_corpus(settings)
     counts, _, timings = _run_extraction(settings, corpus, out_path)
-    echo = {
-        "manifest": str(settings["manifest"]),
-        "docs_root": str(settings["docs_root"] or Path(settings["manifest"]).parent),
-        "out": str(out_path),
-        "window": [corpus.window.start, corpus.window.end],
-        "dedup_per_doc": settings["dedup_per_doc"],
-    }
-    _write_metadata(out_path.with_name(out_path.name + ".meta.json"), "extract", echo, counts,
-                    timings=timings)
+    _write_metadata(out_path.with_name(out_path.name + ".meta.json"), settings, counts, timings)
     return EXIT_OK
 
 
@@ -390,10 +389,9 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord], part: _Pa
 
 
 def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
-                  byte_range: tuple[int, int]) -> _Part:
-    """Run the report loop on the mention lines in a byte range of the
-    mentions file, one line-aligned chunk of about ``shards.CHUNK_BYTES``
-    (or one longer line) at a time, so memory does not grow with the range.
+                  chunks: Sequence[tuple[int, int]]) -> _Part:
+    """Run the report loop on the mention lines of a run of the mentions
+    file's chunks, one chunk at a time, so memory does not grow with the run.
 
     The first bad line raises, a month outside the window among them.
     Chunks are read in order, and ``shards.run_shards`` raises the earliest
@@ -401,8 +399,7 @@ def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
     """
     from .analytics import CorpusAggregate
     part = _Part([], [], Counter(), Counter(), CorpusAggregate(setup.config))
-    start, end = byte_range
-    for chunk in shards.line_ranges(path, -(-(end - start) // shards.CHUNK_BYTES), start, end):
+    for chunk in chunks:
         t0 = time.process_time_ns()
         records = read_mentions_file(path, *chunk, window)
         part.ns["read_mentions"] += time.process_time_ns() - t0
@@ -449,29 +446,22 @@ def _write_report(
     }
 
 
-def _report_echo(settings: dict, window: MonthWindow, mentions: Path, out_dir: Path) -> dict:
-    # Option values are argparse's strings and numbers (None when unset).
-    echo = {k: settings[k] for k in ("manifest", "model", "policy", "denylist", "patterns",
-                                     "category_policy", "bin_width", "top_n")}
-    return {**echo, "mentions": str(mentions), "out_dir": str(out_dir),
-            "window": [window.start, window.end]}
-
-
 def cmd_report(settings: dict) -> int:
     _require(settings, "mentions", "model", "manifest", "out_dir")
-    mentions_path = _require_file(settings["mentions"], "mentions file")
-    out_dir = _require_output_dir(settings["out_dir"])
+    settings["mentions"] = mentions_path = _require_file(settings["mentions"], "mentions file")
+    settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])
     setup = _load_report_setup(settings)
     corpus = _load_corpus(settings)
-    # Each shard reads its own line-aligned byte range of the mentions file.
-    ranges = shards.line_ranges(mentions_path,
-                                shards.shard_count(os.path.getsize(mentions_path)))
+    # One cut into line-aligned chunks, at least one per shard; each shard reads a run of them.
+    size = os.path.getsize(mentions_path)
+    n = shards.shard_count(size)
+    chunks = shards.line_ranges(mentions_path, max(n, -(-size // shards.CHUNK_BYTES)))
+    runs = shards.contiguous(chunks, n)
     total = _add(shards.run_shards(partial(_report_shard, setup, corpus.window, mentions_path),
-                                   ranges))
+                                   runs))
     counts, figures, timings = _write_report(settings, corpus, total, out_dir)
-    echo = _report_echo(settings, corpus.window, mentions_path, out_dir)
-    _write_metadata(out_dir / "run_metadata.json", "report", echo, counts, figures=figures,
-                    timings={"workers": len(ranges),
+    _write_metadata(out_dir / "run_metadata.json", settings, counts, figures=figures,
+                    timings={"workers": len(runs),
                              "read_mentions_s": _seconds(total.ns["read_mentions"]),
                              **timings})
     return EXIT_OK
@@ -479,21 +469,18 @@ def cmd_report(settings: dict) -> int:
 
 def cmd_pipeline(settings: dict) -> int:
     _require(settings, "manifest", "model", "out_dir")
-    out_dir = _require_output_dir(settings["out_dir"])
+    settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])
     setup = _load_report_setup(settings)
     corpus = _load_corpus(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mentions_path = _require_output_path(settings["mentions"] or out_dir / "mentions.tsv",
-                                         "mentions file")
+    settings["mentions"] = mentions_path = _require_output_path(
+        settings["mentions"] or out_dir / "mentions.tsv", "mentions file")
     # Each shard extracts its documents and runs the report loop on them.
     extract_counts, total, extract_timings = _run_extraction(settings, corpus, mentions_path,
                                                              setup)
     report_counts, figures, report_timings = _write_report(settings, corpus, total, out_dir)
-    echo = {**_report_echo(settings, corpus.window, mentions_path, out_dir),
-            "docs_root": str(settings["docs_root"] or Path(settings["manifest"]).parent),
-            "dedup_per_doc": settings["dedup_per_doc"]}
     counts = {"extract": extract_counts, "report": report_counts}
-    _write_metadata(out_dir / "run_metadata.json", "pipeline", echo, counts, figures=figures,
+    _write_metadata(out_dir / "run_metadata.json", settings, counts, figures=figures,
                     timings={**extract_timings, **report_timings})
     return EXIT_OK
 
@@ -631,6 +618,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
+    # SIGTERM raises, so the workers are killed and temporary files removed on the way out.
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = _parse_args(build_parser(argv), argv)
         return args.func(vars(args))
@@ -645,6 +634,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ MAX_WORKERS = 2
 # only a forked run needs included, and report and pipeline get through
 # 3-5 MB/s of input per CPU, so a smaller shard would not repay its child.
 MIN_SHARD_BYTES = 256 * 1024
-# The input a report or pipeline shard runs its loop on at once: mentions-file bytes, document text.
+# report cuts its mentions file into chunks of about this size, at least one
+# per shard, and runs its loop on one chunk's mentions at a time.
 CHUNK_BYTES = 1 << 20
 
 
@@ -91,25 +92,22 @@ def contiguous(items: Sequence[S], n: int) -> list[Sequence[S]]:
     return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
 
 
-def line_ranges(path: str | Path, n: int, start: int = 0,
-                end: int | None = None) -> list[tuple[int, int]]:
-    """At most n contiguous byte ranges (start, end) that cover bytes
-    [start, end) of the file (to its end when ``end`` is None).
+def line_ranges(path: str | Path, n: int) -> list[tuple[int, int]]:
+    """At most n contiguous byte ranges (start, end) that cover the file.
 
-    ``start`` is 0 or just after a line end.  Every cut falls just after
-    a line end: an LF, or a CR that no LF follows, never between a CR and
-    its LF.  No range is empty, so there are never more ranges than lines.
-    An empty span gives (start, start).
+    Every cut falls just after a line end: an LF, or a CR that no LF
+    follows, never between a CR and its LF.  No range is empty, so there
+    are never more ranges than lines.  An empty file gives [(0, 0)].
     """
-    end = os.path.getsize(path) if end is None else end
-    cuts = [start]
+    size = os.path.getsize(path)
+    cuts = [0]
     with open(path, "rb") as fh:
         for k in range(1, n):
-            cut = _after_line_end(fh, max(start + (end - start) * k // n, cuts[-1]))
-            if cut >= end:
+            cut = _after_line_end(fh, max(size * k // n, cuts[-1]))
+            if cut >= size:
                 break
             cuts.append(cut)
-    cuts.append(end)
+    cuts.append(size)
     return list(zip(cuts, cuts[1:]))
 
 
@@ -132,13 +130,14 @@ def _after_line_end(fh: BinaryIO, pos: int) -> int:
 
 def _child(job: Callable[[S], R], shard: S, k: int, inherited: list[int],
            write_fd: int, mask: set[int]) -> NoReturn:
-    """In a forked child: restore the signal mask, close the pipe read ends
-    it inherited, run shard k, pickle (ok, result or exception) to its
-    pipe, and leave without returning into the parent's code."""
+    """In a forked child: restore SIGTERM's default action and the signal
+    mask, close the pipe read ends it inherited, run shard k, pickle (ok,
+    result or exception) to its pipe, and leave without returning into the parent's code."""
     import pickle
     import signal
     code = 1
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in inherited:
             os.close(fd)

@@ -19,8 +19,8 @@ def pytest_addoption(parser):
                      help="cut every command's input into N shards, whatever its size "
                      "(default: the commands' own choice)")
     parser.addoption("--chunk-bytes", type=int, default=None, metavar="N",
-                     help="make report read its mentions file, and pipeline run its report "
-                     "loop, in chunks of about N bytes (default: shards.CHUNK_BYTES)")
+                     help="make report cut its mentions file into chunks of about N bytes "
+                     "(default: shards.CHUNK_BYTES); no other command reads it")
 
 
 @pytest.fixture
@@ -34,8 +34,8 @@ def force_shards(monkeypatch):
 
 @pytest.fixture
 def force_chunk_bytes(monkeypatch):
-    """Call with N to make report read its mentions file, and pipeline run
-    its report loop, in chunks of about N bytes."""
+    """Call with N to make report cut its mentions file into chunks of
+    about N bytes."""
     def force(n: int) -> None:
         monkeypatch.setattr(shards, "CHUNK_BYTES", n)
     return force

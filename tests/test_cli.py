@@ -496,6 +496,47 @@ class TestConfigResolution:
     def test_missing_required_option_is_usage_error(self, tmp_path):
         assert run("extract", "--out", tmp_path / "m.tsv") == EXIT_USAGE
 
+    def test_run_record_echoes_the_resolved_options(self, tmp_path, monkeypatch):
+        # Each value comes from its flag, environment variable, config file or
+        # default; out, mentions and out_dir as the command resolved them,
+        # docs_root as given or else the manifest's directory.
+        write_corpus(tmp_path, [("a", 1, "2019-01", "See https://zenodo.org/record/1."),
+                                ("b", 1, "2019-02", "Code at https://github.com/u/r.")])
+        (tmp_path / "model.json").write_bytes(MODEL.read_bytes())
+        (tmp_path / "c.json").write_text(json.dumps({"top_n": 3, "dedup_per_doc": True}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OADSCAN_BIN_WIDTH", "7")
+
+        def config(path):
+            return json.loads(Path(path).read_text(encoding="utf-8"))["config"]
+
+        common = ["--manifest", "corpus/manifest.tsv", "--config", "c.json"]
+        report = {"manifest": "corpus/manifest.tsv", "model": "./model.json", "policy": None,
+                  "denylist": None, "patterns": None, "category_policy": "ghp-forces-oads",
+                  "bin_width": 7, "top_n": 3}
+        assert run("extract", *common, "--docs-root", "corpus/.", "--out", "corpus//m.tsv",
+                   "--window-start", "2019-01") == EXIT_OK
+        assert config("corpus/m.tsv.meta.json") == {
+            "manifest": "corpus/manifest.tsv", "docs_root": "corpus/.", "out": "corpus/m.tsv",
+            "window": ["2019-01", "2021-12"], "dedup_per_doc": True}
+        assert run("report", *common, "--mentions", "corpus//m.tsv", "--model", "./model.json",
+                   "--out-dir", "corpus//r/.", "--window-end", "2020-06") == EXIT_OK
+        assert config("corpus/r/run_metadata.json") == {
+            **report, "mentions": "corpus/m.tsv", "out_dir": "corpus/r",
+            "window": ["2007-04", "2020-06"]}
+        assert run("pipeline", *common, "--docs-root", "corpus/.", "--model", "./model.json",
+                   "--out-dir", "corpus//p", "--window-start", "2019-01") == EXIT_OK
+        assert config("corpus/p/run_metadata.json") == {
+            **report, "mentions": "corpus/p/mentions.tsv", "out_dir": "corpus/p",
+            "window": ["2019-01", "2021-12"], "docs_root": "corpus/.", "dedup_per_doc": True}
+        assert run("pipeline", *common, "--model", "./model.json", "--out-dir", "q",
+                   "--mentions", "q/../pm.tsv", "--no-dedup-per-doc",
+                   "--category-policy", "classifier-decides") == EXIT_OK
+        assert config("q/run_metadata.json") == {
+            **report, "category_policy": "classifier-decides", "mentions": "q/../pm.tsv",
+            "out_dir": "q", "window": ["2007-04", "2021-12"], "docs_root": "corpus",
+            "dedup_per_doc": False}
+
 
 class TestOptionSources:
     """Each command's options, wherever their values come from, go through

@@ -6,6 +6,7 @@ import itertools
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -151,8 +152,9 @@ def test_bad_month_later_in_one_document_named_at_every_shard_count(tmp_path, re
 def test_shard_stage_seconds_are_cpu_time(tmp_path, monkeypatch, force_shards,
                                           force_chunk_bytes):
     # A fake CPU clock that moves one second per reading makes every span
-    # timed in CPU time exactly 1 s, whatever the wall clock does.  One
-    # chunk per shard gives each shard one read span and one loop span.
+    # timed in CPU time exactly 1 s, whatever the wall clock does.  pipeline
+    # runs the report loop once per document; report, with one chunk per
+    # shard, reads and loops once per shard.
     force_chunk_bytes(1 << 30)
     ticks = itertools.count(0, 10**9)
     monkeypatch.setattr(time, "process_time_ns", lambda: next(ticks))
@@ -166,7 +168,7 @@ def test_shard_stage_seconds_are_cpu_time(tmp_path, monkeypatch, force_shards,
         workers = timings["workers"]
         assert workers == n
         assert timings["extract_s"] == 5.0  # one span per document
-        assert timings["classify_s"] == workers + 1  # one per shard, one in the parent
+        assert timings["classify_s"] == 5 + 1  # one per document, one in the parent
         assert timings["read_documents_s"] < 1 and timings["write_mentions_s"] < 1
         assert run("report", "--manifest", manifest, "--model", MODEL, "--mentions",
                    out / "mentions.tsv", "--out-dir", tmp_path / f"r{n}") == EXIT_OK
@@ -466,6 +468,76 @@ def test_interrupted_parent_leaves_no_child():
     assert_no_children()
 
 
+# Runs main on 2 shards after argv[1:3] (a directory, a stage), with the
+# stage made to leave a <pid>.pid file in the directory and sleep: each
+# worker's report loop, or the parent's first rename of a finished file.
+SLEEP_THEN_MAIN = """\
+import os, sys, time
+from pathlib import Path
+from oadscan import cli, fileio, shards
+
+def mark_and_sleep(*args):
+    (Path(sys.argv[1]) / f"{os.getpid()}.pid").write_text("")
+    time.sleep(60)
+
+class SlowRename:
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, *args):
+        mark_and_sleep()
+
+shards.shard_count = lambda input_bytes: 2
+if sys.argv[2] == "loop":
+    cli._report_records = mark_and_sleep
+else:
+    fileio.os = SlowRename()
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def gone_within(pid: int, seconds: float) -> bool:
+    """The process is gone, or goes within the seconds given."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+@pytest.mark.parametrize("stage, marks", [("loop", 2), ("write", 1)])
+def test_sigterm_to_the_parent_leaves_no_child_and_no_temp_file(stage, marks, tmp_path):
+    mentions = tmp_path / "mentions.tsv"
+    assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
+    env["PYTHONPATH"] = str(SRC)
+    argv = [sys.executable, "-c", SLEEP_THEN_MAIN, pids, stage, "report", "--manifest",
+            CORPUS / "manifest.tsv", "--model", MODEL, "--mentions", mentions,
+            "--out-dir", tmp_path / "out"]
+    proc = subprocess.Popen([str(a) for a in argv], env=env, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(pids.iterdir())) < marks:
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM  # what a shell shows for SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    left = [pid for pid in (int(p.stem) for p in pids.iterdir()) if not gone_within(pid, 5)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == [], "these processes outlived the command"
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert not (tmp_path / "out" / "monthly.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["report", "pipeline"])
 def test_dead_worker_fails_the_command_and_writes_nothing(command, tmp_path, monkeypatch,
                                                           force_shards, caplog):
@@ -561,9 +633,22 @@ def test_byte_ranges_read_as_the_whole_file(tmp_path_factory, lines, bad_at):
 # --- chunked shards ------------------------------------------------------------
 
 
-def chunk_ranges(path: Path, start: int, end: int, chunk_bytes: int) -> list[tuple[int, int]]:
-    """The chunks a report shard reads its byte range in."""
-    return line_ranges(path, -(-(end - start) // chunk_bytes), start, end)
+def chunk_ranges(path: Path, n_shards: int, chunk_bytes: int) -> list[tuple[int, int]]:
+    """The chunks report on n_shards shards cuts its mentions file into,
+    checked: they cover the file in order, none is empty, each cut follows
+    an LF or a lone CR, and each chunk less its last line spans no more than
+    chunk_bytes, nor more than a shard's share of the file."""
+    data = path.read_bytes()
+    size = len(data)
+    chunks = line_ranges(path, max(n_shards, -(-size // chunk_bytes)))
+    assert chunks[0][0] == 0 and chunks[-1][1] == size
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(a < b for a, b in chunks) or chunks == [(0, 0)]
+    assert all(after_line_end(data, b) for _, b in chunks[:-1])
+    for a, b in chunks:
+        ends = [m.end() for m in re.finditer(rb"\r\n?|\n", data[a:b]) if m.end() < b - a]
+        assert max([0, *ends]) <= min(chunk_bytes, -(-size // n_shards)), (a, b)
+    return chunks
 
 
 def serial_shards(job, items):
@@ -628,7 +713,7 @@ def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, ba
     mentions.write_bytes("".join(text).encode("utf-8"))
     manifest = write_corpus(tmp, [(f"d{i}", 1, "2019-01", "text") for i in range(4)])
     manifest = manifest / "manifest.tsv"
-    size, raw = mentions.stat().st_size, mentions.read_bytes()
+    size = mentions.stat().st_size
     whole = chunked_report(manifest, mentions, tmp / "whole", policy, 1, size + 1)
     try:
         read_mentions_file(mentions, window=MonthWindow())
@@ -637,12 +722,7 @@ def test_chunked_report_matches_the_one_chunk_report(tmp_path_factory, lines, ba
         assert whole == str(exc)
     chunk_sizes = (1, data.draw(st.integers(1, max(1, size)), label="chunk_bytes"), size + 1)
     for n, chunk_bytes in itertools.product((1, 2, 3), chunk_sizes):
-        for start, end in line_ranges(mentions, n):
-            chunks = chunk_ranges(mentions, start, end, chunk_bytes)
-            assert chunks[0][0] == start and chunks[-1][1] == end
-            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            assert all(a < b for a, b in chunks) or chunks == [(start, start)]
-            assert all(after_line_end(raw, b) for _, b in chunks[:-1])
+        chunk_ranges(mentions, n, chunk_bytes)
         out = tmp / f"r{n}-{chunk_bytes}"
         assert chunked_report(manifest, mentions, out, policy, n, chunk_bytes) == whole, \
             (n, chunk_bytes)
@@ -691,7 +771,7 @@ def test_cr_only_twin_reports_the_same(tmp_path, bad_at):
     manifest = write_corpus(tmp_path, [(f"d{i}", 1, "2019-01", "text") for i in range(3)])
     manifest = manifest / "manifest.tsv"
     assert len(line_ranges(twin, 2)) == 2
-    assert len(chunk_ranges(twin, 0, twin.stat().st_size, 256)) > 2
+    assert len(chunk_ranges(twin, 2, 256)) > 2
     for n in (1, 2):
         report = chunked_report(manifest, mentions, tmp_path / f"lf{n}", "ghp-forces-oads", n, 256)
         if bad_at is not None:
@@ -702,7 +782,7 @@ def test_cr_only_twin_reports_the_same(tmp_path, bad_at):
                               256) == report, n
 
 
-def test_report_shard_memory_does_not_grow_with_its_range(tmp_path, force_chunk_bytes):
+def test_report_shard_memory_does_not_grow_with_its_range(tmp_path):
     # A shard over 4N lines that reuse N lines' hosts and months peaks at
     # about the memory of one over N lines: one chunk's records at a time,
     # also when the lines end in lone CRs.
@@ -719,15 +799,15 @@ def test_report_shard_memory_does_not_grow_with_its_range(tmp_path, force_chunk_
         return path if end == "\n" else cr_only_twin(path)
 
     def peak(path: Path) -> int:
+        chunks = chunk_ranges(path, 1, 32 * 1024)
         tracemalloc.start()
         try:
-            part = cli._report_shard(setup, MonthWindow(), path, (0, path.stat().st_size))
+            part = cli._report_shard(setup, MonthWindow(), path, chunks)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             assert part.counts["mentions"] == int(path.stem[1:].removesuffix("-cr"))
 
-    force_chunk_bytes(32 * 1024)
     # A first run of several chunks: in a long test session, the first such
     # run peaked about 40 KB higher than the runs after it.
     peak(mentions(600))

@@ -147,3 +147,13 @@ def test_only_extraction_builds_mention_records():
              for node in _nodes(p)
              if isinstance(node, ast.Call) and _names(node.func) == {"MentionRecord"}]
     assert built == []
+
+
+def test_only_cmd_report_reads_chunk_bytes():
+    # report cuts its mentions file once, into chunks of about CHUNK_BYTES;
+    # a read anywhere else would be a second way to bound the report loop.
+    reads = [(p.name, owner) for p in MODULES if p.name != "shards.py"
+             for name, owner in _reads(ast.parse(p.read_text(encoding="utf-8")))
+             if name == "CHUNK_BYTES"]
+    assert ("cli.py", "cmd_report") in reads
+    assert [read for read in reads if read != ("cli.py", "cmd_report")] == []
