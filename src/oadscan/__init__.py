@@ -16,7 +16,7 @@ __all__ = ["__version__", "Category", "CategoryPolicy", "Classification", "Docum
            "ScopeReason", "TrainedModel"]
 
 _SUBMODULES = {"analytics", "classifier", "cli", "corpus", "extraction", "fileio", "ghp",
-               "scope", "shards"}
+               "report", "scope", "shards"}
 _HOMES = {"Category": "ghp", "CategoryPolicy": "ghp", "Classification": "classifier",
           "Document": "corpus", "DocumentId": "corpus", "Label": "classifier",
           "LabeledExample": "classifier", "MonthWindow": "corpus", "Platform": "ghp",

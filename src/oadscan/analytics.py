@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fileio import atomic_write_text
 from .ghp import Category, CategoryPolicy
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonthlyStats:
+class MonthlyStats(NamedTuple):
     """Per-month counts; identities: uri_total = oads + non_oads and
     oads = ghp + non_ghp_oads."""
 
@@ -77,8 +75,7 @@ def ghp_share_of_oads(stats: MonthlyStats) -> float | None:
     return 100.0 * stats.ghp / stats.oads
 
 
-@dataclass(frozen=True)
-class HostnameStats:
+class HostnameStats(NamedTuple):
     """Hostname frequency over non-GHP OADS mentions."""
 
     counts: dict[str, int]
@@ -113,8 +110,7 @@ def top_hostnames(stats: HostnameStats, n: int) -> list[tuple[str, int]]:
     return ranked[:n]
 
 
-@dataclass(frozen=True)
-class DispersionMetrics:
+class DispersionMetrics(NamedTuple):
     """How spread-out hostname usage is, in percentage points."""
 
     singleton_uri_share: float   # mentions whose hostname occurs exactly once
@@ -138,21 +134,31 @@ def dispersion_metrics(stats: HostnameStats) -> DispersionMetrics | None:
 # --- corpus-level aggregate ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AggregateConfig:
+class AggregateConfig(NamedTuple):
     category_policy: CategoryPolicy = CategoryPolicy.GHP_FORCES_OADS
     histogram_bin_width: int = 50
 
 
-@dataclass
 class CorpusAggregate:
     """Everything the reports need: plain counts, filled by one pass over a
     corpus, or by passes over parts of it summed with ``update``."""
 
-    config: AggregateConfig = field(default_factory=AggregateConfig)
-    publications: Counter = field(default_factory=Counter)  # month -> documents
-    mentions: Counter = field(default_factory=Counter)  # (month, Category) -> in scope
-    hostnames: Counter = field(default_factory=Counter)  # over non-GHP OADS mentions
+    def __init__(self, config: AggregateConfig = AggregateConfig(),
+                 publications: Counter | None = None, mentions: Counter | None = None,
+                 hostnames: Counter | None = None) -> None:
+        self.config = config
+        # month -> documents
+        self.publications = Counter() if publications is None else publications
+        # (month, Category) -> mentions in scope
+        self.mentions = Counter() if mentions is None else mentions
+        # hostname -> non-GHP OADS mentions
+        self.hostnames = Counter() if hostnames is None else hostnames
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.config, self.publications, self.mentions, self.hostnames) == (
+            other.config, other.publications, other.mentions, other.hostnames)
 
     def add_publications(self, month: str, count: int = 1) -> None:
         self.publications[month] += count
@@ -204,8 +210,8 @@ def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
         "top_hostname_share": None if top is None else 100.0 * top / stats.total,
         "distinct_hostnames": len(stats.counts),
     }
-    for f in fields(DispersionMetrics):
-        figures[f.name] = None if dispersion is None else getattr(dispersion, f.name)
+    for name in DispersionMetrics._fields:
+        figures[name] = None if dispersion is None else getattr(dispersion, name)
     return figures
 
 

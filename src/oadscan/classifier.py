@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Container, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from .fileio import atomic_write_text, json_object, load_json, string_list
 from .scope import ParsedUri, parse_uri
@@ -60,21 +59,27 @@ class Provenance(Enum):
     LEARNED = "learned"
 
 
-@dataclass(frozen=True)
-class Classification:
+# typing.NamedTuple forbids a __new__ of its own, so a record that checks its
+# fields subclasses its NamedTuple and checks them there.
+class _Classification(NamedTuple):
     label: Label
     provenance: Provenance
     score: float
 
-    def __post_init__(self) -> None:
+
+class Classification(_Classification):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Classification:
+        self = super().__new__(cls, *args, **kwargs)
         if self.provenance is not Provenance.LEARNED and (
             self.label is not Label.NON_OADS or self.score != 0.0
         ):
             raise ValueError(f"a heuristic verdict is Non-OADS with score 0.0, got {self}")
+        return self
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     context: str
     uri: str
     label: Label
@@ -196,15 +201,19 @@ def _terms(
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
+class _TrainingConfig(NamedTuple):
     learning_rate: float = 0.1
     iterations: int = 500
     l2: float = 1e-3
     threshold: float = 0.5
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class TrainingConfig(_TrainingConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> TrainingConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1:
@@ -213,9 +222,9 @@ class TrainingConfig:
             raise ValueError(f"l2 must be non-negative, got {self.l2}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        return self
 
 
-@dataclass
 class TrainedModel:
     """Linear classifier over vocabulary tokens plus fixed URI features.
 
@@ -223,11 +232,19 @@ class TrainedModel:
     fixed URI feature.  Immutable by convention once constructed.
     """
 
-    vocabulary: dict[str, int]
-    weights: list[float]
-    bias: float
-    threshold: float
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    def __init__(self, vocabulary: dict[str, int], weights: list[float], bias: float,
+                 threshold: float, training: TrainingConfig = TrainingConfig()) -> None:
+        self.vocabulary = vocabulary
+        self.weights = weights
+        self.bias = bias
+        self.threshold = threshold
+        self.training = training
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vocabulary, self.weights, self.bias, self.threshold, self.training) == (
+            other.vocabulary, other.weights, other.bias, other.threshold, other.training)
 
     @cached_property
     def _weight_table(self) -> tuple[dict[str, float], list[float]]:
@@ -240,7 +257,7 @@ class TrainedModel:
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "featurizer": _FEATURIZER_BLOCK,
-            "training": asdict(self.training),
+            "training": self.training._asdict(),
             "vocabulary": self.vocabulary,
             "weights": self.weights,
             "bias": self.bias,
@@ -327,6 +344,7 @@ def train(
     weights = [0.0] * n_weights
     bias = 0.0
     n = float(len(examples))
+    lr, l2 = config.learning_rate, config.l2
     for _ in range(config.iterations):
         grad_w = [0.0] * n_weights
         grad_b = 0.0
@@ -338,9 +356,8 @@ def train(
             for idx, value in row:
                 grad_w[idx] += err * value
             grad_b += err
-        lr = config.learning_rate
         for j in range(n_weights):
-            weights[j] -= lr * (grad_w[j] / n + config.l2 * weights[j])
+            weights[j] -= lr * (grad_w[j] / n + l2 * weights[j])
         bias -= lr * (grad_b / n)
 
     return TrainedModel(
@@ -385,8 +402,7 @@ def classify_hybrid(
 # --- evaluation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
+class EvalMetrics(NamedTuple):
     """Accuracy, per-label precision/recall/F1, and the confusion counts.
 
     OADS is the positive class: tp counts OADS examples predicted OADS,
@@ -397,13 +413,6 @@ class EvalMetrics:
     accuracy: float
     per_label: dict[str, dict[str, float]]
     confusion: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_label": self.per_label,
-            "confusion": self.confusion,
-        }
 
 
 def _safe_div(num: float, den: float) -> float:

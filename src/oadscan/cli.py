@@ -18,7 +18,6 @@ import signal
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, NoReturn, Sequence
@@ -38,16 +37,9 @@ from .corpus import (
     read_document,
     select_latest_versions,
 )
-from .extraction import (
-    MentionRecord,
-    extract_uri_mentions,
-    format_mentions,
-    read_mentions_file,
-    write_mentions_text,
-)
+from .extraction import extract_uri_mentions, format_mentions, write_mentions_text
 from .fileio import atomic_write_text
 from . import shards
-# analytics, classifier, ghp and scope load where report and train code runs, not for extract.
 
 log = logging.getLogger("oadscan")
 
@@ -133,34 +125,6 @@ def _load_corpus(settings: dict) -> _Corpus:
     return _Corpus(window, len(manifest), entries, window_skipped)
 
 
-class _ReportSetup(NamedTuple):
-    """Everything a report needs besides the corpus and the mentions."""
-
-    model: TrainedModel
-    policy: ScopePolicy
-    denylist: frozenset[str]
-    patterns: GhpPatternSet
-    config: AggregateConfig  # the category policy and the histogram bin width
-
-
-def _load_report_setup(settings: dict) -> _ReportSetup:
-    """Check and load the report's inputs, so that an error in any of them
-    stops the run before it reads or writes anything else."""
-    from . import analytics, classifier, ghp, scope
-
-    def load(name, loader, default):
-        path = settings[name]
-        return default if path is None else loader(_require_file(path, f"{name} file"))
-
-    return _ReportSetup(
-        classifier.TrainedModel.load(_require_file(settings["model"], "model file")),
-        load("policy", scope.ScopePolicy.from_file, scope.DEFAULT_POLICY),
-        load("denylist", classifier.load_denylist, classifier.DEFAULT_DENYLIST),
-        load("patterns", ghp.GhpPatternSet.from_file, ghp.DEFAULT_PATTERNS),
-        analytics.AggregateConfig(ghp.CategoryPolicy(settings["category_policy"]),
-                                  settings["bin_width"]))
-
-
 def _seconds(ns: int) -> float:
     return round(ns / 1e9, 6)
 
@@ -234,9 +198,11 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
     aggregate = None
     if setup:
         from .analytics import CorpusAggregate  # extract does not load analytics
+        from .report import _report_records
         aggregate = CorpusAggregate(setup.config)
     part = _Part([], [], Counter(), Counter(), aggregate)
     for entry in entries:
+        shards.exit_if_orphaned()
         t0 = time.perf_counter_ns()
         try:
             doc = read_document(entry, docs_root)
@@ -321,168 +287,27 @@ def cmd_extract(settings: dict) -> int:
     return EXIT_OK
 
 
-# --- train / evaluate -------------------------------------------------------
+# --- report, pipeline, train and evaluate run in report.py, which extract never loads
 
 
 def cmd_train(settings: dict) -> int:
-    from .classifier import TrainingConfig, evaluate, read_labeled_file, train
-    _require(settings, "labeled", "out")
-    out_path = _require_output_path(settings["out"], "model file")
-    labeled_path = _require_file(settings["labeled"], "labeled file")
-    examples = read_labeled_file(labeled_path)
-    # train's options are named after the TrainingConfig fields they set.
-    config = TrainingConfig(**{f.name: settings[f.name] for f in fields(TrainingConfig)})
-    model = train(examples, config)
-    model.save(out_path)
-    metrics = evaluate(model, examples)
-    log.info("train: %d examples, vocabulary %d, model written to %s",
-             len(examples), len(model.vocabulary), out_path)
-    print(json.dumps({"training_set": metrics.to_dict()}, sort_keys=True, indent=2))
-    return EXIT_OK
+    from .report import cmd_train
+    return cmd_train(settings)
 
 
 def cmd_evaluate(settings: dict) -> int:
-    from .classifier import LabeledFileError, TrainedModel, evaluate, read_labeled_file
-    _require(settings, "model", "labeled")
-    model = TrainedModel.load(_require_file(settings["model"], "model file"))
-    examples = read_labeled_file(_require_file(settings["labeled"], "labeled file"))
-    if not examples:
-        raise LabeledFileError(f"no examples in {settings['labeled']}")
-    metrics = evaluate(model, examples)
-    print(json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
-    return EXIT_OK
-
-
-# --- report ----------------------------------------------------------------
-
-
-def _report_records(setup: _ReportSetup, records: list[MentionRecord], part: _Part) -> None:
-    """Classify, scope and categorize mentions into part's counts and aggregate.
-
-    Rules and scope run on every mention, as each is counted.  The model
-    scores an in-scope mention no rule decided whose category reads the
-    label; any other mention passes Non-OADS, which is a rule's label.
-    """
-    from .classifier import Provenance, classify_heuristic, score_text
-    from .ghp import category_of, detect_ghp, label_decides
-    from .scope import is_in_scope, parse_uri
-    t0 = time.process_time_ns()
-    counts, aggregate = part.counts, part.aggregate
-    category_policy = setup.config.category_policy
-    for r in records:
-        parsed = parse_uri(r.uri)
-        rule = classify_heuristic(parsed, setup.denylist)
-        counts[Provenance.LEARNED if rule is None else rule] += 1
-        reason = is_in_scope(parsed, setup.policy)
-        counts[reason] += 1
-        if not reason.in_scope:
-            continue
-        platform = detect_ghp(parsed, setup.patterns)
-        oads = False
-        if rule is None and label_decides(platform, category_policy):
-            counts["scored"] += 1
-            oads = score_text(setup.model, r.context, parsed) >= setup.model.threshold
-        category = category_of(platform, oads, category_policy)
-        counts[category] += 1
-        aggregate.add_mention(r.month, category, parsed.hostname)
-    part.ns["classify"] += time.process_time_ns() - t0
-
-
-def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
-                  chunks: Sequence[tuple[int, int]]) -> _Part:
-    """Run the report loop on the mention lines of a run of the mentions
-    file's chunks, one chunk at a time, so memory does not grow with the run.
-
-    The first bad line raises, a month outside the window among them.
-    Chunks are read in order, and ``shards.run_shards`` raises the earliest
-    shard's error, so the command reports the first bad line of the file.
-    """
-    from .analytics import CorpusAggregate
-    part = _Part([], [], Counter(), Counter(), CorpusAggregate(setup.config))
-    for chunk in chunks:
-        t0 = time.process_time_ns()
-        records = read_mentions_file(path, *chunk, window)
-        part.ns["read_mentions"] += time.process_time_ns() - t0
-        _report_records(setup, records, part)
-        part.counts["mentions"] += len(records)
-    return part
-
-
-def _write_report(
-    settings: dict, corpus: _Corpus, total: _Part, out_dir: Path
-) -> tuple[dict, dict, dict]:
-    """Write the CSV reports from the shards' summed part.
-
-    Returns the counts, the paper's figures and the stage timings.  Every
-    report sorts its rows by a total order, so shard order cannot reach
-    the output.
-    """
-    from . import analytics, classifier, ghp, scope
-    t0 = time.process_time_ns()
-    aggregate = total.aggregate
-    for entry in corpus.entries:
-        aggregate.add_publications(entry.month)
-    total.ns["classify"] += time.process_time_ns() - t0
-    t1 = time.perf_counter_ns()
-    report_paths = analytics.write_reports(out_dir, aggregate, settings["top_n"])
-    t2 = time.perf_counter_ns()
-    totals, months = aggregate.totals(), len(aggregate.monthly_list())
-    log.info("report: %d mentions, %d in scope, %d months, reports in %s",
-             total.counts["mentions"], totals.uri_total, months, out_dir)
-    return {
-        "documents": len(corpus.entries),
-        "window_skipped": corpus.window_skipped,
-        "mentions": total.counts["mentions"],
-        "in_scope": totals.uri_total,
-        "scored": total.counts["scored"],  # the mentions the learned model scored
-        **{key: {member.value: total.counts[member] for member in enum}
-           for key, enum in (("provenance", classifier.Provenance),
-                             ("scope_reasons", scope.ScopeReason), ("categories", ghp.Category))},
-        "months": months,
-        "reports": sorted(Path(p).name for p in report_paths.values()),
-    }, analytics.paper_figures(aggregate), {
-        "classify_s": _seconds(total.ns["classify"]),
-        "write_reports_s": _seconds(t2 - t1),
-    }
+    from .report import cmd_evaluate
+    return cmd_evaluate(settings)
 
 
 def cmd_report(settings: dict) -> int:
-    _require(settings, "mentions", "model", "manifest", "out_dir")
-    settings["mentions"] = mentions_path = _require_file(settings["mentions"], "mentions file")
-    settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])
-    setup = _load_report_setup(settings)
-    corpus = _load_corpus(settings)
-    # One cut into line-aligned chunks, at least one per shard; each shard reads a run of them.
-    size = os.path.getsize(mentions_path)
-    n = shards.shard_count(size)
-    chunks = shards.line_ranges(mentions_path, max(n, -(-size // shards.CHUNK_BYTES)))
-    runs = shards.contiguous(chunks, n)
-    total = _add(shards.run_shards(partial(_report_shard, setup, corpus.window, mentions_path),
-                                   runs))
-    counts, figures, timings = _write_report(settings, corpus, total, out_dir)
-    _write_metadata(out_dir / "run_metadata.json", settings, counts, figures=figures,
-                    timings={"workers": len(runs),
-                             "read_mentions_s": _seconds(total.ns["read_mentions"]),
-                             **timings})
-    return EXIT_OK
+    from .report import cmd_report
+    return cmd_report(settings)
 
 
 def cmd_pipeline(settings: dict) -> int:
-    _require(settings, "manifest", "model", "out_dir")
-    settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])
-    setup = _load_report_setup(settings)
-    corpus = _load_corpus(settings)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    settings["mentions"] = mentions_path = _require_output_path(
-        settings["mentions"] or out_dir / "mentions.tsv", "mentions file")
-    # Each shard extracts its documents and runs the report loop on them.
-    extract_counts, total, extract_timings = _run_extraction(settings, corpus, mentions_path,
-                                                             setup)
-    report_counts, figures, report_timings = _write_report(settings, corpus, total, out_dir)
-    counts = {"extract": extract_counts, "report": report_counts}
-    _write_metadata(out_dir / "run_metadata.json", settings, counts, figures=figures,
-                    timings={**extract_timings, **report_timings})
-    return EXIT_OK
+    from .report import cmd_pipeline
+    return cmd_pipeline(settings)
 
 
 # --- parser ----------------------------------------------------------------
@@ -519,9 +344,11 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
     def add_corpus_options(p):
         p.add_argument("--manifest", help="corpus manifest file")
-        p.add_argument("--window-start", metavar="YYYY-MM", default=MonthWindow.start,
+        p.add_argument("--window-start", metavar="YYYY-MM",
+                       default=MonthWindow._field_defaults["start"],
                        help="first accepted publication month (default %(default)s)")
-        p.add_argument("--window-end", metavar="YYYY-MM", default=MonthWindow.end,
+        p.add_argument("--window-end", metavar="YYYY-MM",
+                       default=MonthWindow._field_defaults["end"],
                        help="last accepted publication month (default %(default)s)")
 
     def add_extraction_options(p):
@@ -541,7 +368,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p.add_argument("--category-policy", choices=[c.value for c in CategoryPolicy],
                        default=CategoryPolicy.GHP_FORCES_OADS.value)
         p.add_argument("--bin-width", type=positive_int,
-                       default=AggregateConfig.histogram_bin_width,
+                       default=AggregateConfig._field_defaults["histogram_bin_width"],
                        help="hostname-frequency histogram bin width (default %(default)s)")
         p.add_argument("--top-n", type=positive_int, default=15,
                        help="rows in the top-hostnames table (default %(default)s)")
@@ -552,14 +379,15 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
     if p := add_command("train", cmd_train, "train the learned classifier"):
         from .classifier import TrainingConfig
+        defaults = TrainingConfig._field_defaults
         p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
         p.add_argument("--out", help="model file to write")
-        p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
-        p.add_argument("--iterations", type=int, default=TrainingConfig.iterations)
-        p.add_argument("--l2", type=float, default=TrainingConfig.l2, help="L2 penalty strength")
-        p.add_argument("--threshold", type=float, default=TrainingConfig.threshold,
+        p.add_argument("--learning-rate", type=float, default=defaults["learning_rate"])
+        p.add_argument("--iterations", type=int, default=defaults["iterations"])
+        p.add_argument("--l2", type=float, default=defaults["l2"], help="L2 penalty strength")
+        p.add_argument("--threshold", type=float, default=defaults["threshold"],
                        help="OADS decision threshold")
-        p.add_argument("--seed", type=int, default=TrainingConfig.seed,
+        p.add_argument("--seed", type=int, default=defaults["seed"],
                        help="recorded in the model file")
 
     if p := add_command("evaluate", cmd_evaluate, "evaluate a model on labeled examples"):
@@ -639,4 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # The report module imports this one as oadscan.cli: run as a script, it
+    # must be that module too, not a second copy with its own UsageError.
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

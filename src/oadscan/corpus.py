@@ -8,8 +8,8 @@ appear in several versions; only the latest version of each is analyzed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "DocumentId",
@@ -63,18 +63,25 @@ def validate_month(month: str) -> str:
     return month
 
 
-@dataclass(frozen=True)
-class DocumentId:
-    """An article identifier split into a base id and a version number."""
-
+# typing.NamedTuple forbids a __new__ of its own, so a record that checks its
+# fields subclasses its NamedTuple and checks them there.
+class _DocumentId(NamedTuple):
     base_id: str
     version: int
 
-    def __post_init__(self) -> None:
+
+class DocumentId(_DocumentId):
+    """An article identifier split into a base id and a version number."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DocumentId:
+        self = super().__new__(cls, *args, **kwargs)
         if self.version < 1:
             raise ValueError(f"version must be >= 1, got {self.version}")
         if not self.base_id or any(c.isspace() for c in self.base_id):
             raise ValueError(f"base_id must be non-empty without whitespace: {self.base_id!r}")
+        return self
 
     def __str__(self) -> str:
         return f"{self.base_id}v{self.version}"
@@ -92,18 +99,23 @@ def parse_document_id(raw: str) -> DocumentId:
     return DocumentId(raw, 1)
 
 
-@dataclass(frozen=True)
-class MonthWindow:
-    """Inclusive publication-month range accepted by the pipeline."""
-
+class _MonthWindow(NamedTuple):
     start: str = "2007-04"
     end: str = "2021-12"
 
-    def __post_init__(self) -> None:
+
+class MonthWindow(_MonthWindow):
+    """Inclusive publication-month range accepted by the pipeline."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MonthWindow:
+        self = super().__new__(cls, *args, **kwargs)
         validate_month(self.start)
         validate_month(self.end)
         if self.start > self.end:
             raise ValueError(f"window start {self.start} is after end {self.end}")
+        return self
 
     def contains(self, month: str) -> bool:
         # Zero-padded YYYY-MM strings order correctly under string comparison.
@@ -113,15 +125,13 @@ class MonthWindow:
 DEFAULT_WINDOW = MonthWindow()
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     doc_id: DocumentId
     month: str
     path: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One article version: identifier, publication month, extracted text."""
 
     id: DocumentId

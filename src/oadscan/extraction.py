@@ -22,7 +22,6 @@ import json
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -65,8 +64,7 @@ class MentionRecord(NamedTuple):
     context: str
 
 
-@dataclass(frozen=True)
-class UriMention:
+class UriMention(NamedTuple):
     """A mention as ``classifier.classify_hybrid`` reads it; the benchmark's
     traced replay builds one per ``MentionRecord``."""
 

@@ -11,10 +11,10 @@ not a test per rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .classifier import Label
 from .fileio import json_object, load_json
@@ -44,12 +44,18 @@ class Platform(Enum):
 _RULE_KINDS = ("exact", "suffix", "first-label")
 
 
-@dataclass(frozen=True)
-class HostRule:
+# typing.NamedTuple forbids a __new__ of its own, so a record that checks its
+# fields subclasses its NamedTuple and checks them there.
+class _HostRule(NamedTuple):
     kind: str  # exact | suffix | first-label
     host: str
 
-    def __post_init__(self) -> None:
+
+class HostRule(_HostRule):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> HostRule:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in _RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == "suffix" and not self.host.startswith("."):
@@ -60,6 +66,7 @@ class HostRule:
             raise ValueError(f"first-label rule must not hold '.': {self.host!r}")
         if self.kind == "exact" and not self.host:
             raise ValueError(f"exact rule must name a host: {self.host!r}")
+        return self
 
 
 # A compiled rule table: the rule's host (an exact host, a dotted suffix
@@ -68,9 +75,12 @@ class HostRule:
 _RuleTable = dict[str, tuple[int, Platform]]
 
 
-@dataclass(frozen=True)
-class GhpPatternSet:
+class _GhpPatternSet(NamedTuple):
     rules: tuple[tuple[Platform, tuple[HostRule, ...]], ...]
+
+
+class GhpPatternSet(_GhpPatternSet):
+    """Not slotted, so that ``tables`` has a ``__dict__`` to be kept in."""
 
     @cached_property
     def tables(self) -> dict[str, _RuleTable]:

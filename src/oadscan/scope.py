@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -68,10 +67,7 @@ _DEFAULT_PRIVATE_RANGES = (
 )
 
 
-@dataclass(frozen=True)
-class ScopePolicy:
-    """Immutable filter configuration with paper-faithful defaults."""
-
+class _ScopePolicy(NamedTuple):
     allowed_schemes: frozenset[str] = frozenset({"http", "https"})
     publication_hosts: frozenset[str] = frozenset(
         {"arxiv.org", "refhub.elsevier.com", "crossmark.crossref.org"}
@@ -82,6 +78,11 @@ class ScopePolicy:
         {"10.5281", "10.5061", "10.6084", "10.17605"}
     )
     private_ranges: tuple[str, ...] = _DEFAULT_PRIVATE_RANGES
+
+
+class ScopePolicy(_ScopePolicy):
+    """Immutable filter configuration with paper-faithful defaults.  Not
+    slotted, so that ``networks`` has a ``__dict__`` to be kept in."""
 
     @cached_property
     def networks(self) -> tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, ...]:
@@ -97,7 +98,7 @@ class ScopePolicy:
     @classmethod
     def _from_json(cls, value: object) -> "ScopePolicy":
         kwargs = {}
-        for key, items in json_object(value, "policy", [f.name for f in fields(cls)]).items():
+        for key, items in json_object(value, "policy", cls._fields).items():
             items = string_list(items, key)
             kwargs[key] = (tuple(items) if key == "private_ranges"
                            else frozenset(v.lower() for v in items))

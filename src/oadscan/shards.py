@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
 
-__all__ = ["shard_count", "contiguous", "line_ranges", "run_shards"]
+__all__ = ["shard_count", "contiguous", "line_ranges", "run_shards", "exit_if_orphaned"]
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -30,6 +30,10 @@ MIN_SHARD_BYTES = 256 * 1024
 # report cuts its mentions file into chunks of about this size, at least one
 # per shard, and runs its loop on one chunk's mentions at a time.
 CHUNK_BYTES = 1 << 20
+
+
+# Set in a forked child only: the pid of the process that forked it.
+_parent: int | None = None
 
 
 # The cgroup v2 CPU quota at the top of the mounted hierarchy, and in each
@@ -128,13 +132,25 @@ def _after_line_end(fh: BinaryIO, pos: int) -> int:
     return pos
 
 
+def exit_if_orphaned() -> None:
+    """In a forked child whose parent has died, exit at once.  A parent
+    killed by SIGKILL or the out-of-memory killer runs no code, so it
+    cannot kill its children; a job calls this between its pieces of work.
+    In any other process it does nothing."""
+    if _parent is not None and os.getppid() != _parent:
+        os._exit(1)
+
+
 def _child(job: Callable[[S], R], shard: S, k: int, inherited: list[int],
-           write_fd: int, mask: set[int]) -> NoReturn:
-    """In a forked child: restore SIGTERM's default action and the signal
-    mask, close the pipe read ends it inherited, run shard k, pickle (ok,
-    result or exception) to its pipe, and leave without returning into the parent's code."""
+           write_fd: int, mask: set[int], parent: int) -> NoReturn:
+    """In a forked child: record its parent's pid, restore SIGTERM's default
+    action and the signal mask, close the pipe read ends it inherited, run
+    shard k, pickle (ok, result or exception) to its pipe, and leave without
+    returning into the parent's code."""
     import pickle
     import signal
+    global _parent
+    _parent = parent
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -187,7 +203,9 @@ def run_shards(job: Callable[[S], R], shards: Sequence[S]) -> list[R]:
     ``RUSAGE_CHILDREN``.  The earliest shard's exception is raised; a
     child that dies without replying (killed, out of memory,
     ``os._exit``) raises ``ChildProcessError``.  Whatever is raised here,
-    every child still running is killed and reaped first.
+    every child still running is killed and reaped first.  A child whose
+    parent dies without running that cleanup exits at the job's next call
+    of ``exit_if_orphaned``.
     """
     if len(shards) == 1:
         return [job(shards[0])]
@@ -195,6 +213,7 @@ def run_shards(job: Callable[[S], R], shards: Sequence[S]) -> list[R]:
     # the children inherit them.
     import pickle  # noqa: F401 - the helpers' own import finds it loaded
     import signal
+    parent = os.getpid()
     pids: list[int] = []  # the children not yet reaped
     fds: list[int] = []  # the read ends of their pipes not yet closed
     try:
@@ -208,7 +227,7 @@ def run_shards(job: Callable[[S], R], shards: Sequence[S]) -> list[R]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(job, shard, k, fds, write_fd, mask)
+                    _child(job, shard, k, fds, write_fd, mask, parent)
                 pids.append(pid)
             finally:  # in the parent only: the child never returns
                 os.close(write_fd)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oadscan.cli as cli_mod
+import oadscan.report as report_mod
 from oadscan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from oadscan.extraction import read_mentions_file
 
@@ -278,7 +279,7 @@ class TestReport:
         mentions = tmp_path / "m.tsv"
         assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
         reads = []
-        monkeypatch.setattr(cli_mod, "read_mentions_file", lambda *a: reads.append(a))
+        monkeypatch.setattr(report_mod, "read_mentions_file", lambda *a: reads.append(a))
         for out_dir in (mentions, mentions / "sub"):
             assert run("report", "--mentions", mentions, "--model", MODEL, "--manifest",
                        CORPUS / "manifest.tsv", "--out-dir", out_dir) == EXIT_USAGE
@@ -376,7 +377,7 @@ class TestPipeline:
         def no_read_back(path):
             raise AssertionError(f"pipeline read {path} back")
 
-        monkeypatch.setattr(cli_mod, "read_mentions_file", no_read_back)
+        monkeypatch.setattr(report_mod, "read_mentions_file", no_read_back)
         fused_dir = tmp_path / "fused"
         assert run(
             "pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oadscan import cli, extraction, shards
+from oadscan import cli, extraction, report, shards
 from oadscan.analytics import AggregateConfig
 from oadscan.classifier import DEFAULT_DENYLIST, TrainedModel
 from oadscan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -470,15 +470,17 @@ def test_interrupted_parent_leaves_no_child():
 
 # Runs main on 2 shards after argv[1:3] (a directory, a stage), with the
 # stage made to leave a <pid>.pid file in the directory and sleep: each
-# worker's report loop, or the parent's first rename of a finished file.
+# worker's report loop for 60 s ("loop") or for 1 s a call ("slow": a call
+# per document in pipeline, per chunk of about 64 bytes in report), or the
+# parent's first rename of a finished file ("write").
 SLEEP_THEN_MAIN = """\
 import os, sys, time
 from pathlib import Path
-from oadscan import cli, fileio, shards
+from oadscan import cli, fileio, report, shards
 
-def mark_and_sleep(*args):
+def mark_and_sleep(seconds=60):
     (Path(sys.argv[1]) / f"{os.getpid()}.pid").write_text("")
-    time.sleep(60)
+    time.sleep(seconds)
 
 class SlowRename:
     def __getattr__(self, name):
@@ -489,53 +491,97 @@ class SlowRename:
 
 shards.shard_count = lambda input_bytes: 2
 if sys.argv[2] == "loop":
-    cli._report_records = mark_and_sleep
+    report._report_records = lambda *args: mark_and_sleep()
+elif sys.argv[2] == "slow":
+    shards.CHUNK_BYTES = 64
+    report._report_records = lambda *args: mark_and_sleep(1)
 else:
     fileio.os = SlowRename()
 sys.exit(cli.main(sys.argv[3:]))
 """
 
 
+def running(pid: int) -> bool:
+    """The process exists and has not exited.  An orphan that has exited
+    stays a zombie until init reaps it, which some inits do only seconds later."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # the state is the field after the parenthesized command name
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except OSError:  # no /proc, or the process went in between
+        return True
+
+
 def gone_within(pid: int, seconds: float) -> bool:
     """The process is gone, or goes within the seconds given."""
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
+        if not running(pid):
             return True
         time.sleep(0.02)
     return False
 
 
-@pytest.mark.parametrize("stage, marks", [("loop", 2), ("write", 1)])
-def test_sigterm_to_the_parent_leaves_no_child_and_no_temp_file(stage, marks, tmp_path):
+def sleeping_command(tmp_path: Path, stage: str, marks: int,
+                     command: str = "report") -> tuple[subprocess.Popen, Path]:
+    """SLEEP_THEN_MAIN started on the fixture corpus, once ``marks`` pid
+    files have appeared, and the directory that holds them."""
     mentions = tmp_path / "mentions.tsv"
     assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
     pids = tmp_path / "pids"
     pids.mkdir()
     env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
     env["PYTHONPATH"] = str(SRC)
-    argv = [sys.executable, "-c", SLEEP_THEN_MAIN, pids, stage, "report", "--manifest",
-            CORPUS / "manifest.tsv", "--model", MODEL, "--mentions", mentions,
-            "--out-dir", tmp_path / "out"]
+    argv = [sys.executable, "-c", SLEEP_THEN_MAIN, pids, stage, command, "--manifest",
+            CORPUS / "manifest.tsv", "--model", MODEL, "--out-dir", tmp_path / "out"]
+    if command == "report":
+        argv += ["--mentions", mentions]
     proc = subprocess.Popen([str(a) for a in argv], env=env, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 30
         while len(list(pids.iterdir())) < marks:
             assert time.monotonic() < deadline and proc.poll() is None
             time.sleep(0.02)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    return proc, pids
+
+
+def assert_gone_within(pids: Path, seconds: float) -> None:
+    """Every process that left a pid file is gone within the seconds given."""
+    left = [pid for pid in (int(p.stem) for p in pids.iterdir()) if not gone_within(pid, seconds)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == [], "these processes outlived the command"
+
+
+@pytest.mark.parametrize("stage, marks", [("loop", 2), ("write", 1)])
+def test_sigterm_to_the_parent_leaves_no_child_and_no_temp_file(stage, marks, tmp_path):
+    proc, pids = sleeping_command(tmp_path, stage, marks)
+    try:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM  # what a shell shows for SIGTERM
     finally:
         proc.kill()
         proc.wait()
-    left = [pid for pid in (int(p.stem) for p in pids.iterdir()) if not gone_within(pid, 5)]
-    for pid in left:
-        os.kill(pid, signal.SIGKILL)
-    assert left == [], "these processes outlived the command"
+    assert_gone_within(pids, 5)
     assert list(tmp_path.rglob("*.tmp")) == []
     assert not (tmp_path / "out" / "monthly.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "pipeline"])
+def test_workers_of_a_killed_parent_exit(command, tmp_path):
+    # SIGKILL runs no cleanup in the parent.  Each worker has over 5 s of
+    # report loop left, and checks between its documents or chunks that the
+    # parent that forked it still lives.
+    proc, pids = sleeping_command(tmp_path, "slow", 2, command)
+    proc.kill()
+    assert proc.wait(timeout=30) == -signal.SIGKILL
+    assert_gone_within(pids, 5)
 
 
 @pytest.mark.parametrize("command", ["report", "pipeline"])
@@ -544,7 +590,7 @@ def test_dead_worker_fails_the_command_and_writes_nothing(command, tmp_path, mon
     mentions = tmp_path / "mentions.tsv"
     assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
     # Each forked worker inherits this, and dies in its report loop.
-    monkeypatch.setattr(cli, "_report_records", lambda *args: os._exit(1))
+    monkeypatch.setattr(report, "_report_records", lambda *args: os._exit(1))
     force_shards(2)
     out = tmp_path / "out"
     argv = ["--manifest", CORPUS / "manifest.tsv", "--model", MODEL, "--out-dir", out]
@@ -786,8 +832,8 @@ def test_report_shard_memory_does_not_grow_with_its_range(tmp_path):
     # A shard over 4N lines that reuse N lines' hosts and months peaks at
     # about the memory of one over N lines: one chunk's records at a time,
     # also when the lines end in lone CRs.
-    setup = cli._ReportSetup(TrainedModel.load(MODEL), DEFAULT_POLICY, DEFAULT_DENYLIST,
-                             DEFAULT_PATTERNS, AggregateConfig())
+    setup = report._ReportSetup(TrainedModel.load(MODEL), DEFAULT_POLICY, DEFAULT_DENYLIST,
+                                DEFAULT_PATTERNS, AggregateConfig())
     hosts = [h for h in HOSTS if h not in ("localhost", "10.0.0.7")]
 
     def mentions(n: int, end: str = "\n") -> Path:
@@ -802,7 +848,7 @@ def test_report_shard_memory_does_not_grow_with_its_range(tmp_path):
         chunks = chunk_ranges(path, 1, 32 * 1024)
         tracemalloc.start()
         try:
-            part = cli._report_shard(setup, MonthWindow(), path, chunks)
+            part = report._report_shard(setup, MonthWindow(), path, chunks)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

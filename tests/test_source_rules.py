@@ -134,8 +134,9 @@ def test_replay_only_names_are_read_by_the_replay_alone():
 
 def test_cli_names_no_category_member():
     # The category rule lives in ghp.category_of; a Category member named
-    # in cli.py would be a second copy of it.
-    named = [f"cli.py:{node.lineno}" for node in _nodes(SRC / "cli.py")
+    # in cli.py or report.py would be a second copy of it.
+    named = [f"{name}:{node.lineno}" for name in ("cli.py", "report.py")
+             for node in _nodes(SRC / name)
              if isinstance(node, ast.Attribute) and _names(node.value) == {"Category"}]
     assert named == []
 
@@ -155,5 +156,14 @@ def test_only_cmd_report_reads_chunk_bytes():
     reads = [(p.name, owner) for p in MODULES if p.name != "shards.py"
              for name, owner in _reads(ast.parse(p.read_text(encoding="utf-8")))
              if name == "CHUNK_BYTES"]
-    assert ("cli.py", "cmd_report") in reads
-    assert [read for read in reads if read != ("cli.py", "cmd_report")] == []
+    assert ("report.py", "cmd_report") in reads
+    assert [read for read in reads if read != ("report.py", "cmd_report")] == []
+
+
+def test_no_module_imports_dataclasses():
+    # Importing dataclasses loads inspect, ast and dis, and each dataclass
+    # execs its generated methods: milliseconds of every command's start-up.
+    found = [f"{p.name}:{node.lineno}" for p in MODULES for node in _nodes(p)
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []

@@ -26,10 +26,15 @@ import test_cli
 SRC = Path(__file__).resolve().parent.parent / "src"
 OPTIONS = test_cli.TestOptionSources.OPTIONS  # each command's options
 COMMANDS = sorted(OPTIONS)
-REPORT_MODULES = {"oadscan.analytics", "oadscan.classifier", "oadscan.ghp"}
+EXTRACT_MODULES = {"oadscan", "oadscan.cli", "oadscan.corpus", "oadscan.extraction",
+                   "oadscan.fileio", "oadscan.scope", "oadscan.shards"}
+REPORT_MODULES = {"oadscan.analytics", "oadscan.classifier", "oadscan.ghp", "oadscan.report"}
+# dataclasses imports inspect, and inspect imports ast and dis: milliseconds
+# of a cold start, before the first dataclass is defined.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 
-# Runs main on its arguments and prints, as its last line, the oadscan
-# modules the interpreter then holds.
+# Runs main on its arguments and prints, as its last line, the modules the
+# interpreter then holds.
 MAIN_THEN_MODULES = """\
 import sys
 from oadscan.cli import main
@@ -37,22 +42,30 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print(" ".join(sorted(m for m in sys.modules if m == "oadscan" or m.startswith("oadscan."))))
+print(" ".join(sorted(sys.modules)))
 """
+
+
+def interpreter(*args, check: bool = True) -> subprocess.CompletedProcess:
+    """A new interpreter run on ``args``, with the package's source first on its path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
+    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
 
 
 def fresh(code: str, *args) -> list[str]:
     """The stdout lines of ``code`` run in a new interpreter on ``args``."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
-    env["PYTHONPATH"] = str(SRC)
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    result = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                            capture_output=True, text=True, timeout=60, check=True)
-    return result.stdout.splitlines()
+    return interpreter("-c", code, *args).stdout.splitlines()
 
 
 def modules_after(*argv) -> set[str]:
     return set(fresh(MAIN_THEN_MODULES, *argv)[-1].split())
+
+
+def package_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "oadscan" or m.startswith("oadscan.")}
 
 
 # --- which modules a command loads ------------------------------------------
@@ -61,8 +74,7 @@ def modules_after(*argv) -> set[str]:
 def test_extract_loads_only_what_it_runs(tmp_path):
     out = tmp_path / "m.tsv"
     loaded = modules_after("extract", "--manifest", test_cli.CORPUS / "manifest.tsv", "--out", out)
-    assert loaded == {"oadscan", "oadscan.cli", "oadscan.corpus", "oadscan.extraction",
-                      "oadscan.fileio", "oadscan.scope", "oadscan.shards"}
+    assert package_modules(loaded) == EXTRACT_MODULES
     assert read_mentions_file(out)
 
 
@@ -71,6 +83,40 @@ def test_version_and_help_load_no_report_module(argv):
     loaded = modules_after(*argv)
     assert "oadscan.cli" in loaded
     assert not loaded & REPORT_MODULES
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    corpus = ["--manifest", test_cli.CORPUS / "manifest.tsv"]
+    mentions = tmp_path / "m.tsv"
+    # command: (its argv, the package modules it loads, a file it writes)
+    runs = {  # extract first: report reads its mentions file
+        "extract": ([*corpus, "--out", mentions], EXTRACT_MODULES, mentions),
+        "report": ([*corpus, "--model", test_cli.MODEL, "--mentions", mentions, "--out-dir",
+                    tmp_path / "r"], EXTRACT_MODULES | REPORT_MODULES, tmp_path / "r"),
+        "pipeline": ([*corpus, "--model", test_cli.MODEL, "--out-dir", tmp_path / "p"],
+                     EXTRACT_MODULES | REPORT_MODULES, tmp_path / "p"),
+        "train": (["--labeled", test_cli.DATA / "labeled_seed.tsv", "--out",
+                   tmp_path / "model.json"],
+                  EXTRACT_MODULES | {"oadscan.classifier", "oadscan.report"},
+                  tmp_path / "model.json"),
+    }
+    for command, (argv, modules, output) in runs.items():
+        loaded = modules_after(command, *argv)
+        assert package_modules(loaded) == modules, command
+        assert not loaded & SLOW_IMPORTS, command
+        assert output.exists(), command
+    assert not modules_after("--version") & SLOW_IMPORTS
+
+
+def test_run_as_a_script_the_report_module_shares_the_cli_module(tmp_path):
+    # python -m oadscan.cli runs cli.py as __main__.  The report module's
+    # import of oadscan.cli must find that module, not load a second copy
+    # whose UsageError main would not catch.
+    missing = tmp_path / "missing.tsv"
+    result = interpreter("-m", "oadscan.cli", "report", "--mentions", missing, "--model",
+                         test_cli.MODEL, "--manifest", test_cli.CORPUS / "manifest.tsv",
+                         "--out-dir", tmp_path / "r", check=False)
+    assert (result.returncode, result.stderr) == (1, f"ERROR mentions file not found: {missing}\n")
 
 
 def test_package_names_resolve_on_first_use():
