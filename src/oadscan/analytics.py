@@ -8,12 +8,11 @@ and shares are expressed in percentage points (0..100).
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .fileio import atomic_write_text
+from .fileio import atomic_open
 from .ghp import Category, CategoryPolicy
 
 __all__ = [
@@ -102,12 +101,18 @@ def frequency_histogram(
     )
 
 
-def top_hostnames(stats: HostnameStats, n: int) -> list[tuple[str, int]]:
-    """The n most frequent hostnames, ties broken lexicographically."""
-    if n < 1:
+def top_hostnames(stats: HostnameStats, n: int | None = None) -> list[str]:
+    """The n most frequent hostnames (all of them when n is None), ties
+    broken lexicographically."""
+    if n is not None and n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ranked = sorted(stats.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:n]
+    # Two stable sorts of one list rank the strings themselves: no key
+    # tuple or (host, count) pair is built per hostname.
+    ranked = sorted(stats.counts)
+    ranked.sort(key=stats.counts.__getitem__, reverse=True)
+    if n is not None:
+        del ranked[n:]
+    return ranked
 
 
 class DispersionMetrics(NamedTuple):
@@ -176,7 +181,9 @@ class CorpusAggregate:
         self.hostnames.update(other.hostnames)
 
     def hostname_stats(self) -> HostnameStats:
-        return HostnameStats(dict(self.hostnames), sum(self.hostnames.values()))
+        """The hostname counts and their sum.  The counts are this
+        aggregate's own Counter, shared, not a copy."""
+        return HostnameStats(self.hostnames, sum(self.hostnames.values()))
 
     def monthly_list(self) -> list[MonthlyStats]:
         months = set(self.publications).union(month for month, _ in self.mentions)
@@ -225,41 +232,20 @@ def _fmt(value: float | None, places: int) -> str:
     return "" if value is None else f"{value:.{places}f}"
 
 
-def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _monthly_row(s: MonthlyStats) -> list:
+    pubs = float(s.publications) if s.publications else None
+    counts = (s.publications, s.uri_total, s.oads, s.non_oads, s.ghp, s.non_ghp_oads)
+    return [s.month, *counts, *(_fmt(n / pubs if pubs else None, 4) for n in counts[1:4]),
+            *(_fmt(pct, 2) for pct in category_percentages(s) or (None,) * 3)]
 
 
-def write_monthly_csv(path: str | Path, monthly: Sequence[MonthlyStats]) -> None:
-    rows = []
-    for s in monthly:
-        pubs = float(s.publications) if s.publications else None
-        counts = (s.publications, s.uri_total, s.oads, s.non_oads, s.ghp, s.non_ghp_oads)
-        rows.append([s.month, *map(str, counts),
-                     *(_fmt(n / pubs if pubs else None, 4) for n in counts[1:4]),
-                     *(_fmt(pct, 2) for pct in category_percentages(s) or (None,) * 3)])
-    header = ["month", "publications", "uri_total", "oads", "non_oads", "ghp", "non_ghp_oads",
-              "avg_total", "avg_oads", "avg_non_oads", "pct_ghp", "pct_non_ghp_oads",
-              "pct_non_oads"]
-    atomic_write_text(path, _csv_text(header, rows))
-
-
-def write_hostnames_csv(path: str | Path, ranked: Sequence[tuple[str, int]], total: int) -> None:
-    rows = [[host, str(count), _fmt(100.0 * count / total, 4)] for host, count in ranked]
-    atomic_write_text(path, _csv_text(["hostname", "count", "share"], rows))
-
-
-def write_histogram_csv(path: str | Path, bins: Sequence[tuple[int, int, int]]) -> None:
-    rows = [[str(s), str(e), str(c)] for s, e, c in bins]
-    atomic_write_text(path, _csv_text(["bin_start", "bin_end", "hostname_count"], rows))
-
-
-def write_top_hostnames_csv(path: str | Path, top: Sequence[tuple[str, int]]) -> None:
-    rows = [[host, str(count)] for host, count in top]
-    atomic_write_text(path, _csv_text(["hostname", "count"], rows))
+def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Stream the header and rows into path with ``atomic_open``, one row
+    at a time."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_reports(
@@ -273,17 +259,19 @@ def write_reports(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = aggregate.hostname_stats()
-    ranked = top_hostnames(stats, len(stats.counts) + 1)  # every hostname
-    paths = {
-        "monthly": out_dir / "monthly.csv",
-        "hostnames": out_dir / "hostnames.csv",
-        "histogram": out_dir / "histogram.csv",
-        "top_hostnames": out_dir / "top_hostnames.csv",
-    }
-    write_monthly_csv(paths["monthly"], aggregate.monthly_list())
-    write_hostnames_csv(paths["hostnames"], ranked, stats.total)
-    write_histogram_csv(
-        paths["histogram"], frequency_histogram(stats, aggregate.config.histogram_bin_width)
-    )
-    write_top_hostnames_csv(paths["top_hostnames"], ranked[:top_n])
+    counts, total = stats
+    ranked = top_hostnames(stats)
+    paths = {name: out_dir / f"{name}.csv"
+             for name in ("monthly", "hostnames", "histogram", "top_hostnames")}
+    _write_csv(paths["monthly"],
+               ["month", "publications", "uri_total", "oads", "non_oads", "ghp", "non_ghp_oads",
+                "avg_total", "avg_oads", "avg_non_oads", "pct_ghp", "pct_non_ghp_oads",
+                "pct_non_oads"],
+               map(_monthly_row, aggregate.monthly_list()))
+    _write_csv(paths["hostnames"], ["hostname", "count", "share"],
+               ((host, counts[host], _fmt(100.0 * counts[host] / total, 4)) for host in ranked))
+    _write_csv(paths["histogram"], ["bin_start", "bin_end", "hostname_count"],
+               frequency_histogram(stats, aggregate.config.histogram_bin_width))
+    _write_csv(paths["top_hostnames"], ["hostname", "count"],
+               ((host, counts[host]) for host in ranked[:top_n]))
     return {name: str(p) for name, p in paths.items()}

@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 T = TypeVar("T")
 
 
-def atomic_write_text(path: str | Path, *texts: str) -> None:
-    """Write the texts, one after another, to path via a temp file and
-    rename, so readers never observe a half-written file.
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle (``\\n`` line ends) on a temp file next to path,
+    renamed to path when the block ends without an exception and removed
+    when it raises, so readers never observe a half-written file.
 
     The file gets mode 0o666 less the process umask, as ``open`` would
     give it.
@@ -28,8 +31,7 @@ def atomic_write_text(path: str | Path, *texts: str) -> None:
             continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for text in texts:
-                fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -37,6 +39,13 @@ def atomic_write_text(path: str | Path, *texts: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, *texts: str) -> None:
+    """Write the texts, one after another, to path with ``atomic_open``."""
+    with atomic_open(path) as fh:
+        for text in texts:
+            fh.write(text)
 
 
 def load_json(path: str | Path, parse: Callable[[object], T]) -> T:

@@ -29,7 +29,7 @@ MAX_WORKERS = 2
 MIN_SHARD_BYTES = 256 * 1024
 # report cuts its mentions file into chunks of about this size, at least one
 # per shard, and runs its loop on one chunk's mentions at a time.
-CHUNK_BYTES = 1 << 20
+CHUNK_BYTES = 1 << 18
 
 
 # Set in a forked child only: the pid of the process that forked it.

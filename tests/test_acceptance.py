@@ -258,7 +258,7 @@ def _brute_force_checks(docs, rng):
 
     n = rng.randint(1, 10)
     expected_top = sorted(expected_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-    assert top_hostnames(stats, n) == expected_top
+    assert top_hostnames(stats, n) == [host for host, _ in expected_top]
 
     m = dispersion_metrics(stats)
     if stats.total == 0:

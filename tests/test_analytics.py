@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from oadscan.analytics import (
     ghp_share_of_oads,
     paper_figures,
     top_hostnames,
-    write_monthly_csv,
+    write_reports,
 )
 from oadscan.ghp import Category
 from oadscan.scope import host_of
@@ -160,15 +161,20 @@ class TestFrequencyHistogram:
             assert bins[0][0] == 0
 
 
+def ranked_oracle(counts, n):
+    """The n most frequent hostnames, ranked by (-count, host) key tuples."""
+    return [host for host, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]]
+
+
 class TestTopHostnames:
     def test_tie_broken_lexicographically(self):
         stats = HostnameStats({"zeta.org": 2, "alpha.org": 2, "mid.org": 5}, 9)
-        assert top_hostnames(stats, 3) == [("mid.org", 5), ("alpha.org", 2), ("zeta.org", 2)]
+        assert top_hostnames(stats, 3) == ["mid.org", "alpha.org", "zeta.org"]
 
     def test_singleton_any_n(self):
         stats = HostnameStats({"one.org": 7}, 7)
-        for n in (1, 5, 100):
-            assert top_hostnames(stats, n) == [("one.org", 7)]
+        for n in (None, 1, 5, 100):
+            assert top_hostnames(stats, n) == ["one.org"]
 
     def test_prefix_property(self):
         rng = random.Random(29)
@@ -176,11 +182,29 @@ class TestTopHostnames:
         stats = HostnameStats(counts, sum(counts.values()))
         for n in range(1, 25):
             assert top_hostnames(stats, n) == top_hostnames(stats, n + 1)[:n]
+        assert top_hostnames(stats) == top_hostnames(stats, 25)
 
     def test_hand_sorted_oracle(self):
         stats = HostnameStats({"b.org": 3, "a.org": 3, "c.org": 9, "d.org": 1, "e.org": 3}, 19)
-        expected = sorted(stats.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
-        assert top_hostnames(stats, 4) == expected
+        assert top_hostnames(stats, 4) == ranked_oracle(stats.counts, 4)
+
+    def test_three_way_ties_at_several_counts(self):
+        # Three hostnames at each of four counts, inserted neither in rank
+        # nor in name order.
+        counts = {}
+        for count in (2, 9, 1, 5):
+            for name in ("m", "z", "a"):
+                counts[f"{name}{count}.org"] = count
+        stats = HostnameStats(counts, sum(counts.values()))
+        assert top_hostnames(stats) == ["a9.org", "m9.org", "z9.org", "a5.org", "m5.org",
+                                        "z5.org", "a2.org", "m2.org", "z2.org", "a1.org",
+                                        "m1.org", "z1.org"]
+        for n in range(1, 14):
+            assert top_hostnames(stats, n) == ranked_oracle(counts, n)
+
+    def test_bad_n(self):
+        with pytest.raises(ValueError):
+            top_hostnames(HostnameStats({"a.org": 1}, 1), 0)
 
 
 class TestDispersion:
@@ -234,16 +258,37 @@ class TestAccountingIdentity:
 
 class TestCsvOutput:
     def test_monthly_csv_formatting(self, tmp_path):
-        stats = [
-            MonthlyStats("2020-01", 2, 3, 2, 1, 1, 1),
-            MonthlyStats("2020-02", 3),
-        ]
-        path = tmp_path / "monthly.csv"
-        write_monthly_csv(path, stats)
-        lines = path.read_text().splitlines()
+        agg = CorpusAggregate()
+        agg.add_publications("2020-01", 2)
+        for category in Category:
+            agg.add_mention("2020-01", category, "host.example.org")
+        agg.add_publications("2020-02", 3)
+        write_reports(tmp_path, agg)
+        lines = (tmp_path / "monthly.csv").read_text().splitlines()
         assert lines[0].startswith("month,publications,uri_total")
         assert lines[1] == "2020-01,2,3,2,1,1,1,1.5000,1.0000,0.5000,33.33,33.33,33.33"
         assert lines[2] == "2020-02,3,0,0,0,0,0,0.0000,0.0000,0.0000,,,"
+
+    def test_hostname_reports_stream_their_rows(self, tmp_path):
+        # The reports are written row by row: no list of rows, no CSV text
+        # and no (host, count) pair per hostname is held.  At 40,000
+        # hostnames the peak is the ranked list of names and what the sort
+        # needs beside it.
+        n = 40_000
+        agg = CorpusAggregate()
+        for i in range(n):
+            for _ in range(1 + i % 3):
+                agg.add_mention("2020-01", Category.NON_GHP_OADS, f"host{i}.example.org")
+        tracemalloc.start()
+        try:
+            write_reports(tmp_path, agg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n, peak / n
+        rows = (tmp_path / "hostnames.csv").read_text().splitlines()
+        assert len(rows) == n + 1
+        assert rows[1] == "host10001.example.org,3,0.0038"  # 3 of 79,999 mentions
 
 
 MONTHS = st.sampled_from(["2019-01", "2019-02", "2020-07", "2021-12"])

@@ -101,7 +101,8 @@ def test_never_more_shards_than_documents_or_lines(tmp_path, force_shards):
     assert run("report", "--manifest", manifest, "--model", MODEL, "--mentions", out,
                "--out-dir", tmp_path / "r") == EXIT_OK
     meta = json.loads((tmp_path / "r" / "run_metadata.json").read_text())
-    lines = sum(1 for _ in out.open(encoding="utf-8"))
+    with out.open(encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)
     assert 1 < meta["timings"]["workers"] <= lines
 
 
