@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Sequence
+from typing import BinaryIO, NamedTuple, NoReturn, Sequence
 
 try:
     import resource
@@ -37,8 +37,8 @@ from .corpus import (
     read_document,
     select_latest_versions,
 )
-from .extraction import extract_uri_mentions, format_mentions, write_mentions_text
-from .fileio import atomic_write_text
+from .extraction import MENTIONS_HEADER, extract_uri_mentions, format_mention
+from .fileio import atomic_open, atomic_write_text, open_spool
 from . import shards
 
 log = logging.getLogger("oadscan")
@@ -165,7 +165,6 @@ def _write_metadata(path: Path, settings: dict, counts: dict, timings: dict, **m
 class _Part(NamedTuple):
     """One shard's results, or the sum of every shard's (``_add``)."""
 
-    lines: list[str]  # mentions-file text, one chunk per shard (extract, pipeline)
     skipped: list[tuple[str, str]]  # (doc_id, reason) of each unreadable document
     counts: Counter  # "mentions", "input_bytes" and each Provenance, ScopeReason, Category
     ns: Counter  # nanoseconds per stage
@@ -173,8 +172,8 @@ class _Part(NamedTuple):
 
 
 def _add(parts: Sequence[_Part]) -> _Part:
-    """The parts summed: text and skipped documents joined in order, counts,
-    times and aggregates added (``update`` keeps zero counts, ``+`` would not)."""
+    """The parts summed: skipped documents joined in order, counts, times
+    and aggregates added (``update`` keeps zero counts, ``+`` would not)."""
     counts, ns = Counter(), Counter()
     for part in parts:
         counts.update(part.counts)
@@ -182,8 +181,7 @@ def _add(parts: Sequence[_Part]) -> _Part:
     aggregates = [part.aggregate for part in parts if part.aggregate is not None]
     for aggregate in aggregates[1:]:
         aggregates[0].update(aggregate)
-    return _Part([t for part in parts for t in part.lines],
-                 [s for part in parts for s in part.skipped], counts, ns,
+    return _Part([s for part in parts for s in part.skipped], counts, ns,
                  aggregates[0] if aggregates else None)
 
 
@@ -191,16 +189,18 @@ def _add(parts: Sequence[_Part]) -> _Part:
 
 
 def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
-                   entries: Sequence[ManifestEntry]) -> _Part:
-    """Read and extract a shard's documents one at a time; format each
-    document's mentions and, for ``pipeline`` (``setup`` given), run the
-    report loop on them, so the shard holds one document's records."""
+                   shard: tuple[BinaryIO, Sequence[ManifestEntry]]) -> _Part:
+    """Read and extract a shard's documents one at a time; write each
+    mention's line to the shard's spool and, for ``pipeline`` (``setup``
+    given), run the report loop on them, so the shard holds one document's
+    records and no text."""
+    spool, entries = shard
     aggregate = None
     if setup:
         from .analytics import CorpusAggregate  # extract does not load analytics
         from .report import _report_records
         aggregate = CorpusAggregate(setup.config)
-    part = _Part([], [], Counter(), Counter(), aggregate)
+    part = _Part([], Counter(), Counter(), aggregate)
     for entry in entries:
         shards.exit_if_orphaned()
         t0 = time.perf_counter_ns()
@@ -215,7 +215,9 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
         part.ns["extract"] += time.process_time_ns() - t0
         part.counts["input_bytes"] += len(doc.text.encode("utf-8"))
         t0 = time.perf_counter_ns()
-        part.lines.append(format_mentions(records))
+        for r in records:
+            spool.write(format_mention(r).encode("utf-8"))
+        spool.flush()  # a forked shard leaves by os._exit, which flushes nothing
         part.ns["write_mentions"] += time.perf_counter_ns() - t0
         part.counts["mentions"] += len(records)
         if setup:
@@ -238,9 +240,11 @@ def _run_extraction(
     """Shared by extract and pipeline: documents in, mentions file out.
 
     The documents are cut into contiguous shards by ``shards.shard_count``.
-    Returns the counts, the shards' summed part and the stage timings
-    (seconds summed over the shards).  No mentions file is written when a
-    shard fails.
+    Each shard writes its mention lines to its own spool (``open_spool``),
+    and the spools are copied in shard order into the mentions file, so no
+    mention text is held in memory or sent back from a shard.  Returns the
+    counts, the shards' summed part and the stage timings (seconds summed
+    over the shards).  No mentions file is written when a shard fails.
     """
     docs_root = Path(settings["docs_root"])
     if corpus.window_skipped:
@@ -249,14 +253,20 @@ def _run_extraction(
 
     runs = shards.contiguous(corpus.entries,
                              shards.shard_count(_document_bytes(docs_root, corpus.entries)))
-    total = _add(shards.run_shards(
-        partial(_extract_shard, docs_root, settings["dedup_per_doc"], setup), runs))
-    for doc_id, reason in total.skipped:
-        log.warning("skipping document %s: %s", doc_id, reason)
-
-    t0 = time.perf_counter_ns()
-    write_mentions_text(out_path, total.lines)
-    total.ns["write_mentions"] += time.perf_counter_ns() - t0
+    with contextlib.ExitStack() as stack:
+        spools = [stack.enter_context(open_spool(out_path.parent)) for _ in runs]
+        total = _add(shards.run_shards(
+            partial(_extract_shard, docs_root, settings["dedup_per_doc"], setup),
+            list(zip(spools, runs))))
+        for doc_id, reason in total.skipped:
+            log.warning("skipping document %s: %s", doc_id, reason)
+        t0 = time.perf_counter_ns()
+        with atomic_open(out_path) as fh:
+            fh.buffer.write(MENTIONS_HEADER.encode())  # the text layer stays empty
+            for spool in spools:
+                spool.seek(0)
+                fh.buffer.writelines(iter(partial(spool.read, 1 << 16), b""))
+        total.ns["write_mentions"] += time.perf_counter_ns() - t0
     input_mb, extract_s = total.counts["input_bytes"] / 1e6, total.ns["extract"] / 1e9
     log.info("extract: %d manifest entries, %d documents, %d mentions, %d read failures",
              corpus.manifest_entries, len(corpus.entries), total.counts["mentions"],

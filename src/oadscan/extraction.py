@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .corpus import Document, DocumentId, MonthWindow, parse_document_id, validate_month
-from .fileio import atomic_write_text
+from .fileio import atomic_open
 from .scope import parse_uri
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
     "repair_linewrap",
     "trim_trailing",
     "canonicalize_raw",
-    "format_mentions",
-    "write_mentions_text",
+    "MENTIONS_HEADER",
+    "format_mention",
     "write_mentions_file",
     "read_mentions_file",
 ]
@@ -502,28 +502,21 @@ class MentionsFileError(ValueError):
     """A mentions-file record could not be parsed."""
 
 
-_MENTIONS_HEADER = "# doc_id\tmonth\turi\tspan_start\tspan_end\tcontext"
+MENTIONS_HEADER = "# doc_id\tmonth\turi\tspan_start\tspan_end\tcontext\n"
 
 
-def format_mentions(records: Iterable[MentionRecord]) -> str:
-    """The mentions-file lines of records, each ending in a newline."""
-    return "".join(
-        f"{r.doc_id}\t{r.month}\t{r.uri}\t{r.span[0]}\t{r.span[1]}\t"
-        f"{json.dumps(r.context, ensure_ascii=True)}\n"
-        for r in records
-    )
-
-
-def write_mentions_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write a mentions file (atomically): the header, then each chunk of
-    lines from ``format_mentions`` in turn."""
-    atomic_write_text(path, _MENTIONS_HEADER + "\n", *chunks)
+def format_mention(r: MentionRecord) -> str:
+    """The mentions-file line of a record, ending in a newline."""
+    return (f"{r.doc_id}\t{r.month}\t{r.uri}\t{r.span[0]}\t{r.span[1]}\t"
+            f"{json.dumps(r.context, ensure_ascii=True)}\n")
 
 
 def write_mentions_file(path: str | Path, records: Iterable[MentionRecord]) -> int:
     """Write records to a mentions file (atomically); returns the count."""
     records = list(records)
-    write_mentions_text(path, [format_mentions(records)])
+    with atomic_open(path) as fh:
+        fh.write(MENTIONS_HEADER)
+        fh.writelines(map(format_mention, records))
     return len(records)
 
 

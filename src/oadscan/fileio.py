@@ -1,15 +1,24 @@
-"""Small file helpers shared across the pipeline: atomic output, and the
-checks of the JSON filter-configuration files."""
+"""Small file helpers shared across the pipeline: atomic output, unlinked
+spool files, and the checks of the JSON filter-configuration files."""
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 T = TypeVar("T")
+
+
+def _create(path: Path, flags: int) -> tuple[int, Path]:
+    """A new file next to path under a fresh ``<name>.<random>.tmp`` name,
+    opened with flags: its descriptor and its name."""
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        with suppress(FileExistsError):
+            return os.open(tmp, flags | os.O_CREAT | os.O_EXCL, 0o666), tmp
 
 
 @contextmanager
@@ -21,31 +30,34 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     The file gets mode 0o666 less the process umask, as ``open`` would
     give it.
     """
-    path = Path(path)
-    while True:
-        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+    fd, tmp = _create(Path(path), os.O_WRONLY)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-def atomic_write_text(path: str | Path, *texts: str) -> None:
-    """Write the texts, one after another, to path with ``atomic_open``."""
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path with ``atomic_open``."""
     with atomic_open(path) as fh:
-        for text in texts:
-            fh.write(text)
+        fh.write(text)
+
+
+def open_spool(directory: str | Path) -> BinaryIO:
+    """A new read-write binary file in directory, made under a fresh name
+    that is unlinked at once, so that once it is open no exit of the
+    process, however abrupt, leaves it behind.  Windows cannot unlink an open file: there it
+    is opened O_TEMPORARY, and closing it, as any exit does, deletes it."""
+    temporary = getattr(os, "O_TEMPORARY", 0)
+    fd, tmp = _create(Path(directory) / "spool",
+                      os.O_RDWR | temporary | getattr(os, "O_BINARY", 0))
+    if not temporary:
+        os.unlink(tmp)
+    return open(fd, "w+b")
 
 
 def load_json(path: str | Path, parse: Callable[[object], T]) -> T:

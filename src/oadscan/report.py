@@ -131,7 +131,7 @@ def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
     shard's error, so the command reports the first bad line of the file.
     """
     from .analytics import CorpusAggregate
-    part = _Part([], [], Counter(), Counter(), CorpusAggregate(setup.config))
+    part = _Part([], Counter(), Counter(), CorpusAggregate(setup.config))
     for chunk in chunks:
         shards.exit_if_orphaned()
         t0 = time.process_time_ns()

@@ -6,6 +6,7 @@ import itertools
 import json
 import logging
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +23,14 @@ from oadscan import cli, extraction, report, shards
 from oadscan.analytics import AggregateConfig
 from oadscan.classifier import DEFAULT_DENYLIST, TrainedModel
 from oadscan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from oadscan.corpus import MonthWindow
+from oadscan.corpus import ManifestEntry, MonthWindow, load_manifest, read_document
 from oadscan.extraction import MentionsFileError, read_mentions_file
+from oadscan.fileio import open_spool
 from oadscan.ghp import DEFAULT_PATTERNS
 from oadscan.scope import DEFAULT_POLICY
 from oadscan.shards import MAX_WORKERS, MIN_SHARD_BYTES, contiguous, line_ranges, run_shards
 from test_cli import CORPUS, MODEL, write_corpus
+from test_extraction_linear import shape_b
 from test_report_loop import CONTEXTS, HOSTS, PATHS, POLICIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -525,14 +529,21 @@ def gone_within(pid: int, seconds: float) -> bool:
     return False
 
 
+def files_besides_pids(tmp_path: Path) -> set[Path]:
+    """Every file under tmp_path outside its pids directory."""
+    return {p for p in tmp_path.rglob("*") if p.is_file() and p.parent.name != "pids"}
+
+
 def sleeping_command(tmp_path: Path, stage: str, marks: int,
-                     command: str = "report") -> tuple[subprocess.Popen, Path]:
+                     command: str = "report") -> tuple[subprocess.Popen, Path, set[Path]]:
     """SLEEP_THEN_MAIN started on the fixture corpus, once ``marks`` pid
-    files have appeared, and the directory that holds them."""
+    files have appeared; the directory that holds them; and the files
+    under tmp_path, the pid files aside, before the command started."""
     mentions = tmp_path / "mentions.tsv"
     assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
     pids = tmp_path / "pids"
     pids.mkdir()
+    before = files_besides_pids(tmp_path)
     env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
     env["PYTHONPATH"] = str(SRC)
     argv = [sys.executable, "-c", SLEEP_THEN_MAIN, pids, stage, command, "--manifest",
@@ -549,7 +560,7 @@ def sleeping_command(tmp_path: Path, stage: str, marks: int,
         proc.kill()
         proc.wait()
         raise
-    return proc, pids
+    return proc, pids, before
 
 
 def assert_gone_within(pids: Path, seconds: float) -> None:
@@ -560,9 +571,13 @@ def assert_gone_within(pids: Path, seconds: float) -> None:
     assert left == [], "these processes outlived the command"
 
 
-@pytest.mark.parametrize("stage, marks", [("loop", 2), ("write", 1)])
-def test_sigterm_to_the_parent_leaves_no_child_and_no_temp_file(stage, marks, tmp_path):
-    proc, pids = sleeping_command(tmp_path, stage, marks)
+@pytest.mark.parametrize("stage, marks, command", [
+    ("loop", 2, "report"), ("write", 1, "report"), ("loop", 2, "pipeline"), ("write", 1, "pipeline"),
+], ids=["loop-2", "write-1", "pipeline-loop-2", "pipeline-write-1"])
+def test_sigterm_to_the_parent_leaves_no_child_and_no_temp_file(stage, marks, command,
+                                                                tmp_path):
+    # pipeline's first rename is the mentions file's, with the spools open.
+    proc, pids, before = sleeping_command(tmp_path, stage, marks, command)
     try:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM  # what a shell shows for SIGTERM
@@ -571,6 +586,7 @@ def test_sigterm_to_the_parent_leaves_no_child_and_no_temp_file(stage, marks, tm
         proc.wait()
     assert_gone_within(pids, 5)
     assert list(tmp_path.rglob("*.tmp")) == []
+    assert files_besides_pids(tmp_path) == before
     assert not (tmp_path / "out" / "monthly.csv").exists()
 
 
@@ -579,10 +595,11 @@ def test_workers_of_a_killed_parent_exit(command, tmp_path):
     # SIGKILL runs no cleanup in the parent.  Each worker has over 5 s of
     # report loop left, and checks between its documents or chunks that the
     # parent that forked it still lives.
-    proc, pids = sleeping_command(tmp_path, "slow", 2, command)
+    proc, pids, before = sleeping_command(tmp_path, "slow", 2, command)
     proc.kill()
     assert proc.wait(timeout=30) == -signal.SIGKILL
     assert_gone_within(pids, 5)
+    assert files_besides_pids(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["report", "pipeline"])
@@ -860,3 +877,58 @@ def test_report_shard_memory_does_not_grow_with_its_range(tmp_path):
     peak(mentions(600))
     for end in ("\n", "\r"):
         assert peak(mentions(8000, end)) <= 1.2 * peak(mentions(2000, end)), repr(end)
+
+
+# --- extraction spools ---------------------------------------------------------
+
+
+def test_a_spool_has_no_name(tmp_path):
+    with open_spool(tmp_path) as spool:
+        assert list(tmp_path.iterdir()) == []
+        spool.write(b"a line\n")
+        spool.seek(0)
+        assert spool.read() == b"a line\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def reference_list(tmp_path: Path) -> tuple[Path, ManifestEntry]:
+    """A one-document corpus of about 4,000 reference-style URIs: its
+    manifest and its entry."""
+    manifest = write_corpus(tmp_path, [("refs", 1, "2020-01", shape_b(4000))]) / "manifest.tsv"
+    return manifest, load_manifest(manifest)[0]
+
+
+def traced_peak(call: Callable[[], object]) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_holds_no_mention_text(tmp_path):
+    # Reading and extracting the document is most of what extract needs;
+    # the mention lines go to a spool one at a time, so the command adds
+    # less than half its mentions file: no list of lines, no joined text
+    # and no encoded copy of it.
+    manifest, entry = reference_list(tmp_path)
+    out = tmp_path / "mentions.tsv"
+    assert run("extract", "--manifest", manifest, "--out", out) == EXIT_OK  # imports, caches
+    extraction_peak = traced_peak(
+        lambda: extraction.extract_uri_mentions(read_document(entry, manifest.parent)))
+    command_peak = traced_peak(lambda: run("extract", "--manifest", manifest, "--out", out))
+    assert out.stat().st_size > 500_000
+    assert command_peak - extraction_peak < out.stat().st_size / 2
+
+
+def test_extract_shard_replies_without_mention_text(tmp_path):
+    # What a forked shard pickles back: counts, timings, skipped documents.
+    manifest, entry = reference_list(tmp_path)
+    with open_spool(tmp_path) as spool:
+        part = cli._extract_shard(manifest.parent, False, None, (spool, [entry]))
+        spool.seek(0)
+        lines = spool.read().decode("utf-8").splitlines()
+    assert part.counts["mentions"] == len(lines) == 4000
+    assert len(pickle.dumps(part, pickle.HIGHEST_PROTOCOL)) < 2048
+    assert list(tmp_path.iterdir()) == [tmp_path / "corpus"]  # the spool has no name

@@ -69,8 +69,8 @@ REPLAY_ONLY = {
                                        "only where the category reads the label",
     ("ghp", "categorize"): "report takes the category from category_of",
     ("scope", "host_of"): "report reads ParsedUri.hostname",
-    ("extraction", "write_mentions_file"): "the commands write format_mentions text "
-                                           "with write_mentions_text",
+    ("extraction", "write_mentions_file"): "the commands' shards write format_mention "
+                                           "lines to spools that cli copies into the file",
     ("extraction", "UriMention"): "extraction yields MentionRecord",
 }
 
@@ -160,10 +160,20 @@ def test_only_cmd_report_reads_chunk_bytes():
     assert [read for read in reads if read != ("report.py", "cmd_report")] == []
 
 
+def _imports_of(module):
+    return [f"{p.name}:{node.lineno}" for p in MODULES for node in _nodes(p)
+            if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == module]
+
+
 def test_no_module_imports_dataclasses():
     # Importing dataclasses loads inspect, ast and dis, and each dataclass
     # execs its generated methods: milliseconds of every command's start-up.
-    found = [f"{p.name}:{node.lineno}" for p in MODULES for node in _nodes(p)
-             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
-    assert found == []
+    assert _imports_of("dataclasses") == []
+
+
+def test_no_module_imports_tempfile():
+    # tempfile loads shutil, random, bz2 and lzma: milliseconds of a cold
+    # start where no site hook has loaded it already.  fileio.open_spool
+    # makes the extraction spools without it.
+    assert _imports_of("tempfile") == []
