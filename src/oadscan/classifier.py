@@ -270,8 +270,16 @@ class TrainedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
-        """Parse a model file; any malformed file is a ValueError."""
-        data = json.loads(text)
+        """Parse a model file's text; any malformed model is a ValueError."""
+        return cls._from_value(json.loads(text))
+
+    @classmethod
+    def load(cls, path: str | Path) -> "TrainedModel":
+        """Load a model file (a leading BOM is skipped); an error names the file."""
+        return load_json(path, cls._from_value)
+
+    @classmethod
+    def _from_value(cls, data: object) -> "TrainedModel":
         if not isinstance(data, dict):
             raise ValueError(f"model file holds a JSON {type(data).__name__}, not an object")
         try:
@@ -301,10 +309,6 @@ class TrainedModel:
                 f"weight vector length {len(model.weights)} != vocabulary+fixed {expected}"
             )
         return model
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrainedModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _sigmoid(z: float) -> float:

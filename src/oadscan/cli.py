@@ -145,7 +145,7 @@ def _write_metadata(path: Path, settings: dict, counts: dict, timings: dict, **m
     """Write a run record whose ``config`` echoes the command's options, paths
     as the command resolved them and the window as [start, end]."""
     config = {k: str(v) if isinstance(v, Path) else v for k, v in settings.items()
-              if k not in ("command", "func", "config", "window_start", "window_end")}
+              if k not in ("command", "config", "window_start", "window_end")}
     config["window"] = [settings["window_start"], settings["window_end"]]
     payload = {
         "tool": "oadscan",
@@ -288,36 +288,12 @@ def _run_extraction(
     }
 
 
-def cmd_extract(settings: dict) -> int:
+def cmd_extract(settings: dict) -> None:
     _require(settings, "manifest", "out")
     settings["out"] = out_path = _require_output_path(settings["out"], "mentions file")
     corpus = _load_corpus(settings)
     counts, _, timings = _run_extraction(settings, corpus, out_path)
     _write_metadata(out_path.with_name(out_path.name + ".meta.json"), settings, counts, timings)
-    return EXIT_OK
-
-
-# --- report, pipeline, train and evaluate run in report.py, which extract never loads
-
-
-def cmd_train(settings: dict) -> int:
-    from .report import cmd_train
-    return cmd_train(settings)
-
-
-def cmd_evaluate(settings: dict) -> int:
-    from .report import cmd_evaluate
-    return cmd_evaluate(settings)
-
-
-def cmd_report(settings: dict) -> int:
-    from .report import cmd_report
-    return cmd_report(settings)
-
-
-def cmd_pipeline(settings: dict) -> int:
-    from .report import cmd_pipeline
-    return cmd_pipeline(settings)
 
 
 # --- parser ----------------------------------------------------------------
@@ -344,9 +320,8 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
-    def add_command(name, func, help):
+    def add_command(name, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
         if named not in (None, name):
             return None
         p.add_argument("--config", help="JSON config file with option defaults")
@@ -383,11 +358,11 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p.add_argument("--top-n", type=positive_int, default=15,
                        help="rows in the top-hostnames table (default %(default)s)")
 
-    if p := add_command("extract", cmd_extract, "extract URI mentions from a corpus"):
+    if p := add_command("extract", "extract URI mentions from a corpus"):
         add_extraction_options(p)
         p.add_argument("--out", help="mentions file to write")
 
-    if p := add_command("train", cmd_train, "train the learned classifier"):
+    if p := add_command("train", "train the learned classifier"):
         from .classifier import TrainingConfig
         defaults = TrainingConfig._field_defaults
         p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
@@ -400,16 +375,16 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=defaults["seed"],
                        help="recorded in the model file")
 
-    if p := add_command("evaluate", cmd_evaluate, "evaluate a model on labeled examples"):
+    if p := add_command("evaluate", "evaluate a model on labeled examples"):
         p.add_argument("--model", help="model file")
         p.add_argument("--labeled", help="labeled-example file")
 
-    if p := add_command("report", cmd_report, "classify a mentions file and write CSV reports"):
+    if p := add_command("report", "classify a mentions file and write CSV reports"):
         add_corpus_options(p)
         p.add_argument("--mentions", help="mentions file from the extract stage")
         add_report_options(p)
 
-    if p := add_command("pipeline", cmd_pipeline, "fused extract + report run"):
+    if p := add_command("pipeline", "fused extract + report run"):
         add_extraction_options(p)
         p.add_argument("--mentions", help="where to write the intermediate mentions file")
         add_report_options(p)
@@ -436,7 +411,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-    dests = [d for d in vars(args) if d not in ("command", "func", "config")]
+    dests = [d for d in vars(args) if d not in ("command", "config")]
     earlier: list[str] = []
     for lookup in (config.get, lambda dest: os.environ.get(_ENV_PREFIX + dest.upper())):
         for dest in dests:
@@ -460,7 +435,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = _parse_args(build_parser(argv), argv)
-        return args.func(vars(args))
+        if args.command == "extract":
+            cmd_extract(vars(args))
+        else:  # report, pipeline, train and evaluate, which extract never loads
+            from . import report
+            getattr(report, f"cmd_{args.command}")(vars(args))
+        return EXIT_OK
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE

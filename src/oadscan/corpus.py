@@ -167,18 +167,14 @@ def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
                 ) from None
             try:
                 validate_month(month)
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from None
-            # The id column may carry a v<digits> suffix; it must then agree
-            # with the version column.
-            parsed = parse_document_id(raw_id)
-            if parsed.base_id != raw_id and parsed.version != version:
-                raise ManifestError(
-                    f"{path}:{lineno}: id suffix {raw_id!r} disagrees with version column {version}"
-                )
-            if not rel_path:
-                raise ManifestError(f"{path}:{lineno}: empty document path")
-            try:
+                # The id column may carry a v<digits> suffix; it must then
+                # agree with the version column.
+                parsed = parse_document_id(raw_id)
+                if parsed.base_id != raw_id and parsed.version != version:
+                    raise ValueError(
+                        f"id suffix {raw_id!r} disagrees with version column {version}")
+                if not rel_path:
+                    raise ValueError("empty document path")
                 doc_id = DocumentId(parsed.base_id, version)
             except ValueError as exc:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from None

@@ -460,8 +460,6 @@ def extract_uri_mentions(doc: Document, dedup: bool = False) -> list[MentionReco
     protected: list[tuple[int, int]] = []
     for m in _scan_uris(repaired):
         trimmed = trim_trailing(m.group(0))
-        if not trimmed:
-            continue
         uri = _valid_candidate(trimmed, m.lastgroup == "www")
         if uri is None:
             continue

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import shards
-from .cli import (EXIT_OK, _Corpus, _Part, _add, _load_corpus, _require, _require_file,
+from .cli import (_Corpus, _Part, _add, _load_corpus, _require, _require_file,
                   _require_output_dir, _require_output_path, _run_extraction, _seconds,
                   _write_metadata, log)
 from .corpus import MonthWindow
@@ -56,7 +56,7 @@ def _load_report_setup(settings: dict) -> _ReportSetup:
 # --- train / evaluate -------------------------------------------------------
 
 
-def cmd_train(settings: dict) -> int:
+def cmd_train(settings: dict) -> None:
     from .classifier import TrainingConfig, evaluate, read_labeled_file, train
     _require(settings, "labeled", "out")
     out_path = _require_output_path(settings["out"], "model file")
@@ -70,10 +70,9 @@ def cmd_train(settings: dict) -> int:
     log.info("train: %d examples, vocabulary %d, model written to %s",
              len(examples), len(model.vocabulary), out_path)
     print(json.dumps({"training_set": metrics._asdict()}, sort_keys=True, indent=2))
-    return EXIT_OK
 
 
-def cmd_evaluate(settings: dict) -> int:
+def cmd_evaluate(settings: dict) -> None:
     from .classifier import LabeledFileError, TrainedModel, evaluate, read_labeled_file
     _require(settings, "model", "labeled")
     model = TrainedModel.load(_require_file(settings["model"], "model file"))
@@ -82,7 +81,6 @@ def cmd_evaluate(settings: dict) -> int:
         raise LabeledFileError(f"no examples in {settings['labeled']}")
     metrics = evaluate(model, examples)
     print(json.dumps(metrics._asdict(), sort_keys=True, indent=2))
-    return EXIT_OK
 
 
 # --- report ----------------------------------------------------------------
@@ -180,7 +178,7 @@ def _write_report(
     }
 
 
-def cmd_report(settings: dict) -> int:
+def cmd_report(settings: dict) -> None:
     _require(settings, "mentions", "model", "manifest", "out_dir")
     settings["mentions"] = mentions_path = _require_file(settings["mentions"], "mentions file")
     settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])
@@ -198,17 +196,21 @@ def cmd_report(settings: dict) -> int:
                     timings={"workers": len(runs),
                              "read_mentions_s": _seconds(total.ns["read_mentions"]),
                              **timings})
-    return EXIT_OK
 
 
-def cmd_pipeline(settings: dict) -> int:
+def cmd_pipeline(settings: dict) -> None:
     _require(settings, "manifest", "model", "out_dir")
     settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])
+    mentions = Path(settings["mentions"] or out_dir / "mentions.tsv")
+    # Nothing is made before the inputs are checked: a mentions file outside
+    # out_dir and its parents, which mkdir makes, is checked first.
+    made = Path(os.path.normpath(out_dir))
+    if Path(os.path.normpath(mentions.parent)) not in (made, *made.parents):
+        _require_output_path(mentions, "mentions file")
     setup = _load_report_setup(settings)
     corpus = _load_corpus(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    settings["mentions"] = mentions_path = _require_output_path(
-        settings["mentions"] or out_dir / "mentions.tsv", "mentions file")
+    settings["mentions"] = mentions_path = _require_output_path(mentions, "mentions file")
     # Each shard extracts its documents and runs the report loop on them.
     extract_counts, total, extract_timings = _run_extraction(settings, corpus, mentions_path,
                                                              setup)
@@ -216,4 +218,3 @@ def cmd_pipeline(settings: dict) -> int:
     counts = {"extract": extract_counts, "report": report_counts}
     _write_metadata(out_dir / "run_metadata.json", settings, counts, figures=figures,
                     timings={**extract_timings, **report_timings})
-    return EXIT_OK

@@ -83,6 +83,18 @@ class TestExtract:
         manifest.write_text("only two\tfields\n", encoding="utf-8")
         assert run("extract", "--manifest", manifest, "--out", tmp_path / "m.tsv") == EXIT_DATA
 
+    @pytest.mark.parametrize("record, message", [
+        ("xv0\t1\t2020-01\tx.txt", "version must be >= 1, got 0"),
+        ("a b\t1\t2020-01\tx.txt", "base_id must be non-empty without whitespace: 'a b'"),
+        ("a\t1\t2020-01\t", "empty document path"),
+    ])
+    def test_bad_manifest_record_is_data_error_naming_the_line(self, tmp_path, caplog,
+                                                               record, message):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(record + "\n", encoding="utf-8")
+        assert run("extract", "--manifest", manifest, "--out", tmp_path / "m.tsv") == EXIT_DATA
+        assert caplog.records[-1].getMessage() == f"{manifest}:1: {message}"
+
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert run("extract", "--manifest", tmp_path / "nope.tsv", "--out", tmp_path / "m.tsv") == EXIT_USAGE
 
@@ -164,6 +176,13 @@ class TestTrain:
         labeled.write_text("OADS\thttps://a.b/c\tThe dataset.\n", encoding="utf-8")
         assert run("train", "--labeled", labeled, "--out", tmp_path / "m.json") == EXIT_DATA
 
+    def test_line_without_three_fields_is_data_error_naming_it(self, tmp_path, caplog):
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text("# label, uri, context\nOADS\thttps://a.b/c\n", encoding="utf-8")
+        assert run("train", "--labeled", labeled, "--out", tmp_path / "m.json") == EXIT_DATA
+        assert f"{labeled}:2: expected 3 tab-separated fields" in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_out_directory_is_usage_error_before_reading(self, tmp_path, monkeypatch,
                                                                  caplog):
         from oadscan import classifier
@@ -187,7 +206,14 @@ class TestEvaluate:
             "evaluate", "--model", tmp_path / "none.json", "--labeled", DATA / "labeled_seed.tsv"
         ) == EXIT_USAGE
 
+    def test_labeled_file_of_comments_only_is_data_error(self, tmp_path, caplog):
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text("# label, uri, context\n", encoding="utf-8")
+        assert run("evaluate", "--model", MODEL, "--labeled", labeled) == EXIT_DATA
+        assert f"no examples in {labeled}" in caplog.text
+
     @pytest.mark.parametrize("shape, named", [
+        ("not JSON", "Expecting value"),
         ("missing key", "'weights'"),
         ("unknown training key", "'momentum'"),
         ("top level not an object", "list"),
@@ -204,11 +230,12 @@ class TestEvaluate:
             data = [data]
         elif shape == "other format version":
             data["format_version"] = 99
-        else:
+        elif shape == "value of the wrong type":
             data["weights"] = None
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(data), encoding="utf-8")
+        model.write_text("" if shape == "not JSON" else json.dumps(data), encoding="utf-8")
         assert run("evaluate", "--model", model, "--labeled", DATA / "labeled_seed.tsv") == EXIT_DATA
+        assert caplog.records[-1].getMessage().startswith(f"{model}: ")
         assert named in caplog.text
 
 
@@ -402,8 +429,9 @@ class TestPipeline:
         monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
         mentions = tmp_path / "missing" / "m.tsv"
         assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
-                   "--out-dir", tmp_path / "run", "--mentions", mentions) == EXIT_USAGE
+                   "--out-dir", tmp_path / "run" / "sub", "--mentions", mentions) == EXIT_USAGE
         assert reads == []
+        assert not (tmp_path / "run").exists()
         assert f"mentions file {mentions}: directory {mentions.parent} does not exist" in caplog.text
 
     def test_missing_model_fails_before_extracting(self, tmp_path):
@@ -574,16 +602,17 @@ class TestOptionSources:
 
     @staticmethod
     def capture(monkeypatch, command):
+        """The settings each run of command is given, in place of running it."""
         seen = []
-        monkeypatch.setattr(cli_mod, f"cmd_{command}",
-                            lambda settings: seen.append(settings) or EXIT_OK)
+        owner = cli_mod if command == "extract" else report_mod
+        monkeypatch.setattr(owner, f"cmd_{command}", seen.append)
         return seen
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_each_command_reads_only_its_own_options(self, command, monkeypatch):
         seen = self.capture(monkeypatch, command)
         assert run(command) == EXIT_OK
-        assert set(seen[0]) - {"command", "func"} == self.OPTIONS[command]
+        assert set(seen[0]) == self.OPTIONS[command] | {"command"}
 
     @pytest.mark.parametrize("kind", sorted(SOURCES))
     def test_flag_beats_env_beats_config(self, kind, tmp_path, monkeypatch):
@@ -636,6 +665,19 @@ class TestOptionSources:
         assert exc.value.code == EXIT_USAGE
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file"),
+        ("[1, 2]", "must hold a JSON object"),
+    ])
+    def test_unusable_config_file_is_usage_error(self, content, message, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        assert run("extract", "--config", config, "--manifest", CORPUS / "manifest.tsv",
+                   "--out", tmp_path / "m.tsv") == EXIT_USAGE
+        assert message in caplog.text
+        assert not (tmp_path / "m.tsv").exists()
 
     @pytest.mark.parametrize("value, expected", [
         ("1", True), ("TRUE", True), ("Yes", True), (True, True),
@@ -691,6 +733,16 @@ class TestOptionSources:
         assert read_mentions_file(out)
 
 
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+def test_window_start_after_end_is_usage_error_writing_nothing(command, tmp_path, caplog):
+    out = (["--out", tmp_path / "m.tsv"] if command == "extract"
+           else ["--model", MODEL, "--out-dir", tmp_path / "run"])
+    assert run(command, "--manifest", CORPUS / "manifest.tsv", *out,
+               "--window-start", "2020-01", "--window-end", "2019-01") == EXIT_USAGE
+    assert "window start 2020-01 is after end 2019-01" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pipeline_reads_the_manifest_once(tmp_path, monkeypatch):
     calls = []
     real = cli_mod.load_manifest
@@ -710,6 +762,7 @@ BOM_INPUTS = {
                  json.dumps({"github": [{"kind": "exact", "host": "github.com"}]})),
     "config": ("--config", "config.json",
                json.dumps({"category_policy": "classifier-decides", "top_n": 3})),
+    "model": ("--model", "model.json", MODEL.read_text(encoding="utf-8")),
 }
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oadscan import cli, extraction, report, shards
 from oadscan.analytics import AggregateConfig
@@ -655,6 +655,13 @@ def after_line_end(data: bytes, cut: int) -> bool:
     bad_at=st.none() | st.integers(min_value=0, max_value=30),
 )
 @settings(max_examples=60, deadline=None)
+# Lines longer than the 64 KiB block shards._after_line_end reads: a cut
+# inside the first finds no line end in the first block it reads.  In the
+# second, the file is 131,146 bytes, and the block read from its middle,
+# 65,573, ends on the first line's CR at 131,108, the first half of a CRLF.
+@example(lines=[("mention", "a" * (3 << 16), "\n"), ("mention", "b", "\r\n")], bad_at=None)
+@example(lines=[("mention", "a" * ((2 << 16) + 1), "\r\n"), ("mention", "", "\n")],
+         bad_at=None)
 def test_byte_ranges_read_as_the_whole_file(tmp_path_factory, lines, bad_at):
     path = tmp_path_factory.mktemp("ranges") / "mentions.tsv"
     text = []

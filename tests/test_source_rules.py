@@ -160,6 +160,26 @@ def test_only_cmd_report_reads_chunk_bytes():
     assert [read for read in reads if read != ("report.py", "cmd_report")] == []
 
 
+def test_one_dispatch_in_main():
+    # main runs the parsed command and alone decides the exit code: a
+    # command returns nothing, and every failure raises.  cli runs extract;
+    # every other command is report's.
+    commands = {name: [node for node in ast.parse((SRC / name).read_text(encoding="utf-8")).body
+                       if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+                for name in ("cli.py", "report.py")}
+    assert [node.name for node in commands["cli.py"]] == ["cmd_extract"]
+    returning = [f"{name}:{node.name}:{ret.lineno}" for name, nodes in commands.items()
+                 for node in nodes for ret in ast.walk(node)
+                 if isinstance(ret, ast.Return) and ret.value is not None]
+    assert returning == []
+    readers = {(p.name, owner) for p in MODULES
+               for name, owner in _reads(ast.parse(p.read_text(encoding="utf-8")))
+               if name in ("EXIT_OK", "EXIT_USAGE", "EXIT_DATA")}
+    # argparse exits from inside main's parse; _Parser.error gives that exit
+    # the usage code.
+    assert readers == {("cli.py", "main"), ("cli.py", "_Parser")}
+
+
 def _imports_of(module):
     return [f"{p.name}:{node.lineno}" for p in MODULES for node in _nodes(p)
             if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
