@@ -318,6 +318,27 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
+def _unzip(terms: list[tuple[int, float]]) -> tuple[list[int], list[float] | None]:
+    """The indices and values of (index, value) terms; values None if all are 1."""
+    values = [value for _, value in terms]
+    return [idx for idx, _ in terms], None if all(v == 1 for v in values) else values
+
+
+def _dot(start: float, xs: list[float], terms: tuple[list[int], list[float] | None]) -> float:
+    """``start`` plus ``xs[idx] * value`` for each term, added left to right; a
+    unit term is added as it is (``x * 1 == x``).  Not ``sum``: from Python 3.12
+    it compensates float rounding, so the model bytes would depend on the version."""
+    total = start
+    indices, values = terms
+    if values is None:
+        for idx in indices:
+            total += xs[idx]
+    else:
+        for idx, value in zip(indices, values):
+            total += xs[idx] * value
+    return total
+
+
 def train(
     examples: Sequence[LabeledExample], config: TrainingConfig = TrainingConfig()
 ) -> TrainedModel:
@@ -342,7 +363,18 @@ def train(
     vocabulary = {tok: i for i, tok in enumerate(sorted(set().union(*counts)))}
     n_weights = len(vocabulary) + len(FIXED_FEATURE_NAMES)
 
-    rows = [_terms(vocabulary, c, p) for c, p in zip(counts, parsed)]
+    # Each distinct row is scored once; row_ids maps every example to its row.
+    distinct: dict[tuple, int] = {}
+    row_ids = [distinct.setdefault(tuple(_terms(vocabulary, c, p)), len(distinct))
+               for c, p in zip(counts, parsed)]
+    rows = list(distinct)
+    # Each weight's terms as (example, value), in example order: the order
+    # in which the gradient adds them.
+    by_weight: list[list[tuple[int, float]]] = [[] for _ in range(n_weights)]
+    for r, k in enumerate(row_ids):
+        for idx, value in rows[k]:
+            by_weight[idx].append((r, value))
+    rows, columns = [_unzip(row) for row in rows], [_unzip(terms) for terms in by_weight]
     targets = [1.0 if ex.label is Label.OADS else 0.0 for ex in examples]
 
     weights = [0.0] * n_weights
@@ -350,19 +382,11 @@ def train(
     n = float(len(examples))
     lr, l2 = config.learning_rate, config.l2
     for _ in range(config.iterations):
-        grad_w = [0.0] * n_weights
-        grad_b = 0.0
-        for row, y in zip(rows, targets):
-            z = bias
-            for idx, value in row:
-                z += weights[idx] * value
-            err = _sigmoid(z) - y
-            for idx, value in row:
-                grad_w[idx] += err * value
-            grad_b += err
-        for j in range(n_weights):
-            weights[j] -= lr * (grad_w[j] / n + l2 * weights[j])
-        bias -= lr * (grad_b / n)
+        scores = [_sigmoid(_dot(bias, weights, row)) for row in rows]
+        errs = [scores[k] - y for k, y in zip(row_ids, targets)]
+        weights = [w - lr * (_dot(0.0, errs, column) / n + l2 * w)
+                   for w, column in zip(weights, columns)]
+        bias -= lr * (_dot(0.0, errs, (range(len(errs)), None)) / n)
 
     return TrainedModel(
         vocabulary=vocabulary,

@@ -28,18 +28,8 @@ except ImportError:  # Windows
     resource = None
 
 from . import __version__
-from .corpus import (
-    DocumentReadError,
-    ManifestEntry,
-    MonthWindow,
-    filter_window,
-    load_manifest,
-    read_document,
-    select_latest_versions,
-)
-from .extraction import MENTIONS_HEADER, extract_uri_mentions, format_mention
 from .fileio import atomic_open, atomic_write_text, open_spool
-from . import shards
+# corpus, extraction and shards load where they run: train and evaluate run none.
 
 log = logging.getLogger("oadscan")
 
@@ -114,6 +104,7 @@ class _Corpus(NamedTuple):
 def _load_corpus(settings: dict) -> _Corpus:
     """Read the manifest once per command; extract and report share it.
     Documents are read under --docs-root as given, else the manifest's directory."""
+    from .corpus import MonthWindow, filter_window, load_manifest, select_latest_versions
     try:
         window = MonthWindow(settings["window_start"], settings["window_end"])
     except ValueError as exc:
@@ -194,6 +185,9 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
     mention's line to the shard's spool and, for ``pipeline`` (``setup``
     given), run the report loop on them, so the shard holds one document's
     records and no text."""
+    from . import shards
+    from .corpus import DocumentReadError, read_document
+    from .extraction import extract_uri_mentions, format_mention
     spool, entries = shard
     aggregate = None
     if setup:
@@ -213,7 +207,8 @@ def _extract_shard(docs_root: Path, dedup: bool, setup: _ReportSetup | None,
         t0 = time.process_time_ns()
         records = extract_uri_mentions(doc, dedup=dedup)
         part.ns["extract"] += time.process_time_ns() - t0
-        part.counts["input_bytes"] += len(doc.text.encode("utf-8"))
+        text = doc.text  # an ASCII text's length is its UTF-8 size, with no copy made
+        part.counts["input_bytes"] += len(text) if text.isascii() else len(text.encode("utf-8"))
         t0 = time.perf_counter_ns()
         for r in records:
             spool.write(format_mention(r).encode("utf-8"))
@@ -246,6 +241,8 @@ def _run_extraction(
     counts, the shards' summed part and the stage timings (seconds summed
     over the shards).  No mentions file is written when a shard fails.
     """
+    from . import shards
+    from .extraction import MENTIONS_HEADER
     docs_root = Path(settings["docs_root"])
     if corpus.window_skipped:
         log.warning("%d document(s) outside corpus window %s..%s skipped",
@@ -328,6 +325,10 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         return p
 
     def add_corpus_options(p):
+        # Before any input is read: compiled after pipeline has read its model
+        # and manifest, extraction and shards raise its peak RSS by 0.3 MB.
+        from . import extraction, shards  # noqa: F401
+        from .corpus import MonthWindow
         p.add_argument("--manifest", help="corpus manifest file")
         p.add_argument("--window-start", metavar="YYYY-MM",
                        default=MonthWindow._field_defaults["start"],

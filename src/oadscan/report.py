@@ -15,14 +15,11 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from . import shards
 from .cli import (_Corpus, _Part, _add, _load_corpus, _require, _require_file,
                   _require_output_dir, _require_output_path, _run_extraction, _seconds,
                   _write_metadata, log)
-from .corpus import MonthWindow
-from .extraction import MentionRecord, read_mentions_file
-# classifier, ghp, scope and analytics load where each command runs: train and
-# evaluate need only the classifier.
+# The other modules load where each command runs: train and evaluate need only
+# the classifier.
 
 
 class _ReportSetup(NamedTuple):
@@ -128,7 +125,9 @@ def _report_shard(setup: _ReportSetup, window: MonthWindow, path: Path,
     Chunks are read in order, and ``shards.run_shards`` raises the earliest
     shard's error, so the command reports the first bad line of the file.
     """
+    from . import shards
     from .analytics import CorpusAggregate
+    from .extraction import read_mentions_file
     part = _Part([], Counter(), Counter(), CorpusAggregate(setup.config))
     for chunk in chunks:
         shards.exit_if_orphaned()
@@ -179,6 +178,7 @@ def _write_report(
 
 
 def cmd_report(settings: dict) -> None:
+    from . import shards
     _require(settings, "mentions", "model", "manifest", "out_dir")
     settings["mentions"] = mentions_path = _require_file(settings["mentions"], "mentions file")
     settings["out_dir"] = out_dir = _require_output_dir(settings["out_dir"])

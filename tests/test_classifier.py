@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oadscan.classifier as classifier_mod
+import train_reference
 from conftest import make_mention
 from fixture_labels import write_labeled_file
 from oadscan.classifier import (
@@ -13,6 +15,7 @@ from oadscan.classifier import (
     LabeledFileError,
     Provenance,
     TrainedModel,
+    TrainingConfig,
     TrainingError,
     _fixed_slots,
     _sparse_counts,
@@ -96,6 +99,31 @@ class TestFeaturize:
         assert _sparse_counts("data data data", parse_uri(""))["data"] == 3.0
 
 
+# Few words and URIs, so that rows repeat and a context can hold a word twice
+# (a count of 2); an empty context leaves only the URI's features.
+_EXAMPLES = st.builds(
+    LabeledExample,
+    context=st.lists(st.sampled_from(["data", "code", "see", "video", "the"]),
+                     max_size=4).map(" ".join),
+    uri=st.sampled_from(["https://zenodo.org/record/1", "http://github.com/a/code",
+                         "https://youtu.be/x", "http://example.org/dataset/download", ""]),
+    label=st.sampled_from(Label),
+)
+LABELED_SETS = st.tuples(
+    _EXAMPLES.map(lambda ex: ex._replace(label=Label.OADS)),
+    _EXAMPLES.map(lambda ex: ex._replace(label=Label.NON_OADS)),
+    st.lists(_EXAMPLES, max_size=12),
+).flatmap(lambda parts: st.permutations([parts[0], parts[1], *parts[2]]))
+TRAINING_CONFIGS = st.builds(
+    TrainingConfig,
+    learning_rate=st.sampled_from([0.1, 0.5, 1.7]),
+    iterations=st.integers(1, 40),
+    l2=st.sampled_from([0.0, 1e-3, 0.05]),
+    threshold=st.just(0.5),
+    seed=st.just(0),
+)
+
+
 class TestTrain:
     def test_separable_pair(self):
         examples = [
@@ -124,6 +152,14 @@ class TestTrain:
         a = train(labeled_200)
         b = train(labeled_200)
         assert a.to_json() == b.to_json()
+
+    def test_matches_the_reference_on_the_seed_set(self, labeled_200):
+        assert train(labeled_200).to_json() == train_reference.train(labeled_200).to_json()
+
+    @settings(max_examples=150, deadline=None)
+    @given(examples=LABELED_SETS, config=TRAINING_CONFIGS)
+    def test_matches_the_row_by_row_reference(self, examples, config):
+        assert train(examples, config).to_json() == train_reference.train(examples, config).to_json()
 
     def test_weight_vector_length(self, fixture_model):
         expected = len(fixture_model.vocabulary) + len(FIXED_FEATURE_NAMES)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import oadscan.cli as cli_mod
+import oadscan.corpus as corpus_mod
+import oadscan.extraction as extraction_mod
 import oadscan.report as report_mod
 from oadscan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from oadscan.extraction import read_mentions_file
@@ -101,7 +103,7 @@ class TestExtract:
     def test_missing_out_directory_is_usage_error_before_reading(self, tmp_path, monkeypatch,
                                                                  caplog):
         reads = []
-        monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
+        monkeypatch.setattr(corpus_mod, "read_document", lambda *a: reads.append(a))
         out = tmp_path / "missing" / "dir" / "m.tsv"
         assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", out) == EXIT_USAGE
         assert reads == []
@@ -110,7 +112,7 @@ class TestExtract:
     def test_out_that_is_a_directory_is_usage_error_before_reading(self, tmp_path, monkeypatch,
                                                                    caplog):
         reads = []
-        monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
+        monkeypatch.setattr(corpus_mod, "read_document", lambda *a: reads.append(a))
         assert run("extract", "--manifest", CORPUS / "manifest.tsv",
                    "--out", tmp_path) == EXIT_USAGE
         assert reads == []
@@ -306,7 +308,7 @@ class TestReport:
         mentions = tmp_path / "m.tsv"
         assert run("extract", "--manifest", CORPUS / "manifest.tsv", "--out", mentions) == EXIT_OK
         reads = []
-        monkeypatch.setattr(report_mod, "read_mentions_file", lambda *a: reads.append(a))
+        monkeypatch.setattr(extraction_mod, "read_mentions_file", lambda *a: reads.append(a))
         for out_dir in (mentions, mentions / "sub"):
             assert run("report", "--mentions", mentions, "--model", MODEL, "--manifest",
                        CORPUS / "manifest.tsv", "--out-dir", out_dir) == EXIT_USAGE
@@ -404,7 +406,7 @@ class TestPipeline:
         def no_read_back(path):
             raise AssertionError(f"pipeline read {path} back")
 
-        monkeypatch.setattr(report_mod, "read_mentions_file", no_read_back)
+        monkeypatch.setattr(extraction_mod, "read_mentions_file", no_read_back)
         fused_dir = tmp_path / "fused"
         assert run(
             "pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
@@ -426,7 +428,7 @@ class TestPipeline:
     def test_missing_mentions_directory_is_usage_error_before_reading(self, tmp_path,
                                                                       monkeypatch, caplog):
         reads = []
-        monkeypatch.setattr(cli_mod, "read_document", lambda *a: reads.append(a))
+        monkeypatch.setattr(corpus_mod, "read_document", lambda *a: reads.append(a))
         mentions = tmp_path / "missing" / "m.tsv"
         assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
                    "--out-dir", tmp_path / "run" / "sub", "--mentions", mentions) == EXIT_USAGE
@@ -485,6 +487,16 @@ class TestTimings:
                    "--out-dir", tmp_path / "p") == EXIT_OK
         meta = json.loads((tmp_path / "p" / "run_metadata.json").read_text())
         self.check(meta["timings"], self.EXTRACT | self.REPORT)
+
+    def test_input_mb_counts_utf8_bytes(self, tmp_path):
+        # An ASCII text counts one byte a character; any other, its UTF-8 size.
+        texts = ["See https://x.org/a here.\n", "Voilà: données sur https://x.org/ü – 日本.\n"]
+        root = write_corpus(tmp_path, [(f"d{k}", 1, "2019-01", t) for k, t in enumerate(texts)])
+        mentions = tmp_path / "mentions.tsv"
+        assert run("extract", "--manifest", root / "manifest.tsv", "--out", mentions) == EXIT_OK
+        meta = json.loads((tmp_path / "mentions.tsv.meta.json").read_text())
+        assert meta["timings"]["input_mb"] == sum(len(t.encode("utf-8")) for t in texts) / 1e6
+        assert sum(map(len, texts)) < sum(len(t.encode("utf-8")) for t in texts)
 
 
 class TestConfigResolution:
@@ -745,8 +757,8 @@ def test_window_start_after_end_is_usage_error_writing_nothing(command, tmp_path
 
 def test_pipeline_reads_the_manifest_once(tmp_path, monkeypatch):
     calls = []
-    real = cli_mod.load_manifest
-    monkeypatch.setattr(cli_mod, "load_manifest", lambda path: calls.append(path) or real(path))
+    real = corpus_mod.load_manifest
+    monkeypatch.setattr(corpus_mod, "load_manifest", lambda path: calls.append(path) or real(path))
     assert run("pipeline", "--manifest", CORPUS / "manifest.tsv", "--model", MODEL,
                "--out-dir", tmp_path / "run") == EXIT_OK
     assert len(calls) == 1

@@ -45,6 +45,14 @@ def test_only_scope_parses_uris():
     assert found == []
 
 
+def test_classifier_calls_no_builtin_sum():
+    # Training adds floats left to right, as a loop of += does.
+    calls = [f"classifier.py:{node.lineno}" for node in _nodes(SRC / "classifier.py")
+             if isinstance(node, ast.Call) and _names(node.func) & {"sum", "fsum", "sumprod"}]
+    assert calls == [], ("from Python 3.12 sum() of floats is compensated, and fsum and sumprod "
+                         "round otherwise too: the model bytes would depend on the Python version")
+
+
 def test_one_urlsplit_call_site():
     # scope._split sends every URI the plain-URI regex rejects to urlsplit;
     # a second reference would be a second parse path.

@@ -30,6 +30,9 @@ COMMANDS = sorted(OPTIONS)
 EXTRACT_MODULES = {"oadscan", "oadscan.cli", "oadscan.corpus", "oadscan.extraction",
                    "oadscan.fileio", "oadscan.scope", "oadscan.shards"}
 REPORT_MODULES = {"oadscan.analytics", "oadscan.classifier", "oadscan.ghp", "oadscan.report"}
+# train and evaluate read no corpus and extract nothing.
+TRAIN_MODULES = {"oadscan", "oadscan.cli", "oadscan.fileio", "oadscan.scope",
+                 "oadscan.classifier", "oadscan.report"}
 # dataclasses imports inspect, and inspect imports ast and dis: milliseconds
 # of a cold start, before the first dataclass is defined.
 SLOW_IMPORTS = {"dataclasses", "inspect"}
@@ -89,17 +92,17 @@ def test_version_and_help_load_no_report_module(argv):
 def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     corpus = ["--manifest", test_cli.CORPUS / "manifest.tsv"]
     mentions = tmp_path / "m.tsv"
-    # command: (its argv, the package modules it loads, a file it writes)
-    runs = {  # extract first: report reads its mentions file
+    # command: (its argv, the package modules it loads, a file it writes or reads)
+    runs = {  # extract first: report reads its mentions file; train before evaluate
         "extract": ([*corpus, "--out", mentions], EXTRACT_MODULES, mentions),
         "report": ([*corpus, "--model", test_cli.MODEL, "--mentions", mentions, "--out-dir",
                     tmp_path / "r"], EXTRACT_MODULES | REPORT_MODULES, tmp_path / "r"),
         "pipeline": ([*corpus, "--model", test_cli.MODEL, "--out-dir", tmp_path / "p"],
                      EXTRACT_MODULES | REPORT_MODULES, tmp_path / "p"),
         "train": (["--labeled", test_cli.DATA / "labeled_seed.tsv", "--out",
-                   tmp_path / "model.json"],
-                  EXTRACT_MODULES | {"oadscan.classifier", "oadscan.report"},
-                  tmp_path / "model.json"),
+                   tmp_path / "model.json"], TRAIN_MODULES, tmp_path / "model.json"),
+        "evaluate": (["--model", tmp_path / "model.json", "--labeled",
+                      test_cli.DATA / "labeled_seed.tsv"], TRAIN_MODULES, tmp_path / "model.json"),
     }
     for command, (argv, modules, output) in runs.items():
         loaded = modules_after(command, *argv)
