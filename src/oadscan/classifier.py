@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -126,8 +125,14 @@ def classify_heuristic(
 
 # --- featurizer ----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[a-z0-9_]+")
 _URI_PLACEHOLDER = " _url_ "
+# Features are bytes: their text in UTF-8, lone surrogates kept, so they
+# sort as their code points do.  The context's tokens are the runs of
+# [a-z0-9_] in its lowercased text; every byte outside the class maps to
+# a space, and a non-ASCII code point encodes to bytes >= 0x80 only, so it
+# cannot join or split a token.
+_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789_" else 0x20
+                     for b in range(256))
 
 
 # Path substrings flagged as fixed URI features, one weight slot each,
@@ -145,24 +150,24 @@ _FEATURIZER_BLOCK = {
 
 
 def _sparse_counts(
-    context: str, parsed: ParsedUri, vocabulary: Container[str] | None = None
-) -> dict[str, int]:
-    """The sparse features: context tokens with the URI masked, plus the
-    URI's ``host:`` and ``tld:`` features, with raw counts; given a
-    vocabulary, only the features in it."""
+    context: str, parsed: ParsedUri, vocabulary: Container[bytes] | None = None
+) -> dict[bytes, int]:
+    """The sparse features, as bytes: context tokens with the URI masked,
+    plus the URI's ``host:`` and ``tld:`` features, with raw counts; given
+    a vocabulary, only the features in it."""
     uri = parsed.uri
     masked = context
     if uri:
         masked = masked.replace(uri, _URI_PLACEHOLDER)
-        head, sep, tail = uri.partition("://")
-        if sep:
+        tail = uri.partition("://")[2]
+        if tail:  # an empty tail would mask every gap between characters
             masked = masked.replace(tail, _URI_PLACEHOLDER)
-    features = _TOKEN_RE.findall(masked.lower())
+    features = masked.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
     if parsed.host is not None:
-        features.append("host:" + parsed.host)
+        features.append(("host:" + parsed.host).encode("utf-8", "surrogatepass"))
         if (tld := parsed.tld) is not None:
-            features.append("tld:" + tld)
-    counts: dict[str, int] = {}
+            features.append(("tld:" + tld).encode("utf-8", "surrogatepass"))
+    counts: dict[bytes, int] = {}
     get = counts.get
     for feature in features:
         if vocabulary is None or feature in vocabulary:
@@ -184,7 +189,7 @@ def _fixed_slots(parsed: ParsedUri) -> list[int]:
 
 
 def _terms(
-    vocabulary: dict[str, int], counts: dict[str, int], parsed: ParsedUri
+    vocabulary: dict[bytes, int], counts: dict[bytes, int], parsed: ParsedUri
 ) -> list[tuple[int, float]]:
     """The model's nonzero terms for one mention as (weight index, value):
     the features of ``counts``, all in the vocabulary, in sorted order,
@@ -247,10 +252,12 @@ class TrainedModel:
             other.vocabulary, other.weights, other.bias, other.threshold, other.training)
 
     @cached_property
-    def _weight_table(self) -> tuple[dict[str, float], list[float]]:
-        """Each vocabulary feature's weight, and the fixed slots' weights;
-        built on the first score, so the model must not change after it."""
-        return ({feature: self.weights[i] for feature, i in self.vocabulary.items()},
+    def _weight_table(self) -> tuple[dict[bytes, float], list[float]]:
+        """Each vocabulary feature's weight, keyed by the feature's bytes,
+        and the fixed slots' weights; built on the first score, so the model
+        must not change after it."""
+        return ({feature.encode("utf-8", "surrogatepass"): self.weights[i]
+                 for feature, i in self.vocabulary.items()},
                 self.weights[len(self.vocabulary):])
 
     def to_json(self) -> str:
@@ -360,12 +367,12 @@ def train(
 
     parsed = [parse_uri(ex.uri) for ex in examples]
     counts = [_sparse_counts(ex.context, p) for ex, p in zip(examples, parsed)]
-    vocabulary = {tok: i for i, tok in enumerate(sorted(set().union(*counts)))}
-    n_weights = len(vocabulary) + len(FIXED_FEATURE_NAMES)
+    index = {tok: i for i, tok in enumerate(sorted(set().union(*counts)))}
+    n_weights = len(index) + len(FIXED_FEATURE_NAMES)
 
     # Each distinct row is scored once; row_ids maps every example to its row.
     distinct: dict[tuple, int] = {}
-    row_ids = [distinct.setdefault(tuple(_terms(vocabulary, c, p)), len(distinct))
+    row_ids = [distinct.setdefault(tuple(_terms(index, c, p)), len(distinct))
                for c, p in zip(counts, parsed)]
     rows = list(distinct)
     # Each weight's terms as (example, value), in example order: the order
@@ -389,7 +396,7 @@ def train(
         bias -= lr * (_dot(0.0, errs, (range(len(errs)), None)) / n)
 
     return TrainedModel(
-        vocabulary=vocabulary,
+        vocabulary={tok.decode("utf-8", "surrogatepass"): i for tok, i in index.items()},
         weights=weights,
         bias=bias,
         threshold=config.threshold,

@@ -126,8 +126,14 @@ def _peak_rss_mb() -> float | None:
     not report it."""
     if resource is None:
         return None
-    maxrss = max(resource.getrusage(who).ru_maxrss
-                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    # Linux keeps this process's ru_maxrss across exec, so it can be the peak
+    # of the process that started this one; VmHWM is this program's own.
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            own = next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    maxrss = max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     # Linux reports kilobytes, macOS bytes.
     return round(maxrss / (2**20 if sys.platform == "darwin" else 2**10), 3)
 

@@ -23,6 +23,7 @@ import re
 import sys
 from bisect import bisect_right
 from itertools import accumulate
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -540,6 +541,7 @@ def read_mentions_file(path: str | Path, start: int = 0, end: int | None = None,
     last_raw_id, doc_id, last_month = None, None, None
     left = sys.maxsize if end is None else end - start  # bytes still to read
     lineno = 0  # lines read from start
+    new = tuple.__new__  # a record from its fields, without MentionRecord's Python-level __new__
     try:
         with open(path, "rb") as fh:
             fh.seek(start)
@@ -565,10 +567,16 @@ def read_mentions_file(path: str | Path, start: int = 0, end: int | None = None,
                             raise ValueError(f"mention month {month} outside corpus window "
                                              f"{window.start}..{window.end}")
                     span = (int(span_start), int(span_end))
-                    context = json.loads(context)
-                    if not isinstance(context, str):
-                        raise ValueError("context is not a JSON string")
-                    records.append(MentionRecord(doc_id, last_month, uri, span, context))
+                    # json.loads runs the same scanstring, at the same offset,
+                    # on a string with no space around it.
+                    if (context[:1] == '"'
+                            and (decoded := scanstring(context, 1))[1] == len(context)):
+                        context = decoded[0]
+                    else:
+                        context = json.loads(context)
+                        if not isinstance(context, str):
+                            raise ValueError("context is not a JSON string")
+                    records.append(new(MentionRecord, (doc_id, last_month, uri, span, context)))
     except ValueError as exc:
         reason = (f"invalid UTF-8 at byte offset {exc.start} of the line ({exc.reason})"
                   if isinstance(exc, UnicodeDecodeError) else exc)

@@ -176,31 +176,42 @@ class ParsedUri(NamedTuple):
         return label if dot and label else None
 
 
-# A plain URI: scheme://authority[/path][?query or #fragment], with no
-# space, and no userinfo or IPv6 brackets in the authority.  urlsplit
-# splits such a URI (when it is also ASCII and printable) at the first
-# "/", "?" and "#" after the authority, as this pattern's groups do.
-_PLAIN_URI = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#@\[\] ]*)(/[^?# ]*)?(?:[?#][^ ]*)?")
+# A plain URI: scheme://host[:port][/path][?query or #fragment], with no
+# space, no userinfo or IPv6 brackets in the authority, and a port of
+# digits only.  urlsplit splits such a URI (when it is also ASCII and
+# printable) at the first "/", "?" and "#" after the authority, and
+# split_port splits its netloc at the colon, as this pattern's groups do.
+# A netloc it rejects for a second colon or a port that is not digits
+# makes split_port raise on the urlsplit path.
+_PLAIN_URI = re.compile(
+    r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#@\[\] :]*)(?::([0-9]*))?(/[^?# ]*)?(?:[?#][^ ]*)?")
 
 # The text after each dot, to the end of the host.
 _AFTER_DOTS = re.compile(r"\.(?=(.*))", re.DOTALL).findall
 # The longest suffix listed, that of a DNS name; each starts after a dot
 # in the host's last 254 characters.
 _MAX_SUFFIX = 253
+# A NamedTuple built from a tuple of its fields, without the Python-level
+# __new__ call that checks their number.
+_new = tuple.__new__
 
 
-def _split(uri: str) -> tuple[str, str, str]:
-    """(scheme, netloc, path) of a URI, as ``urlsplit`` gives them.
+def _split(uri: str) -> tuple[str, str, str | None, str]:
+    """(scheme, host, port, path) of a URI: the scheme and host lowercased,
+    the host without userinfo, and the port None when absent or empty.
 
     A plain URI is split by one regex match; every other URI goes through
-    ``urlsplit`` and its checks, whose ValueError propagates.
+    ``urlsplit`` and ``split_port``, whose ValueError propagates.
     """
     if uri.isascii() and uri.isprintable():
         m = _PLAIN_URI.fullmatch(uri)
         if m is not None:
-            return m[1], m[2], m[3] or ""
+            scheme, host, port, path = m.groups()
+            return scheme.lower(), host.lower(), port or None, path or ""
     parts = urlsplit(uri)
-    return parts.scheme, parts.netloc, parts.path
+    # Strip userinfo; the rightmost @ separates it from the host.
+    host, port = split_port(parts.netloc.rpartition("@")[2].lower())
+    return parts.scheme.lower(), host, port, parts.path
 
 
 def parse_uri(uri: str | ParsedUri) -> ParsedUri:
@@ -208,20 +219,14 @@ def parse_uri(uri: str | ParsedUri) -> ParsedUri:
     if isinstance(uri, ParsedUri):
         return uri
     try:
-        scheme, netloc, path = _split(uri)
-        scheme = scheme.lower()
-        # Strip userinfo; the rightmost @ separates it from the host.
-        host, port = split_port(netloc.rpartition("@")[2].lower())
-        if port is not None and port != _DEFAULT_PORTS.get(scheme):
-            hostname = f"{host}:{port}"
-        else:
-            hostname = host
+        scheme, host, port, path = _split(uri)
     except ValueError:
         return ParsedUri(uri, "", None, "", None, ())
     if not host:
         return ParsedUri(uri, scheme, None, path, None, ())
+    hostname = host if port is None or port == _DEFAULT_PORTS.get(scheme) else f"{host}:{port}"
     suffixes = (host, *_AFTER_DOTS(host[-_MAX_SUFFIX - 1 :]))
-    return ParsedUri(uri, scheme, host, path, hostname, suffixes)
+    return _new(ParsedUri, (uri, scheme, host, path, hostname, suffixes))
 
 
 def host_of(uri: str) -> str:

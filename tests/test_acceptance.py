@@ -335,14 +335,15 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
         uris = [r.uri for r in read_mentions_file(mentions)]
         assert len(uris) >= 30
         assert Counter(splits) == Counter(uris)
-        # urlsplit runs for exactly the URIs the plain-URI regex rejects;
-        # the golden corpus has URIs on both paths.
+        # urlsplit and split_port run for exactly the URIs the plain-URI regex
+        # rejects, split_port on each one's netloc; the regex splits the port
+        # off every other host.  The golden corpus has URIs on both paths.
         rejected = [u for u in uris if not (u.isascii() and u.isprintable()
                                             and scope_mod._PLAIN_URI.fullmatch(u))]
         assert 0 < len(rejected) < len(uris)
         assert Counter(parses) == Counter(rejected)
-        # One split, in the parse; the private-host check reads its host.
-        assert len(port_splits) == len(uris)
+        assert Counter(port_splits) == Counter(
+            urlsplit(u).netloc.rpartition("@")[2].lower() for u in rejected)
 
 
 def test_paper_figures_from_report(tmp_path):

@@ -74,15 +74,15 @@ class TestFeaturize:
     def test_context_tokens_counted_and_uri_masked(self):
         uri = "http://ibm.biz/multishapeinsertion"
         tokens = _sparse_counts(f"The dataset is available at {uri}.", parse_uri(uri))
-        assert tokens["dataset"] == 1.0
-        assert tokens["available"] == 1.0
-        assert "multishapeinsertion" not in tokens
-        assert tokens["host:ibm.biz"] == 1.0
-        assert tokens["tld:biz"] == 1.0
+        assert tokens[b"dataset"] == 1.0
+        assert tokens[b"available"] == 1.0
+        assert b"multishapeinsertion" not in tokens
+        assert tokens[b"host:ibm.biz"] == 1.0
+        assert tokens[b"tld:biz"] == 1.0
 
     def test_empty_context_gives_only_uri_features(self):
         parsed = parse_uri("https://a.b/c")
-        assert dict(_sparse_counts("", parsed)) == {"host:a.b": 1.0, "tld:b": 1.0}
+        assert dict(_sparse_counts("", parsed)) == {b"host:a.b": 1.0, b"tld:b": 1.0}
         assert _fixed_slots(parsed) == [FIXED_FEATURE_NAMES.index("scheme:https")]
 
     def test_path_keyword_flags(self):
@@ -96,7 +96,17 @@ class TestFeaturize:
         assert _fixed_slots(parsed) == _fixed_slots(parsed)
 
     def test_token_count_scales(self):
-        assert _sparse_counts("data data data", parse_uri(""))["data"] == 3.0
+        assert _sparse_counts("data data data", parse_uri(""))[b"data"] == 3.0
+
+    def test_uri_with_nothing_after_the_scheme_masks_only_itself(self):
+        # Masking the empty text after "://" would put _url_ in every gap.
+        parsed = parse_uri("https://")
+        assert _sparse_counts("see data here", parsed) == {b"see": 1, b"data": 1, b"here": 1}
+        assert _sparse_counts("at https://.", parsed) == {b"at": 1, b"_url_": 1}
+        model = train([LabeledExample("see data here", "https://", Label.OADS),
+                       LabeledExample("see", "https://x.org", Label.NON_OADS)],
+                      TrainingConfig(iterations=1))
+        assert sorted(model.vocabulary) == ["data", "here", "host:x.org", "see", "tld:org"]
 
 
 # Few words and URIs, so that rows repeat and a context can hold a word twice

@@ -2,6 +2,8 @@ import json
 import logging
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -487,6 +489,24 @@ class TestTimings:
                    "--out-dir", tmp_path / "p") == EXIT_OK
         meta = json.loads((tmp_path / "p" / "run_metadata.json").read_text())
         self.check(meta["timings"], self.EXTRACT | self.REPORT)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="Linux keeps ru_maxrss across exec")
+    def test_peak_rss_is_the_commands_own(self, tmp_path):
+        # The launcher touches 128 MB, then execs the command in its own process.
+        command = "import sys; from oadscan.cli import main; sys.exit(main(sys.argv[1:]))"
+        launcher = ("import os, sys\n"
+                    "held = b'x' * (128 << 20)\n"
+                    f"os.execv(sys.executable, [sys.executable, '-c', {command!r},"
+                    " *sys.argv[1:]])\n")
+        mentions = tmp_path / "mentions.tsv"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("OADSCAN_")}
+        env["PYTHONPATH"] = str(Path(cli_mod.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", launcher, "extract",
+                        "--manifest", str(CORPUS / "manifest.tsv"), "--out", str(mentions)],
+                       env=env, capture_output=True, timeout=60, check=True)
+        meta = json.loads((tmp_path / "mentions.tsv.meta.json").read_text())
+        assert 0 < meta["timings"]["peak_rss_mb"] < 64
 
     def test_input_mb_counts_utf8_bytes(self, tmp_path):
         # An ASCII text counts one byte a character; any other, its UTF-8 size.

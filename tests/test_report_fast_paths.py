@@ -1,24 +1,33 @@
 """Differential tests: the report layers' fast paths against direct references.
 
-``score_text`` counts only the in-vocabulary features and looks their
-weights up in the model's weight table, ``detect_ghp`` looks a
-parse's host suffixes up in compiled rule tables, ``in_domains`` checks
-those suffixes against a set, and ``is_private_or_local`` parses only
-hosts shaped like an IP literal.  Each reference below is the direct form
-the fast path replaces; the two must agree exactly (``==`` on the float
-score).
+``read_mentions_file`` decodes a context that is one JSON string with
+``scanstring``, ``parse_uri`` splits a plain URI by one regex match,
+``score_text`` takes the context's tokens as bytes, counts only the
+in-vocabulary features and looks their weights up in the model's weight
+table, ``detect_ghp`` looks a parse's host suffixes up in compiled rule
+tables, ``in_domains`` checks those suffixes against a set, and
+``is_private_or_local`` parses only hosts shaped like an IP literal.  Each
+reference below is the direct form the fast path replaces: ``json.loads``,
+``urlsplit`` and ``split_port``, the regex ``[a-z0-9_]+`` over the
+lowercased text, and so on; the two must agree exactly (``==`` on the
+float score).
 """
 
 from __future__ import annotations
 
 import ipaddress
+import json
 import random
+import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oadscan import scope
 from oadscan.classifier import (
     FIXED_FEATURE_NAMES,
     PATH_KEYWORDS,
@@ -27,6 +36,7 @@ from oadscan.classifier import (
     _sparse_counts,
     score_text,
 )
+from oadscan.extraction import MentionsFileError, read_mentions_file
 from oadscan.ghp import DEFAULT_PATTERNS, GhpPatternSet, HostRule, Platform, detect_ghp
 from oadscan.scope import (
     DEFAULT_POLICY,
@@ -51,16 +61,35 @@ class Features:
     fixed: tuple[float, ...]
 
 
+TOKEN_RE = re.compile(r"[a-z0-9_]+")
+
+
+def reference_tokens(text: str) -> list[str]:
+    """The context tokens: runs of [a-z0-9_] in the lowercased text."""
+    return TOKEN_RE.findall(text.lower())
+
+
 def featurize(context: str, uri: str | ParsedUri) -> Features:
     """Bag-of-words over the context (URI masked) plus URI lexical features.
 
     Deterministic: tokens are reported in sorted order with raw counts.
     """
     parsed = parse_uri(uri)
+    masked = context
+    if parsed.uri:
+        masked = masked.replace(parsed.uri, " _url_ ")
+        tail = parsed.uri.partition("://")[2]
+        if tail:
+            masked = masked.replace(tail, " _url_ ")
+    tokens = reference_tokens(masked)
+    if parsed.host is not None:
+        tokens.append("host:" + parsed.host)
+        if parsed.tld is not None:
+            tokens.append("tld:" + parsed.tld)
     path = parsed.path.lower()
     fixed = [1.0 if kw in path else 0.0 for kw in PATH_KEYWORDS]
     fixed.append(1.0 if parsed.uri.lower().startswith("https://") else 0.0)
-    return Features(tuple(sorted(_sparse_counts(context, parsed).items())), tuple(fixed))
+    return Features(tuple(sorted(Counter(tokens).items())), tuple(fixed))
 
 
 def _indexed(features: Features, vocabulary: dict[str, int], n_vocab: int) -> list[tuple[int, float]]:
@@ -213,7 +242,7 @@ class TestScoreText:
 
     def test_host_and_tld_features_count(self):
         # The hypothesis hosts' host:/tld: features are in the vocabulary.
-        tokens = set(_sparse_counts("x", parse_uri("https://github.io/u")))
+        tokens = {token for token, _ in featurize("x", "https://github.io/u").tokens}
         assert {"host:github.io", "tld:io"} <= tokens <= set(SHUFFLED[0].vocabulary)
 
     @given(st.data())
@@ -239,6 +268,145 @@ class TestScoreText:
         ratio = statistics.median(doubling_ratios(lambda text: score_text(model, text, parsed),
                                                   context(n), context(2 * n)))
         assert ratio <= 2.5, f"t(2N)/t(N) = {ratio:.2f} at N = {n}"
+
+
+# Characters whose UTF-8 bytes or lowercase could pass for token bytes if
+# the byte table or the order of lower() and encode() were wrong: the Kelvin
+# sign lowercases to k; İ to i and a combining dot; µ encodes to C2 B5 and
+# ĵ to C4 B5; lone surrogates encode to three bytes each.
+TOKEN_CHARS = ("aZz09_ -.\t\n\x00\x7f\u212a\u0130\u00b5\u0135\u00df\u017f\u00c0"
+               "\u2160\u0660\ud800\udfff\U0001f600")
+
+
+class TestTokens:
+    @given(st.text(alphabet=st.one_of(st.sampled_from(TOKEN_CHARS), st.characters()),
+                   max_size=40))
+    @example("Data_1 \u212aIT \u0130ndex \u00b5m \ud800x\x00y\tz")
+    @settings(max_examples=500, deadline=None)
+    def test_equal_the_regex_tokens(self, text):
+        # An empty URI masks nothing and has no host features.
+        counts = _sparse_counts(text, parse_uri(""))
+        expected = Counter(reference_tokens(text))
+        assert {t.decode("ascii"): n for t, n in counts.items()} == expected
+        # The scorer sums in the bytes' order; the model's order is the text's.
+        assert [t.decode("ascii") for t in sorted(counts)] == sorted(expected)
+
+    @given(st.lists(st.text(alphabet=TOKEN_CHARS, min_size=1, max_size=4), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_feature_bytes_sort_as_their_text(self, features):
+        encoded = sorted(f.encode("utf-8", "surrogatepass") for f in features)
+        assert [f.decode("utf-8", "surrogatepass") for f in encoded] == sorted(features)
+
+
+# --- URI parse -------------------------------------------------------------
+
+PLAIN_HOSTS = ["example.org", "EXAMPLE.Org", "a.b.c", "1.2.3.4", "", "h", "a.",
+               "x-y_z~!$&'()*+,;="]
+ODD_NETLOCS = ["a:b:c", "h:abc", "h:8a", "h: 80", "u@h", "u:p@h:80", "[::1]", "[::1]:8080",
+               "é.org", "h\t", "h\x00"]
+PORTS = ["", ":", ":0", ":080", ":443", ":80", ":21", ":8080", ":00443"]
+URI_PATHS = ["", "/", "/x", "/A/b.pdf", "/a b", "?q", "#f", "/p?q#f", "?q=/x", "#f/x", "/p:1"]
+
+
+@st.composite
+def authority_uris(draw):
+    scheme = draw(st.sampled_from(["http", "https", "ftp", "ws", "wss", "HTTP", "Https",
+                                   "FTP", "wS", "file", "git+ssh", "a.b-c"]))
+    netloc = draw(st.one_of(
+        st.tuples(st.sampled_from(PLAIN_HOSTS), st.sampled_from(PORTS)).map("".join),
+        st.sampled_from(ODD_NETLOCS),
+        st.text(alphabet="ab:@[]9.%", max_size=8)))
+    return f"{scheme}://{netloc}{draw(st.sampled_from(URI_PATHS))}"
+
+
+def urlsplit_parse(uri: str) -> ParsedUri:
+    """parse_uri with every URI sent through urlsplit and split_port."""
+    with mock.patch.object(scope, "_PLAIN_URI", re.compile(r"(?!)")):
+        return parse_uri(uri)
+
+
+class TestPlainUriParse:
+    @given(authority_uris())
+    @example("http://example.org:/x")
+    @example("https://example.org:0")
+    @example("http://EXAMPLE.org:080/x")
+    @example("https://example.org:443/x")
+    @example("ws://example.org:80")
+    @example("ftp://example.org:21/x")
+    @example("http://a:b:c/x")
+    @example("http://h:abc/x")
+    @example("http://:80/x")
+    @example("http://u@h/x")
+    @example("http://[::1]:80/x")
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_the_urlsplit_path(self, uri):
+        assert parse_uri(uri) == urlsplit_parse(uri)
+
+    @pytest.mark.parametrize("uri, hostname", [
+        ("http://Example.ORG:/x", "example.org"),
+        ("https://example.org:0/x", "example.org:0"),
+        ("http://example.org:080/x", "example.org:080"),
+        ("https://example.org:443/x", "example.org"),
+        ("http://example.org:443/x", "example.org:443"),
+        ("ws://example.org:80/x", "example.org"),
+        ("ftp://example.org:80/x", "example.org:80"),
+        ("http://a:b:c/x", None),
+        ("http://h:8a/x", None),
+        ("http:///x", None),
+    ])
+    def test_ports(self, uri, hostname):
+        assert parse_uri(uri).hostname == urlsplit_parse(uri).hostname == hostname
+
+    def test_split_port_runs_only_off_the_plain_path(self):
+        plain = ["https://GitHub.com:8443/a?b#c", "http://h:/x", "file:///x", "http://"]
+        other = ["http://a:b:c/x", "http://h:abc/x", "http://[::1]:8080/x", "http://u@h/",
+                 "http://é/"]
+        with mock.patch.object(scope, "split_port", wraps=scope.split_port) as spy:
+            for uri in plain + other:
+                parse_uri(uri)
+        assert [c.args[0] for c in spy.call_args_list] == [
+            "a:b:c", "h:abc", "[::1]:8080", "h", "é"]
+
+
+# --- mentions-file contexts ------------------------------------------------
+
+CONTEXT_FIELDS = ['"c"', '""', '"a\\"b"', '"\\u00e9\\ud800\\n"', '"unterminated', '"',
+                  '"a"b', '"a" ', ' "a"', '"a"\t', '"tab\tinside"', '"\\x"', '"\\u12"',
+                  '"a\x00"', '7', 'null', '["c"]', '{"c": 1}', '', 'c', '\ufeff"c"', '"é"']
+
+
+@st.composite
+def context_fields(draw):
+    # The file is written as UTF-8 and cut into lines at CR and LF only.
+    text = draw(st.text(alphabet=st.characters(exclude_categories=("Cs",),
+                                               exclude_characters="\r\n"), max_size=30))
+    kind = draw(st.sampled_from(["ascii", "utf8", "raw", "cut", "sampled"]))
+    if kind == "sampled":
+        return draw(st.sampled_from(CONTEXT_FIELDS))
+    if kind == "raw":  # text as it stands: seldom JSON
+        return text
+    field = json.dumps(text, ensure_ascii=kind == "ascii")
+    return field[:-1] if kind == "cut" else field
+
+
+class TestContextDecode:
+    @given(context_fields())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_json_loads(self, tmp_path_factory, field):
+        path = tmp_path_factory.mktemp("mentions") / "mentions.tsv"
+        path.write_text(f"# header\nav1\t2019-01\thttps://x.org/a\t0\t15\t{field}\n",
+                        encoding="utf-8")
+        try:
+            expected = json.loads(field)
+            error = None if isinstance(expected, str) else "context is not a JSON string"
+        except ValueError as exc:
+            error = str(exc)
+        if error is None:
+            assert [r.context for r in read_mentions_file(path)] == [expected]
+        else:
+            with pytest.raises(MentionsFileError) as exc:
+                read_mentions_file(path)
+            assert str(exc.value) == f"{path}:2: {error}"
 
 
 # --- GHP -------------------------------------------------------------------

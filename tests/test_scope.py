@@ -78,7 +78,7 @@ class TestHostOf:
 
 def _host_features(counts):
     """The host:/tld: feature names, prefix dropped; '-' when absent."""
-    tokens = list(counts)
+    tokens = [t.decode("utf-8", "surrogatepass") for t in counts]
     host = [t[len("host:"):] for t in tokens if t.startswith("host:")]
     tld = [t[len("tld:"):] for t in tokens if t.startswith("tld:")]
     return (host or ["-"])[0], (tld or ["-"])[0]

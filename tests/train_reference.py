@@ -40,10 +40,10 @@ def train(
 
     parsed = [parse_uri(ex.uri) for ex in examples]
     counts = [_sparse_counts(ex.context, p) for ex, p in zip(examples, parsed)]
-    vocabulary = {tok: i for i, tok in enumerate(sorted(set().union(*counts)))}
-    n_weights = len(vocabulary) + len(FIXED_FEATURE_NAMES)
+    index = {tok: i for i, tok in enumerate(sorted(set().union(*counts)))}
+    n_weights = len(index) + len(FIXED_FEATURE_NAMES)
 
-    rows = [_terms(vocabulary, c, p) for c, p in zip(counts, parsed)]
+    rows = [_terms(index, c, p) for c, p in zip(counts, parsed)]
     targets = [1.0 if ex.label is Label.OADS else 0.0 for ex in examples]
 
     weights = [0.0] * n_weights
@@ -66,7 +66,7 @@ def train(
         bias -= lr * (grad_b / n)
 
     return TrainedModel(
-        vocabulary=vocabulary,
+        vocabulary={tok.decode("utf-8", "surrogatepass"): i for tok, i in index.items()},
         weights=weights,
         bias=bias,
         threshold=config.threshold,
