@@ -18,14 +18,12 @@ from .ghp import Category, CategoryPolicy
 __all__ = [
     "MonthlyStats",
     "HostnameStats",
-    "DispersionMetrics",
     "AggregateConfig",
     "CorpusAggregate",
     "category_percentages",
     "ghp_share_of_oads",
     "frequency_histogram",
     "top_hostnames",
-    "dispersion_metrics",
     "paper_figures",
     "write_reports",
 ]
@@ -115,27 +113,6 @@ def top_hostnames(stats: HostnameStats, n: int | None = None) -> list[str]:
     return ranked
 
 
-class DispersionMetrics(NamedTuple):
-    """How spread-out hostname usage is, in percentage points."""
-
-    singleton_uri_share: float   # mentions whose hostname occurs exactly once
-    gt5_uri_share: float         # mentions whose hostname occurs more than 5 times
-    hostnames_over_1000: int
-
-
-def dispersion_metrics(stats: HostnameStats) -> DispersionMetrics | None:
-    if stats.total == 0:
-        return None
-    singleton = sum(c for c in stats.counts.values() if c == 1)
-    gt5 = sum(c for c in stats.counts.values() if c > 5)
-    over_1000 = sum(1 for c in stats.counts.values() if c > 1000)
-    return DispersionMetrics(
-        100.0 * singleton / stats.total,
-        100.0 * gt5 / stats.total,
-        over_1000,
-    )
-
-
 # --- corpus-level aggregate ----------------------------------------------
 
 
@@ -148,16 +125,11 @@ class CorpusAggregate:
     """Everything the reports need: plain counts, filled by one pass over a
     corpus, or by passes over parts of it summed with ``update``."""
 
-    def __init__(self, config: AggregateConfig = AggregateConfig(),
-                 publications: Counter | None = None, mentions: Counter | None = None,
-                 hostnames: Counter | None = None) -> None:
+    def __init__(self, config: AggregateConfig = AggregateConfig()) -> None:
         self.config = config
-        # month -> documents
-        self.publications = Counter() if publications is None else publications
-        # (month, Category) -> mentions in scope
-        self.mentions = Counter() if mentions is None else mentions
-        # hostname -> non-GHP OADS mentions
-        self.hostnames = Counter() if hostnames is None else hostnames
+        self.publications = Counter()  # month -> documents
+        self.mentions = Counter()  # (month, Category) -> mentions in scope
+        self.hostnames = Counter()  # hostname -> non-GHP OADS mentions
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -207,19 +179,24 @@ def _monthly_stats(month: str, publications: int, ghp: int, non_ghp_oads: int,
 def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:
     """The paper's headline figures for an aggregate: the GHP share of OADS
     mentions, the top hostname's share of non-GHP OADS mentions, the
-    number of distinct hostnames and the dispersion metrics.  Shares are
-    in percentage points; an undefined share is None."""
-    stats = aggregate.hostname_stats()
-    top = max(stats.counts.values(), default=None)
-    dispersion = dispersion_metrics(stats)
-    figures: dict[str, float | int | None] = {
+    number of distinct hostnames, and how spread out hostname usage is:
+    the shares of mentions whose hostname occurs exactly once and more
+    than 5 times, and the number of hostnames with over 1000 mentions.
+    Shares are in percentage points; an undefined share is None, and
+    without a non-GHP OADS mention so is the count over 1000."""
+    counts, total = aggregate.hostname_stats()
+
+    def share(mentions: int) -> float | None:
+        return 100.0 * mentions / total if total else None
+
+    return {
         "ghp_share_of_oads": ghp_share_of_oads(aggregate.totals()),
-        "top_hostname_share": None if top is None else 100.0 * top / stats.total,
-        "distinct_hostnames": len(stats.counts),
+        "top_hostname_share": share(max(counts.values(), default=0)),
+        "distinct_hostnames": len(counts),
+        "singleton_uri_share": share(sum(c for c in counts.values() if c == 1)),
+        "gt5_uri_share": share(sum(c for c in counts.values() if c > 5)),
+        "hostnames_over_1000": sum(1 for c in counts.values() if c > 1000) if total else None,
     }
-    for name in DispersionMetrics._fields:
-        figures[name] = None if dispersion is None else getattr(dispersion, name)
-    return figures
 
 
 # --- CSV reports -----------------------------------------------------------

@@ -230,32 +230,27 @@ class TrainingConfig(_TrainingConfig):
         return self
 
 
-class TrainedModel:
+class _TrainedModel(NamedTuple):
+    vocabulary: dict[str, int]
+    weights: list[float]
+    bias: float
+    threshold: float
+    training: TrainingConfig = TrainingConfig()
+
+
+class TrainedModel(_TrainedModel):
     """Linear classifier over vocabulary tokens plus fixed URI features.
 
     ``weights`` has one slot per vocabulary entry followed by one per
-    fixed URI feature.  Immutable by convention once constructed.
+    fixed URI feature.  Not slotted, so that ``_weight_table`` has a
+    ``__dict__`` to be kept in.
     """
-
-    def __init__(self, vocabulary: dict[str, int], weights: list[float], bias: float,
-                 threshold: float, training: TrainingConfig = TrainingConfig()) -> None:
-        self.vocabulary = vocabulary
-        self.weights = weights
-        self.bias = bias
-        self.threshold = threshold
-        self.training = training
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.vocabulary, self.weights, self.bias, self.threshold, self.training) == (
-            other.vocabulary, other.weights, other.bias, other.threshold, other.training)
 
     @cached_property
     def _weight_table(self) -> tuple[dict[bytes, float], list[float]]:
         """Each vocabulary feature's weight, keyed by the feature's bytes,
-        and the fixed slots' weights; built on the first score, so the model
-        must not change after it."""
+        and the fixed slots' weights; built on the first score, so the
+        vocabulary and weights must not change in place after it."""
         return ({feature.encode("utf-8", "surrogatepass"): self.weights[i]
                  for feature, i in self.vocabulary.items()},
                 self.weights[len(self.vocabulary):])
@@ -274,11 +269,6 @@ class TrainedModel:
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        """Parse a model file's text; any malformed model is a ValueError."""
-        return cls._from_value(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":

@@ -37,7 +37,6 @@ class DuplicateVersionError(ValueError):
     """The same (base_id, version) pair appears more than once."""
 
     def __init__(self, duplicates: list[tuple[str, int]]):
-        self.duplicates = duplicates
         listing = ", ".join(f"{b}v{v}" for b, v in duplicates)
         super().__init__(f"duplicate id/version pairs in manifest: {listing}")
 
@@ -46,8 +45,6 @@ class DocumentReadError(OSError):
     """A document text file was missing, unreadable, or not valid UTF-8."""
 
     def __init__(self, doc_id: "DocumentId", path: Path, cause: Exception):
-        self.doc_id = doc_id
-        self.path = path
         self.reason = f"{path}: {cause}"
         super().__init__(f"cannot read document {doc_id}: {self.reason}")
 

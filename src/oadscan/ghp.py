@@ -147,7 +147,7 @@ def detect_ghp(parsed: ParsedUri, patterns: GhpPatternSet = DEFAULT_PATTERNS) ->
         best = hit
     # A suffix rule matches when it equals the host from after one of its dots.
     suffix_rules = tables["suffix"]
-    for suffix in parsed.after_dots:
+    for suffix in parsed.suffixes[1:]:
         hit = suffix_rules.get(suffix)
         if hit is not None and (best is None or hit < best):
             best = hit
@@ -184,7 +184,7 @@ def category_of(platform: Platform | None, oads: bool, policy: CategoryPolicy) -
     return Category.NON_GHP_OADS if oads else Category.NON_OADS
 
 
-def categorize(uri: str | ParsedUri, label: Label, patterns: GhpPatternSet = DEFAULT_PATTERNS,
+def categorize(uri: str, label: Label, patterns: GhpPatternSet = DEFAULT_PATTERNS,
                policy: CategoryPolicy = CategoryPolicy.GHP_FORCES_OADS) -> Category:
     """Bucket an in-scope classified mention as GHP / non-GHP OADS / non-OADS."""
     return category_of(detect_ghp(parse_uri(uri), patterns), label is Label.OADS, policy)

@@ -165,11 +165,6 @@ class ParsedUri(NamedTuple):
         return not domains.isdisjoint(self.suffixes)
 
     @property
-    def after_dots(self) -> tuple[str, ...]:
-        """The listed suffixes from after the host's dots, without the host."""
-        return self.suffixes[1:]
-
-    @property
     def tld(self) -> str | None:
         """The host's last label; None without a dot or after a final dot."""
         _, dot, label = (self.host or "").rpartition(".")
@@ -214,10 +209,8 @@ def _split(uri: str) -> tuple[str, str, str | None, str]:
     return parts.scheme.lower(), host, port, parts.path
 
 
-def parse_uri(uri: str | ParsedUri) -> ParsedUri:
-    """Parse a URI string; an already-parsed value is returned unchanged."""
-    if isinstance(uri, ParsedUri):
-        return uri
+def parse_uri(uri: str) -> ParsedUri:
+    """Parse a URI string."""
     try:
         scheme, host, port, path = _split(uri)
     except ValueError:
@@ -271,7 +264,7 @@ def is_in_scope(uri: str | ParsedUri, policy: ScopePolicy = DEFAULT_POLICY) -> S
 
     Never raises: anything unparseable is excluded under the scheme rule.
     """
-    parsed = parse_uri(uri)
+    parsed = uri if isinstance(uri, ParsedUri) else parse_uri(uri)
     if parsed.scheme not in policy.allowed_schemes or parsed.host is None:
         return ScopeReason.SCHEME_EXCLUDED
     if is_private_or_local(parsed.host, policy):

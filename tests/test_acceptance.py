@@ -24,7 +24,6 @@ from oadscan.analytics import (
     CorpusAggregate,
     MonthlyStats,
     category_percentages,
-    dispersion_metrics,
     frequency_histogram,
     ghp_share_of_oads,
     paper_figures,
@@ -68,9 +67,9 @@ def test_ratio_reproduction():
         assert pct_ghp == pytest.approx(33.05, abs=0.01)
         assert ghp_share_of_oads(corpus_totals) == pytest.approx(33.05, abs=0.01)
         # 4,953 of 258,288 mentions on the top host, the rest 5 apiece.
-        hostnames = Counter({"cds.cern.ch": 4953})
-        hostnames.update({f"h{i}.example.org": 5 for i in range(50667)})
-        hosts = CorpusAggregate(hostnames=hostnames)
+        hosts = CorpusAggregate()
+        hosts.hostnames.update({"cds.cern.ch": 4953})
+        hosts.hostnames.update({f"h{i}.example.org": 5 for i in range(50667)})
         assert hosts.hostname_stats().total == 258288
         assert paper_figures(hosts)["top_hostname_share"] == pytest.approx(1.9177, abs=0.005)
 
@@ -260,15 +259,17 @@ def _brute_force_checks(docs, rng):
     expected_top = sorted(expected_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
     assert top_hostnames(stats, n) == [host for host, _ in expected_top]
 
-    m = dispersion_metrics(stats)
+    figures = paper_figures(aggregate)
+    dispersion = [figures[name]
+                  for name in ("singleton_uri_share", "gt5_uri_share", "hostnames_over_1000")]
     if stats.total == 0:
-        assert m is None
+        assert dispersion == [None, None, None]
     else:
         singles = sum(c for c in expected_counts.values() if c == 1)
         gt5 = sum(c for c in expected_counts.values() if c > 5)
-        assert m.singleton_uri_share == pytest.approx(100.0 * singles / stats.total)
-        assert m.gt5_uri_share == pytest.approx(100.0 * gt5 / stats.total)
-        assert m.hostnames_over_1000 == sum(1 for c in expected_counts.values() if c > 1000)
+        assert dispersion == [pytest.approx(100.0 * singles / stats.total),
+                              pytest.approx(100.0 * gt5 / stats.total),
+                              sum(1 for c in expected_counts.values() if c > 1000)]
 
 
 def test_analytics_oracle_equivalence():
@@ -311,8 +312,13 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
         mentions = tmp_path / "mentions.tsv"
         assert main(["extract", "--manifest", str(CORPUS / "manifest.tsv"),
                      "--out", str(mentions)]) == EXIT_OK
-        splits, parses, port_splits = [], [], []
-        split, urlsplit, split_port = scope_mod._split, scope_mod.urlsplit, scope_mod.split_port
+        parse_calls, splits, parses, port_splits = [], [], [], []
+        parse_uri, split = scope_mod.parse_uri, scope_mod._split
+        urlsplit, split_port = scope_mod.urlsplit, scope_mod.split_port
+
+        def counting_parse_uri(uri):
+            parse_calls.append(uri)
+            return parse_uri(uri)
 
         def counting_split(*args, **kwargs):
             splits.append(args[0])
@@ -326,6 +332,7 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
             port_splits.append(args[0])
             return split_port(*args, **kwargs)
 
+        monkeypatch.setattr(scope_mod, "parse_uri", counting_parse_uri)
         monkeypatch.setattr(scope_mod, "_split", counting_split)
         monkeypatch.setattr(scope_mod, "urlsplit", counting_urlsplit)
         monkeypatch.setattr(scope_mod, "split_port", counting_split_port)
@@ -334,6 +341,9 @@ def test_report_parses_each_uri_once(tmp_path, monkeypatch, force_shards):
                      "--out-dir", str(tmp_path / "reports")]) == EXIT_OK
         uris = [r.uri for r in read_mentions_file(mentions)]
         assert len(uris) >= 30
+        # One parse_uri call per mention, on its URI string: scope and GHP
+        # read that parse and do not enter parse_uri again.
+        assert Counter(parse_calls) == Counter(uris)
         assert Counter(splits) == Counter(uris)
         # urlsplit and split_port run for exactly the URIs the plain-URI regex
         # rejects, split_port on each one's netloc; the regex splits the port

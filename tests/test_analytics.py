@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from oadscan.analytics import (
     CorpusAggregate,
-    DispersionMetrics,
     HostnameStats,
     MonthlyStats,
     category_percentages,
-    dispersion_metrics,
     frequency_histogram,
     ghp_share_of_oads,
     paper_figures,
@@ -74,6 +72,17 @@ class TestMonthlyStats:
         for stats in aggregate_documents(docs):
             stats.check()
 
+    @pytest.mark.parametrize("counts, broken", [
+        ((-1,), "negative count"),
+        ((1, 3, 2, 0, 1, 1), "uri_total != oads + non_oads"),
+        ((1, 3, 2, 1, 2, 1), "oads != ghp + non_ghp_oads"),
+    ], ids=["negative", "uri_total", "oads"])
+    def test_check_names_the_broken_identity(self, counts, broken):
+        stats = MonthlyStats("2020-01", *counts)
+        with pytest.raises(ValueError) as exc:
+            stats.check()
+        assert str(exc.value) == f"{broken} in {stats}"
+
 
 class TestCategoryPercentages:
     def test_hand_arithmetic(self):
@@ -111,9 +120,9 @@ class TestCategoryPercentages:
 class TestHostnameStats:
     def test_published_share(self):
         # 4,953 of 258,288 mentions on the top host, the rest 5 apiece.
-        hostnames = Counter({"cds.cern.ch": 4953})
-        hostnames.update({f"h{i}.example.org": 5 for i in range(50667)})
-        agg = CorpusAggregate(hostnames=hostnames)
+        agg = CorpusAggregate()
+        agg.hostnames.update({"cds.cern.ch": 4953})
+        agg.hostnames.update({f"h{i}.example.org": 5 for i in range(50667)})
         assert agg.hostname_stats().total == 258288
         assert paper_figures(agg)["top_hostname_share"] == pytest.approx(1.9177, abs=0.005)
 
@@ -207,27 +216,35 @@ class TestTopHostnames:
             top_hostnames(HostnameStats({"a.org": 1}, 1), 0)
 
 
+DISPERSION = ("singleton_uri_share", "gt5_uri_share", "hostnames_over_1000")
+
+
+def dispersion(counts):
+    """paper_figures' dispersion figures for an aggregate with these
+    non-GHP OADS hostname counts."""
+    agg = CorpusAggregate()
+    agg.hostnames.update(counts)
+    figures = paper_figures(agg)
+    return tuple(figures[name] for name in DISPERSION)
+
+
 class TestDispersion:
     def test_single_host_degenerate(self):
-        stats = HostnameStats({"only.org": 3}, 3)
-        m = dispersion_metrics(stats)
-        assert m == DispersionMetrics(0.0, 0.0, 0)
+        assert dispersion({"only.org": 3}) == (0.0, 0.0, 0)
 
     def test_zero_total_undefined(self):
-        assert dispersion_metrics(EMPTY_HOSTS) is None
+        assert dispersion({}) == (None, None, None)
 
     def test_brute_force_recount(self):
         rng = random.Random(31)
         for _ in range(100):
             counts = {f"h{i}": rng.randint(1, 1500) for i in range(rng.randint(1, 30))}
             total = sum(counts.values())
-            stats = HostnameStats(counts, total)
-            m = dispersion_metrics(stats)
             singleton = sum(c for c in counts.values() if c == 1)
             gt5 = sum(c for c in counts.values() if c > 5)
-            assert m.singleton_uri_share == pytest.approx(100.0 * singleton / total)
-            assert m.gt5_uri_share == pytest.approx(100.0 * gt5 / total)
-            assert m.hostnames_over_1000 == sum(1 for c in counts.values() if c > 1000)
+            assert dispersion(counts) == (
+                pytest.approx(100.0 * singleton / total), pytest.approx(100.0 * gt5 / total),
+                sum(1 for c in counts.values() if c > 1000))
 
 
 def random_aggregate(rng, months=4, mentions=30):
@@ -257,6 +274,11 @@ class TestAccountingIdentity:
 
 
 class TestCsvOutput:
+    def test_top_n_below_one_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="^top_n must be >= 1, got 0$"):
+            write_reports(tmp_path / "out", CorpusAggregate(), top_n=0)
+        assert not (tmp_path / "out").exists()
+
     def test_monthly_csv_formatting(self, tmp_path):
         agg = CorpusAggregate()
         agg.add_publications("2020-01", 2)

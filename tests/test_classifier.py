@@ -251,15 +251,22 @@ class TestHybrid:
         assert c.provenance is Provenance.LEARNED
 
 
+def _reload(tmp_path, text):
+    """The model that TrainedModel.load reads from a file holding text."""
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    return TrainedModel.load(path)
+
+
 class TestSerialization:
-    def test_roundtrip_bit_exact(self, fixture_model):
-        clone = TrainedModel.from_json(fixture_model.to_json())
+    def test_roundtrip_bit_exact(self, tmp_path, fixture_model):
+        clone = _reload(tmp_path, fixture_model.to_json())
         assert clone.to_json() == fixture_model.to_json()
         assert clone.weights == fixture_model.weights
         assert clone.bias == fixture_model.bias
 
-    def test_roundtrip_preserves_predictions(self, fixture_model, labeled_200):
-        clone = TrainedModel.from_json(fixture_model.to_json())
+    def test_roundtrip_preserves_predictions(self, tmp_path, fixture_model, labeled_200):
+        clone = _reload(tmp_path, fixture_model.to_json())
         for ex in labeled_200[:40]:
             parsed = parse_uri(ex.uri)
             assert score_text(clone, ex.context, parsed) == score_text(
@@ -271,22 +278,22 @@ class TestSerialization:
         fixture_model.save(path)
         assert TrainedModel.load(path).to_json() == fixture_model.to_json()
 
-    def test_length_mismatch_rejected(self, fixture_model):
+    def test_length_mismatch_rejected(self, tmp_path, fixture_model):
         data = json.loads(fixture_model.to_json())
         data["weights"] = data["weights"][:-1]
         with pytest.raises(ValueError, match="length"):
-            TrainedModel.from_json(json.dumps(data))
+            _reload(tmp_path, json.dumps(data))
 
     @pytest.mark.parametrize("key, value", [
         ("path_keywords", ["code", "data"]),
         ("host_feature_prefix", "h:"),
         ("tld_feature_prefix", "t:"),
     ])
-    def test_foreign_featurizer_rejected(self, fixture_model, key, value):
+    def test_foreign_featurizer_rejected(self, tmp_path, fixture_model, key, value):
         data = json.loads(fixture_model.to_json())
         data["featurizer"][key] = value
         with pytest.raises(ValueError, match="featurizer"):
-            TrainedModel.from_json(json.dumps(data))
+            _reload(tmp_path, json.dumps(data))
 
 
 class TestEvaluate:

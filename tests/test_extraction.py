@@ -116,6 +116,9 @@ class TestRepairLinewrap:
                 "https://example.org/aa\nbb\ncc and text",
                 "https://example.org/aabbcc and text",
             ),
+            # ":" ends no joined line, so a "://" wrapped at a break joins as
+            # ":/" + "/"; the rest of the line is then path, so "c/d" stays
+            ("see www.x.org/a:/\n/b\nc/d more", "see www.x.org/a://b\nc/d more"),
             ("", ""),
         ],
     )

@@ -113,8 +113,10 @@ def test_fixture_corpus_matches_reference():
 
 
 @pytest.mark.parametrize("text", [shape_a(1), shape_a(300), shape_b(1), shape_b(300),
-                                  shape_a(50) + shape_b(50), shape_c(1), shape_c(300)],
-                         ids=["a1", "a300", "b1", "b300", "a50+b50", "c1", "c300"])
+                                  shape_a(50) + shape_b(50), shape_c(1), shape_c(300),
+                                  "see www.x.org/a:/\n/b\nc/d more"],
+                         ids=["a1", "a300", "b1", "b300", "a50+b50", "c1", "c300",
+                              "scheme-separator-wrapped"])
 def test_adversarial_shapes_match_reference(text):
     assert_same_as_reference(text)
 

@@ -91,7 +91,6 @@ class TestParseUri:
         assert len(rows) >= 11
         for uri, host, reason, platform, provenance, host_feature, tld_feature in rows:
             parsed = parse_uri(uri)
-            assert parse_uri(parsed) is parsed
             if host == "ValueError":
                 with pytest.raises(ValueError):
                     host_of(uri)
@@ -129,7 +128,7 @@ class TestParseUri:
         host = "a." * 50000 + "b"
         parsed = parse_uri(f"http://{host}/x")
         assert parsed.suffixes[0] == host
-        assert [len(s) for s in parsed.after_dots] == list(range(253, 0, -2))
+        assert [len(s) for s in parsed.suffixes[1:]] == list(range(253, 0, -2))
         # A longer domain matches only a host equal to it.
         assert parsed.in_domains(frozenset({host}))
         assert not parsed.in_domains(frozenset({host[2:]}))

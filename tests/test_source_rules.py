@@ -1,6 +1,7 @@
 """Rules every module under src/oadscan follows, checked on its source."""
 
 import ast
+import builtins
 from collections import defaultdict
 from pathlib import Path
 
@@ -62,6 +63,27 @@ def test_one_urlsplit_call_site():
              for stmt in tree.body for node in ast.walk(stmt)
              if isinstance(node, (ast.Name, ast.Attribute)) and "urlsplit" in _names(node)]
     assert sites == [("_split", True)]
+
+
+def test_records_write_no_init_or_eq():
+    # A record is a typing.NamedTuple, which gives it its constructor and
+    # its equality; CorpusAggregate alone changes after it is built.  An
+    # exception class builds its message in its __init__.
+    classes = [(p, node) for p in MODULES for node in _nodes(p) if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    grown = True
+    while grown:  # a subclass of a package exception is an exception too
+        found = {node.name for _, node in classes
+                 if any(_names(base) & exceptions for base in node.bases)}
+        grown = not found <= exceptions
+        exceptions |= found
+    written = [f"{p.name}:{node.name}.{item.name}" for p, node in classes
+               if node.name != "CorpusAggregate" and node.name not in exceptions
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__eq__")]
+    assert written == []
 
 
 # Exports kept for the tests alone, each with the reason it stays.
