@@ -131,12 +131,6 @@ class CorpusAggregate:
         self.mentions = Counter()  # (month, Category) -> mentions in scope
         self.hostnames = Counter()  # hostname -> non-GHP OADS mentions
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.config, self.publications, self.mentions, self.hostnames) == (
-            other.config, other.publications, other.mentions, other.hostnames)
-
     def add_publications(self, month: str, count: int = 1) -> None:
         self.publications[month] += count
 

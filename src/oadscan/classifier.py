@@ -300,6 +300,10 @@ class TrainedModel(_TrainedModel):
         except TypeError as exc:
             # a value of the wrong type, or an unknown training key
             raise ValueError(f"malformed model file: {exc}") from None
+        indices = model.vocabulary.values()
+        if any(type(i) is not int for i in indices) or set(indices) != set(range(len(indices))):
+            raise ValueError(f"vocabulary indices are not the ints 0..{len(indices) - 1}, "
+                             "each once")
         expected = len(model.vocabulary) + len(FIXED_FEATURE_NAMES)
         if len(model.weights) != expected:
             raise ValueError(

@@ -102,15 +102,12 @@ class _Corpus(NamedTuple):
 
 
 def _load_corpus(settings: dict) -> _Corpus:
-    """Read the manifest once per command; extract and report share it.
-    Documents are read under --docs-root as given, else the manifest's directory."""
+    """Read the manifest once per command; extract and report share it."""
     from .corpus import MonthWindow, filter_window, load_manifest, select_latest_versions
     try:
         window = MonthWindow(settings["window_start"], settings["window_end"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if "docs_root" in settings:
-        settings["docs_root"] = settings["docs_root"] or Path(settings["manifest"]).parent
     manifest = load_manifest(_require_file(settings["manifest"], "manifest"))
     entries, window_skipped = filter_window(select_latest_versions(manifest), window)
     return _Corpus(window, len(manifest), entries, window_skipped)
@@ -163,7 +160,7 @@ class _Part(NamedTuple):
     """One shard's results, or the sum of every shard's (``_add``)."""
 
     skipped: list[tuple[str, str]]  # (doc_id, reason) of each unreadable document
-    counts: Counter  # "mentions", "input_bytes" and each Provenance, ScopeReason, Category
+    counts: Counter  # "mentions", "input_bytes", "scored" and each Provenance and ScopeReason
     ns: Counter  # nanoseconds per stage
     aggregate: CorpusAggregate | None  # in-scope mentions (report, pipeline)
 
@@ -246,9 +243,11 @@ def _run_extraction(
     mention text is held in memory or sent back from a shard.  Returns the
     counts, the shards' summed part and the stage timings (seconds summed
     over the shards).  No mentions file is written when a shard fails.
+    Documents are read under --docs-root as given, else the manifest's directory.
     """
     from . import shards
     from .extraction import MENTIONS_HEADER
+    settings["docs_root"] = settings["docs_root"] or Path(settings["manifest"]).parent
     docs_root = Path(settings["docs_root"])
     if corpus.window_skipped:
         log.warning("%d document(s) outside corpus window %s..%s skipped",

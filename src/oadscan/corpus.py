@@ -36,17 +36,10 @@ class ManifestError(ValueError):
 class DuplicateVersionError(ValueError):
     """The same (base_id, version) pair appears more than once."""
 
-    def __init__(self, duplicates: list[tuple[str, int]]):
-        listing = ", ".join(f"{b}v{v}" for b, v in duplicates)
-        super().__init__(f"duplicate id/version pairs in manifest: {listing}")
-
 
 class DocumentReadError(OSError):
-    """A document text file was missing, unreadable, or not valid UTF-8."""
-
-    def __init__(self, doc_id: "DocumentId", path: Path, cause: Exception):
-        self.reason = f"{path}: {cause}"
-        super().__init__(f"cannot read document {doc_id}: {self.reason}")
+    """A document text file was missing, unreadable, or not valid UTF-8;
+    ``reason`` names the path and the cause."""
 
 
 _MONTH_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
@@ -198,7 +191,8 @@ def select_latest_versions(manifest: tuple[ManifestEntry, ...]) -> tuple[Manifes
         if current is None or entry.doc_id.version > current.doc_id.version:
             best[entry.doc_id.base_id] = entry
     if duplicates:
-        raise DuplicateVersionError(sorted(set(duplicates)))
+        listing = ", ".join(f"{b}v{v}" for b, v in sorted(set(duplicates)))
+        raise DuplicateVersionError(f"duplicate id/version pairs in manifest: {listing}")
     winners = {id(e) for e in best.values()}
     return tuple(e for e in manifest if id(e) in winners)
 
@@ -225,6 +219,9 @@ def read_document(entry: ManifestEntry, root: str | Path) -> Document:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentReadError(entry.doc_id, path, exc) from exc
+        reason = f"{path}: {exc}"
+        error = DocumentReadError(f"cannot read document {entry.doc_id}: {reason}")
+        error.reason = reason
+        raise error from exc
     return Document(entry.doc_id, entry.month, text)
 

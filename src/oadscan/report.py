@@ -110,9 +110,8 @@ def _report_records(setup: _ReportSetup, records: list[MentionRecord], part: _Pa
         if rule is None and label_decides(platform, category_policy):
             counts["scored"] += 1
             oads = score_text(model, r.context, parsed) >= threshold
-        category = category_of(platform, oads, category_policy)
-        counts[category] += 1
-        aggregate.add_mention(r.month, category, parsed.hostname)
+        aggregate.add_mention(r.month, category_of(platform, oads, category_policy),
+                              parsed.hostname)
     part.ns["classify"] += time.process_time_ns() - t0
 
 
@@ -168,7 +167,8 @@ def _write_report(
         "scored": total.counts["scored"],  # the mentions the learned model scored
         **{key: {member.value: total.counts[member] for member in enum}
            for key, enum in (("provenance", classifier.Provenance),
-                             ("scope_reasons", scope.ScopeReason), ("categories", ghp.Category))},
+                             ("scope_reasons", scope.ScopeReason))},
+        "categories": {member.value: getattr(totals, member.value) for member in ghp.Category},
         "months": months,
         "reports": sorted(Path(p).name for p in report_paths.values()),
     }, analytics.paper_figures(aggregate), {

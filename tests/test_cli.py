@@ -223,6 +223,11 @@ class TestEvaluate:
         ("top level not an object", "list"),
         ("value of the wrong type", "malformed model file"),
         ("other format version", "format_version 99"),
+        ("vocabulary index a string", "vocabulary indices"),
+        ("vocabulary index a bool", "vocabulary indices"),
+        ("vocabulary index out of range", "vocabulary indices"),
+        ("vocabulary index negative", "vocabulary indices"),
+        ("vocabulary index duplicated", "vocabulary indices"),
     ])
     def test_malformed_model_is_data_error_naming_it(self, tmp_path, caplog, shape, named):
         data = json.loads(MODEL.read_text(encoding="utf-8"))
@@ -236,6 +241,12 @@ class TestEvaluate:
             data["format_version"] = 99
         elif shape == "value of the wrong type":
             data["weights"] = None
+        elif shape.startswith("vocabulary index"):
+            vocabulary = data["vocabulary"]
+            first, second = sorted(vocabulary, key=vocabulary.get)[:2]
+            index = {"a string": "0", "a bool": True, "out of range": 10**6, "negative": -1,
+                     "duplicated": 1}[shape.removeprefix("vocabulary index ")]
+            vocabulary[second if index is True else first] = index
         model = tmp_path / "model.json"
         model.write_text("" if shape == "not JSON" else json.dumps(data), encoding="utf-8")
         assert run("evaluate", "--model", model, "--labeled", DATA / "labeled_seed.tsv") == EXIT_DATA
