@@ -30,26 +30,23 @@ __all__ = [
 
 
 class MonthlyStats(NamedTuple):
-    """Per-month counts; identities: uri_total = oads + non_oads and
-    oads = ghp + non_ghp_oads."""
+    """Per-month counts, the three categories in ``Category`` order; the
+    totals are their sums: oads = ghp + non_ghp_oads and uri_total =
+    oads + non_oads."""
 
     month: str
     publications: int = 0
-    uri_total: int = 0
-    oads: int = 0
-    non_oads: int = 0
     ghp: int = 0
     non_ghp_oads: int = 0
+    non_oads: int = 0
 
-    def check(self) -> None:
-        counts = (self.publications, self.uri_total, self.oads, self.non_oads,
-                  self.ghp, self.non_ghp_oads)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {self}")
-        if self.uri_total != self.oads + self.non_oads:
-            raise ValueError(f"uri_total != oads + non_oads in {self}")
-        if self.oads != self.ghp + self.non_ghp_oads:
-            raise ValueError(f"oads != ghp + non_ghp_oads in {self}")
+    @property
+    def oads(self) -> int:
+        return self.ghp + self.non_ghp_oads
+
+    @property
+    def uri_total(self) -> int:
+        return self.oads + self.non_oads
 
 
 def category_percentages(stats: MonthlyStats) -> tuple[float, float, float] | None:
@@ -99,17 +96,12 @@ def frequency_histogram(
     )
 
 
-def top_hostnames(stats: HostnameStats, n: int | None = None) -> list[str]:
-    """The n most frequent hostnames (all of them when n is None), ties
-    broken lexicographically."""
-    if n is not None and n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def top_hostnames(stats: HostnameStats) -> list[str]:
+    """Every hostname, the most frequent first, ties broken lexicographically."""
     # Two stable sorts of one list rank the strings themselves: no key
     # tuple or (host, count) pair is built per hostname.
     ranked = sorted(stats.counts)
     ranked.sort(key=stats.counts.__getitem__, reverse=True)
-    if n is not None:
-        del ranked[n:]
     return ranked
 
 
@@ -153,21 +145,13 @@ class CorpusAggregate:
 
     def monthly_list(self) -> list[MonthlyStats]:
         months = set(self.publications).union(month for month, _ in self.mentions)
-        return [_monthly_stats(m, self.publications[m], *(self.mentions[m, c] for c in Category))
+        return [MonthlyStats(m, self.publications[m], *(self.mentions[m, c] for c in Category))
                 for m in sorted(months)]
 
     def totals(self) -> MonthlyStats:
         """Every month's counts summed."""
-        return _monthly_stats("total", sum(self.publications.values()), *(
+        return MonthlyStats("total", sum(self.publications.values()), *(
             sum(n for (_, c), n in self.mentions.items() if c is category) for category in Category))
-
-
-def _monthly_stats(month: str, publications: int, ghp: int, non_ghp_oads: int,
-                   non_oads: int) -> MonthlyStats:
-    oads = ghp + non_ghp_oads
-    stats = MonthlyStats(month, publications, oads + non_oads, oads, non_oads, ghp, non_ghp_oads)
-    stats.check()
-    return stats
 
 
 def paper_figures(aggregate: CorpusAggregate) -> dict[str, float | int | None]:

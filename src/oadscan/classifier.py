@@ -509,4 +509,6 @@ def read_labeled_file(path: str | Path) -> list[LabeledExample]:
             if label is None:
                 raise LabeledFileError(f"{path}:{lineno}: unknown label {raw_label!r}")
             examples.append(LabeledExample(context, uri, label))
+    if not examples:
+        raise LabeledFileError(f"no examples in {path}")
     return examples

@@ -370,16 +370,28 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
     if p := add_command("train", "train the learned classifier"):
         from .classifier import TrainingConfig
-        defaults = TrainingConfig._field_defaults
+
+        def add_training_option(name, convert, **kwargs):
+            """An option for a TrainingConfig field, its value checked by
+            TrainingConfig, so a value out of range is a usage error."""
+            def check(text):
+                value = convert(text)
+                try:
+                    TrainingConfig(**{name: value})
+                except ValueError as exc:
+                    raise argparse.ArgumentTypeError(str(exc)) from None
+                return value
+            check.__name__ = convert.__name__  # argparse's "invalid float value" names it
+            p.add_argument(f"--{name.replace('_', '-')}", type=check,
+                           default=TrainingConfig._field_defaults[name], **kwargs)
+
         p.add_argument("--labeled", help="labeled-example file (label<TAB>uri<TAB>context)")
         p.add_argument("--out", help="model file to write")
-        p.add_argument("--learning-rate", type=float, default=defaults["learning_rate"])
-        p.add_argument("--iterations", type=int, default=defaults["iterations"])
-        p.add_argument("--l2", type=float, default=defaults["l2"], help="L2 penalty strength")
-        p.add_argument("--threshold", type=float, default=defaults["threshold"],
-                       help="OADS decision threshold")
-        p.add_argument("--seed", type=int, default=defaults["seed"],
-                       help="recorded in the model file")
+        add_training_option("learning_rate", float)
+        add_training_option("iterations", int)
+        add_training_option("l2", float, help="L2 penalty strength")
+        add_training_option("threshold", float, help="OADS decision threshold")
+        add_training_option("seed", int, help="recorded in the model file")
 
     if p := add_command("evaluate", "evaluate a model on labeled examples"):
         p.add_argument("--model", help="model file")

@@ -178,23 +178,19 @@ def select_latest_versions(manifest: tuple[ManifestEntry, ...]) -> tuple[Manifes
     The relative order of surviving entries is preserved.  Duplicate
     (base_id, version) pairs are an error.
     """
-    seen: dict[tuple[str, int], ManifestEntry] = {}
-    duplicates: list[tuple[str, int]] = []
-    best: dict[str, ManifestEntry] = {}
+    seen: set[DocumentId] = set()
+    duplicates: set[DocumentId] = set()
+    latest: dict[str, int] = {}
     for entry in manifest:
-        key = (entry.doc_id.base_id, entry.doc_id.version)
-        if key in seen:
-            duplicates.append(key)
-            continue
-        seen[key] = entry
-        current = best.get(entry.doc_id.base_id)
-        if current is None or entry.doc_id.version > current.doc_id.version:
-            best[entry.doc_id.base_id] = entry
+        doc_id = entry.doc_id
+        if doc_id in seen:
+            duplicates.add(doc_id)
+        seen.add(doc_id)
+        latest[doc_id.base_id] = max(doc_id.version, latest.get(doc_id.base_id, 0))
     if duplicates:
-        listing = ", ".join(f"{b}v{v}" for b, v in sorted(set(duplicates)))
+        listing = ", ".join(map(str, sorted(duplicates)))
         raise DuplicateVersionError(f"duplicate id/version pairs in manifest: {listing}")
-    winners = {id(e) for e in best.values()}
-    return tuple(e for e in manifest if id(e) in winners)
+    return tuple(e for e in manifest if e.doc_id.version == latest[e.doc_id.base_id])
 
 
 def filter_window(

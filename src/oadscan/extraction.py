@@ -115,9 +115,6 @@ def _valid_candidate(trimmed: str, implicit: bool) -> str | None:
             return None
         uri = "http://" + trimmed
     else:
-        head, sep, tail = trimmed.partition("://")
-        if not sep or not tail:
-            return None
         uri = trimmed
     if parse_uri(uri).hostname is None:
         return None

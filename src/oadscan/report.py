@@ -70,12 +70,10 @@ def cmd_train(settings: dict) -> None:
 
 
 def cmd_evaluate(settings: dict) -> None:
-    from .classifier import LabeledFileError, TrainedModel, evaluate, read_labeled_file
+    from .classifier import TrainedModel, evaluate, read_labeled_file
     _require(settings, "model", "labeled")
     model = TrainedModel.load(_require_file(settings["model"], "model file"))
     examples = read_labeled_file(_require_file(settings["labeled"], "labeled file"))
-    if not examples:
-        raise LabeledFileError(f"no examples in {settings['labeled']}")
     metrics = evaluate(model, examples)
     print(json.dumps(metrics._asdict(), sort_keys=True, indent=2))
 

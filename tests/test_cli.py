@@ -175,6 +175,32 @@ class TestTrain:
         empty.write_text("", encoding="utf-8")
         assert run("train", "--labeled", empty, "--out", tmp_path / "m.json") == EXIT_DATA
 
+    def test_labeled_file_of_comments_only_is_data_error(self, tmp_path, caplog):
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text("# label, uri, context\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run("train", "--labeled", labeled, "--out", out) == EXIT_DATA
+        assert f"no examples in {labeled}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--learning-rate", "-1", "learning_rate must be positive, got -1.0"),
+        ("--iterations", "0", "iterations must be >= 1, got 0"),
+        ("--l2", "-0.5", "l2 must be non-negative, got -0.5"),
+        ("--threshold", "1.5", "threshold must lie in (0, 1), got 1.5"),
+    ])
+    def test_out_of_range_value_is_usage_error_before_reading(self, flag, value, message,
+                                                              tmp_path, monkeypatch, capsys):
+        from oadscan import classifier
+        reads = []
+        monkeypatch.setattr(classifier, "read_labeled_file", lambda *a: reads.append(a))
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--labeled", DATA / "labeled_seed.tsv", "--out", tmp_path / "m.json",
+                flag, value)
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert reads == []
+
     def test_single_class_fails(self, tmp_path):
         labeled = tmp_path / "one.tsv"
         labeled.write_text("OADS\thttps://a.b/c\tThe dataset.\n", encoding="utf-8")
@@ -220,6 +246,7 @@ class TestEvaluate:
         ("not JSON", "Expecting value"),
         ("missing key", "'weights'"),
         ("unknown training key", "'momentum'"),
+        ("training value out of range", "iterations must be >= 1, got 0"),
         ("top level not an object", "list"),
         ("value of the wrong type", "malformed model file"),
         ("other format version", "format_version 99"),
@@ -235,6 +262,8 @@ class TestEvaluate:
             del data["weights"]
         elif shape == "unknown training key":
             data["training"]["momentum"] = 0.9
+        elif shape == "training value out of range":
+            data["training"]["iterations"] = 0
         elif shape == "top level not an object":
             data = [data]
         elif shape == "other format version":
@@ -674,6 +703,10 @@ class TestOptionSources:
         "float": ("train", "learning_rate", "x", "--learning-rate"),
         "choice": ("pipeline", "category_policy", "bogus", "--category-policy"),
         "boolean": ("pipeline", "dedup_per_doc", "ture", "--dedup-per-doc"),
+        "learning rate out of range": ("train", "learning_rate", "-1", "--learning-rate"),
+        "iterations out of range": ("train", "iterations", "0", "--iterations"),
+        "l2 out of range": ("train", "l2", "-0.5", "--l2"),
+        "threshold out of range": ("train", "threshold", "1.5", "--threshold"),
     }
 
     @staticmethod

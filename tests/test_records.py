@@ -51,8 +51,8 @@ RECORDS = {
                     TrainingConfig(seed=3))),
     EvalMetrics: (("accuracy", "per_label", "confusion"),
                   (0.5, {"OADS": {"f1": 0.5}}, {"tp": 1, "fp": 1})),
-    MonthlyStats: (("month", "publications", "uri_total", "oads", "non_oads", "ghp",
-                    "non_ghp_oads"), ("2019-01", 2, 3, 2, 1, 1, 1)),
+    MonthlyStats: (("month", "publications", "ghp", "non_ghp_oads", "non_oads"),
+                   ("2019-01", 2, 1, 1, 1)),
     HostnameStats: (("counts", "total"), ({"zenodo.org": 2}, 2)),
     AggregateConfig: (("category_policy", "histogram_bin_width"),
                       (CategoryPolicy.CLASSIFIER_DECIDES, 10)),
